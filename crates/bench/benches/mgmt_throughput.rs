@@ -7,11 +7,11 @@
 //! * `t5_mgmt_throughput` — wall time for a fixed batch of `status`
 //!   requests split over 1..8 threads against one shared `GramServer`.
 //! * `t5_locked_vs_snapshot` — the authorization state path alone:
-//!   the pre-snapshot architecture (every decision under a read lock,
-//!   every reload under the write lock) against the epoch-published
-//!   `AuthzEngine`, flooded from 1/2/4/8 threads while a publisher
-//!   concurrently republishes the policy. This isolates exactly the
-//!   lock the snapshot refactor removed.
+//!   the pre-snapshot architecture (every decision evaluated under a
+//!   read lock, every reload under the write lock) against the
+//!   snapshot-published `AuthzEngine` (the lock held only to clone the
+//!   snapshot's `Arc`), flooded from 1/2/4/8 threads while a publisher
+//!   concurrently republishes the policy.
 //! * `t5_batch` — the T4 jobtag fan-out (requirement 3 of §2)
 //!   authorized element-wise (one authenticate + one decision per job)
 //!   vs as one batch (`status_by_tag`: one authenticate, one snapshot
@@ -51,11 +51,11 @@ fn bench_mgmt_throughput(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &threads| {
             b.iter(|| {
-                crossbeam::thread::scope(|scope| {
+                std::thread::scope(|scope| {
                     for t in 0..threads {
                         let tb = Arc::clone(&tb);
                         let contact = contacts[t % contacts.len()].clone();
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             let client = tb.member_client(t % tb.members.len());
                             for _ in 0..REQUESTS / threads {
                                 let report = client.status(&tb.server, &contact);
@@ -63,8 +63,7 @@ fn bench_mgmt_throughput(c: &mut Criterion) {
                             }
                         });
                     }
-                })
-                .expect("bench threads join");
+                });
             })
         });
     }
@@ -92,22 +91,21 @@ impl LockedPdp {
 /// policy `RELOADS_PER_ITER` times. Identical structure for both
 /// series; only the state container differs.
 fn flood(threads: usize, decide: &(dyn Fn() + Sync), publish: &(dyn Fn() + Sync)) {
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for _ in 0..REQUESTS / threads {
                     decide();
                 }
             });
         }
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             for _ in 0..RELOADS_PER_ITER {
                 publish();
                 std::thread::yield_now();
             }
         });
-    })
-    .expect("bench threads join");
+    });
 }
 
 fn bench_locked_vs_snapshot(c: &mut Criterion) {

@@ -3,16 +3,16 @@
 //! The budget (DESIGN.md §Telemetry): with telemetry attached, a cache
 //! hit records exactly one relaxed counter increment and reads no
 //! clock, so the `telemetered` series must stay within 5% of `bare`.
-//! The `traced` series shows the opt-in ceiling — a full
-//! [`DecisionTrace`] costs two `Instant` reads plus a span push per
-//! stage, and is only paid by requests that asked for a trace.
+//! The `traced` series shows the served path's ceiling —
+//! [`AuthzEngine::authorize_within`] with a full [`DecisionTrace`] costs
+//! two `Instant` reads plus a span push per stage.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gridauthz_bench::{combined_pdp_with_n_sources, management_request};
 use gridauthz_clock::SimTime;
-use gridauthz_core::AuthzEngine;
+use gridauthz_core::{AuthzEngine, RequestContext};
 use gridauthz_telemetry::TelemetryRegistry;
 
 fn bench_telemetry_overhead(c: &mut Criterion) {
@@ -35,11 +35,13 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(telemetered.decide(&request)));
     });
     group.bench_function("cached_decide/traced", |b| {
+        let ctx = RequestContext::unbounded();
         b.iter(|| {
             let mut trace = registry.start_trace("bench", SimTime::from_secs(0));
-            let decision = std::hint::black_box(telemetered.decide_traced(&request, &mut trace));
+            let outcome =
+                std::hint::black_box(telemetered.authorize_within(&ctx, &request, &mut trace));
             registry.finish_trace(trace);
-            decision
+            outcome
         });
     });
     group.finish();

@@ -195,19 +195,18 @@ fn t5() {
     println!("{:<10} {:>14} {:>14}", "threads", "wall time", "requests/s");
     for threads in [1usize, 2, 4, 8] {
         let start = Instant::now();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..threads {
                 let tb = Arc::clone(&tb);
                 let contact = contacts[t % contacts.len()].clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let client = tb.member_client(t % tb.members.len());
                     for _ in 0..REQUESTS / threads {
                         client.status(&tb.server, &contact).expect("own-job status permits");
                     }
                 });
             }
-        })
-        .expect("threads join");
+        });
         let elapsed = start.elapsed();
         println!(
             "{threads:<10} {elapsed:>14.2?} {:>14.0}",

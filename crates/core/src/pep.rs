@@ -41,52 +41,14 @@ pub trait AuthorizationCallout: Send + Sync {
     /// fails (callers must fail closed).
     fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure>;
 
-    /// Authorizes a batch of requests, one result per request. The
-    /// default delegates to [`authorize`](Self::authorize) element-wise;
-    /// callouts backed by swappable state override it to resolve that
-    /// state **once** for the whole batch, so a VO-wide management
-    /// fan-out is guaranteed a single consistent policy view.
-    fn authorize_batch(&self, requests: &[AuthzRequest]) -> Vec<Result<(), AuthzFailure>> {
-        requests.iter().map(|request| self.authorize(request)).collect()
-    }
-
-    /// [`authorize`](Self::authorize) recording interior per-stage spans
-    /// into `trace`. The default delegates to the untraced method —
-    /// stateless callouts have no interior stages to expose; the caller
-    /// records the callout-level span itself. [`PdpCallout`] overrides
-    /// this to surface its cache probe and PDP combine.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the failures [`authorize`](Self::authorize) returns.
-    fn authorize_traced(
-        &self,
-        request: &AuthzRequest,
-        trace: &mut DecisionTrace,
-    ) -> Result<(), AuthzFailure> {
-        let _ = trace;
-        self.authorize(request)
-    }
-
-    /// [`authorize_batch`](Self::authorize_batch) with one trace per
-    /// request (`traces.len() == requests.len()`). The default ignores
-    /// the traces and delegates.
-    fn authorize_batch_traced(
-        &self,
-        requests: &[AuthzRequest],
-        traces: &mut [DecisionTrace],
-    ) -> Vec<Result<(), AuthzFailure>> {
-        let _ = traces;
-        self.authorize_batch(requests)
-    }
-
-    /// [`authorize_traced`](Self::authorize_traced) under a
-    /// [`RequestContext`]: the callout may clamp its own time spending
-    /// (retries, backoff) to the request's remaining deadline. The
-    /// default ignores the context — stateless callouts answer
-    /// immediately, so there is nothing to clamp;
-    /// [`SupervisedCallout`] overrides it to fit its retry schedule
-    /// inside the deadline.
+    /// [`authorize`](Self::authorize) under a [`RequestContext`],
+    /// recording interior per-stage spans into `trace`. The default
+    /// ignores both and delegates — stateless callouts answer
+    /// immediately and have no interior stages; the caller records the
+    /// callout-level span itself. [`PdpCallout`] overrides this to
+    /// surface its cache probe and PDP combine, and
+    /// [`SupervisedCallout`] to fit its retry schedule inside the
+    /// deadline.
     ///
     /// # Errors
     ///
@@ -97,21 +59,27 @@ pub trait AuthorizationCallout: Send + Sync {
         request: &AuthzRequest,
         trace: &mut DecisionTrace,
     ) -> Result<(), AuthzFailure> {
-        let _ = ctx;
-        self.authorize_traced(request, trace)
+        let _ = (ctx, trace);
+        self.authorize(request)
     }
 
-    /// [`authorize_batch_traced`](Self::authorize_batch_traced) under a
-    /// [`RequestContext`] shared by the whole batch. The default ignores
-    /// the context and delegates.
+    /// [`authorize_within`](Self::authorize_within) for a batch sharing
+    /// one context, with one trace per request (`traces.len() ==
+    /// requests.len()`) and one result per request. The default is
+    /// element-wise; callouts backed by swappable state override it to
+    /// resolve that state **once** for the whole batch, so a VO-wide
+    /// management fan-out is guaranteed a single consistent policy view.
     fn authorize_batch_within(
         &self,
         ctx: &RequestContext,
         requests: &[AuthzRequest],
         traces: &mut [DecisionTrace],
     ) -> Vec<Result<(), AuthzFailure>> {
-        let _ = ctx;
-        self.authorize_batch_traced(requests, traces)
+        requests
+            .iter()
+            .zip(traces.iter_mut())
+            .map(|(request, trace)| self.authorize_within(ctx, request, trace))
+            .collect()
     }
 
     /// Notifies the callout that the policy environment changed
@@ -152,9 +120,9 @@ pub trait AuthorizationCallout: Send + Sync {
 /// generation-stamped [`DecisionCache`].
 ///
 /// Internally this is a thin wrapper over [`AuthzEngine`]: the PDP lives
-/// in an epoch-published [`PolicySnapshot`], so `authorize` never takes
-/// a lock and [`PdpCallout::reload`] swaps policy without stalling
-/// in-flight decisions.
+/// in a published [`PolicySnapshot`], so `authorize` never holds a lock
+/// across evaluation and [`PdpCallout::reload`] swaps policy without
+/// stalling in-flight decisions.
 pub struct PdpCallout {
     engine: AuthzEngine,
 }
@@ -233,26 +201,25 @@ impl AuthorizationCallout for PdpCallout {
         self.engine.authorize(request)
     }
 
-    fn authorize_batch(&self, requests: &[AuthzRequest]) -> Vec<Result<(), AuthzFailure>> {
-        // One snapshot resolution covers the whole batch.
-        self.engine.authorize_batch(requests)
-    }
-
-    fn authorize_traced(
+    fn authorize_within(
         &self,
+        ctx: &RequestContext,
         request: &AuthzRequest,
         trace: &mut DecisionTrace,
     ) -> Result<(), AuthzFailure> {
-        // Surfaces the interior cache probe and combine as spans.
-        self.engine.authorize_traced(request, trace)
+        // Surfaces the interior cache probe and combine as spans. The
+        // deadline is not checked: a snapshot decision never blocks.
+        self.engine.evaluate(ctx, request, trace)
     }
 
-    fn authorize_batch_traced(
+    fn authorize_batch_within(
         &self,
+        ctx: &RequestContext,
         requests: &[AuthzRequest],
         traces: &mut [DecisionTrace],
     ) -> Vec<Result<(), AuthzFailure>> {
-        self.engine.authorize_batch_traced(requests, traces)
+        // One snapshot resolution covers the whole batch.
+        self.engine.evaluate_batch(ctx, requests, traces)
     }
 
     fn policy_updated(&self) {
@@ -319,38 +286,6 @@ impl CalloutChain {
             callout.authorize(request)?;
         }
         Ok(())
-    }
-
-    /// Authorizes a batch: each callout sees the still-undecided subset of
-    /// the batch (snapshot-backed callouts resolve their state once for
-    /// all elements); a request's result is its first failure in callout
-    /// order — elements already settled by an earlier callout are never
-    /// re-presented to later ones, so side-effectful callouts observe
-    /// each element at most once. An empty chain permits every element.
-    pub fn authorize_batch(&self, requests: &[AuthzRequest]) -> Vec<Result<(), AuthzFailure>> {
-        let mut outcomes: Vec<Result<(), AuthzFailure>> = requests.iter().map(|_| Ok(())).collect();
-        for callout in &self.callouts {
-            let pending: Vec<usize> =
-                (0..requests.len()).filter(|&i| outcomes[i].is_ok()).collect();
-            if pending.is_empty() {
-                break;
-            }
-            if pending.len() == requests.len() {
-                // Nothing settled yet: hand the callout the original slice.
-                for (outcome, sub) in outcomes.iter_mut().zip(callout.authorize_batch(requests)) {
-                    if outcome.is_ok() {
-                        *outcome = sub;
-                    }
-                }
-            } else {
-                let subset: Vec<AuthzRequest> =
-                    pending.iter().map(|&i| requests[i].clone()).collect();
-                for (&i, sub) in pending.iter().zip(callout.authorize_batch(&subset)) {
-                    outcomes[i] = sub;
-                }
-            }
-        }
-        outcomes
     }
 
     /// Forwards a policy-environment change to every callout (see
@@ -612,93 +547,6 @@ mod tests {
         assert!(chain.authorize(&request("/O=G/CN=Bo", "&(executable = x)")).is_err());
         assert_eq!(counter.0.load(std::sync::atomic::Ordering::SeqCst), 1);
         assert_eq!(chain.names(), vec!["deny", "deny"]);
-    }
-
-    #[test]
-    fn batch_skips_elements_settled_by_earlier_callouts() {
-        use std::sync::Mutex;
-
-        // Denies requests from a specific subject; records nothing.
-        struct DenySubject(&'static str);
-        impl AuthorizationCallout for DenySubject {
-            fn name(&self) -> &str {
-                "deny-subject"
-            }
-            fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
-                if request.subject().to_string().contains(self.0) {
-                    Err(AuthzFailure::Denied(DenyReason::NoApplicableGrant))
-                } else {
-                    Ok(())
-                }
-            }
-        }
-
-        // Records every request it is shown — a side-effectful callout.
-        #[derive(Default)]
-        struct Spy {
-            seen: Mutex<Vec<String>>,
-        }
-        impl AuthorizationCallout for Spy {
-            fn name(&self) -> &str {
-                "spy"
-            }
-            fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
-                self.seen.lock().unwrap().push(request.subject().to_string());
-                Ok(())
-            }
-        }
-
-        let spy = Arc::new(Spy::default());
-        let mut chain = CalloutChain::new();
-        chain.push(Arc::new(DenySubject("Mallory")));
-        chain.push(spy.clone());
-
-        let requests = vec![
-            request("/O=G/CN=Alice", "&(executable = x)"),
-            request("/O=G/CN=Mallory", "&(executable = x)"),
-            request("/O=G/CN=Carol", "&(executable = x)"),
-        ];
-        let outcomes = chain.authorize_batch(&requests);
-        assert!(outcomes[0].is_ok());
-        assert!(outcomes[1].is_err(), "first failure in callout order must stand");
-        assert!(outcomes[2].is_ok());
-
-        // The spy must only ever have observed the two surviving elements.
-        let seen = spy.seen.lock().unwrap();
-        assert_eq!(seen.len(), 2, "settled element re-presented to a later callout: {seen:?}");
-        assert!(seen[0].contains("Alice") && seen[1].contains("Carol"), "{seen:?}");
-    }
-
-    #[test]
-    fn batch_short_circuits_when_everything_is_settled() {
-        struct DenyAll;
-        impl AuthorizationCallout for DenyAll {
-            fn name(&self) -> &str {
-                "deny-all"
-            }
-            fn authorize(&self, _: &AuthzRequest) -> Result<(), AuthzFailure> {
-                Err(AuthzFailure::Denied(DenyReason::NoApplicableGrant))
-            }
-        }
-        #[derive(Default)]
-        struct Counting(std::sync::atomic::AtomicUsize);
-        impl AuthorizationCallout for Counting {
-            fn name(&self) -> &str {
-                "counting"
-            }
-            fn authorize(&self, _: &AuthzRequest) -> Result<(), AuthzFailure> {
-                self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                Ok(())
-            }
-        }
-        let counter = Arc::new(Counting::default());
-        let mut chain = CalloutChain::new();
-        chain.push(Arc::new(DenyAll));
-        chain.push(counter.clone());
-        let requests = vec![request("/O=G/CN=Bo", "&(executable = x)")];
-        let outcomes = chain.authorize_batch(&requests);
-        assert!(outcomes[0].is_err());
-        assert_eq!(counter.0.load(std::sync::atomic::Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -1,15 +1,13 @@
-//! Epoch-published policy snapshots — the lock-free authorization hot
-//! path.
+//! Published policy snapshots — the authorization hot path.
 //!
 //! The journal version of the paper (cs/0311025) requires policy updates
 //! to take effect promptly *without stalling in-flight requests*, and
 //! §5.2/§6.2 require the callout cost to stay small even when every
-//! management operation is authorized. A reader/writer lock around the
-//! PDP satisfies neither under load: every decision bounces the lock's
-//! cache line, and a reload stalls behind the reader crowd.
+//! management operation is authorized. A reader/writer lock held across
+//! PDP evaluation satisfies neither under load: a reload stalls behind
+//! every decision in progress.
 //!
-//! This module replaces the lock with **immutable snapshots published by
-//! atomic pointer swap**:
+//! This module evaluates against **immutable snapshots** instead:
 //!
 //! * [`PolicySnapshot`] bundles everything a decision needs — the
 //!   combined PDP (each source holding its `Arc`'d compiled program and
@@ -17,26 +15,26 @@
 //!   cache — into one immutable value. A decision that holds a snapshot
 //!   can never observe a torn policy: all sources and the generation
 //!   travel together.
-//! * [`SnapshotCell`] publishes a snapshot. Readers pay one epoch pin
-//!   (a thread-local atomic plus a fence — see `crossbeam::epoch`) and
-//!   one `Acquire` pointer load; writers build the replacement off-path,
-//!   swap the pointer, and retire the old snapshot through epoch-based
-//!   reclamation so it is freed only after the last in-flight decision
-//!   over it completes. No decision ever blocks a reload; no reload
-//!   ever blocks a decision.
+//! * [`SnapshotCell`] publishes a snapshot as an `RwLock<Arc<_>>`. A
+//!   reader holds the read guard only to clone the `Arc`; a writer
+//!   builds the replacement off-path and holds the write guard only to
+//!   swap it in. Evaluation runs on the reader's own `Arc`, so no
+//!   decision ever waits for a reload's policy build and no reload ever
+//!   waits for a decision's evaluation.
 //! * [`AuthzEngine`] is the facade the PEP and the GRAM server use:
-//!   `decide`/`authorize` for single requests, `decide_batch`/
-//!   `authorize_batch` resolving **one snapshot for a whole batch**
-//!   (the VO-wide jobtag fan-out path), `reload`/`policy_updated` for
-//!   publication. The cache generation is the snapshot's own
-//!   generation — there is no separate counter to fall out of sync.
+//!   `decide`/`decide_batch` for per-source breakdowns, `authorize` for
+//!   an untraced single request, `authorize_within`/
+//!   `authorize_batch_within` for the served path (a batch resolves
+//!   **one snapshot for all its elements** — the VO-wide jobtag fan-out),
+//!   `reload`/`policy_updated` for publication. The cache generation is
+//!   the snapshot's own generation — there is no separate counter to
+//!   fall out of sync.
 
 use std::fmt;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
-use crossbeam::epoch;
 use gridauthz_telemetry::{labels, DecisionTrace, Gauge, Stage, TelemetryRegistry};
 
 use crate::cache::{request_digest, CacheStats, DecisionCache};
@@ -90,80 +88,43 @@ impl PolicySnapshot {
     }
 }
 
-/// Retired snapshot pointer handed to the epoch collector. The raw
-/// pointer came out of `Arc::into_raw` on a `Send + Sync` payload, so
-/// moving it to whichever thread runs the deferred drop is sound.
-struct Retired<T>(*const T);
-
-unsafe impl<T: Send + Sync> Send for Retired<T> {}
-
-impl<T> Retired<T> {
-    /// Releases the cell's reference.
-    ///
-    /// # Safety
-    ///
-    /// The pointer must be an `Arc::into_raw` result whose reference
-    /// has not been released yet, with no reader still dereferencing it
-    /// (the epoch collector guarantees the latter).
-    unsafe fn reclaim(self) {
-        drop(Arc::from_raw(self.0));
-    }
-}
-
-/// An atomically swappable, epoch-protected `Arc<T>` slot.
+/// A swappable `Arc<T>` slot.
 ///
-/// `load` is the entire read-side protocol of the engine: pin the epoch,
-/// read one pointer with `Acquire`, bump the refcount. No mutex, no
-/// reader/writer lock, no contended compare-and-swap — concurrent
-/// readers scale with cores. `store` swaps the pointer and defers the
-/// old value's drop until every reader pinned at swap time has unpinned.
+/// `load` is the entire read-side protocol of the engine: take the read
+/// guard, bump the refcount, release. The guard is never held across
+/// evaluation, and `store` drops the replaced value only after releasing
+/// the write guard, so a publication that frees the last reference to an
+/// old snapshot does so outside the lock.
 pub struct SnapshotCell<T> {
-    ptr: AtomicPtr<T>,
+    slot: RwLock<Arc<T>>,
 }
 
-impl<T: Send + Sync + 'static> SnapshotCell<T> {
+impl<T> SnapshotCell<T> {
     /// A cell initially publishing `value`.
     pub fn new(value: T) -> SnapshotCell<T> {
-        SnapshotCell { ptr: AtomicPtr::new(Arc::into_raw(Arc::new(value)) as *mut T) }
+        SnapshotCell { slot: RwLock::new(Arc::new(value)) }
     }
 
-    /// The currently published value. Never blocks and never observes a
-    /// half-written value: the pointer swap is the linearization point
+    /// The currently published value. Never observes a half-written
+    /// value: the swap under the write guard is the linearization point
     /// of every publication.
     pub fn load(&self) -> Arc<T> {
-        let _guard = epoch::pin();
-        let raw = self.ptr.load(Ordering::Acquire);
-        // Safety: `raw` came from `Arc::into_raw`, and the epoch guard
-        // keeps a concurrently retired snapshot alive until we return —
-        // the refcount bump below happens strictly before reclamation.
-        unsafe {
-            Arc::increment_strong_count(raw);
-            Arc::from_raw(raw)
-        }
+        Arc::clone(&self.slot.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Publishes `value`, retiring the previous one through the epoch
-    /// collector once no in-flight `load` can still dereference it.
+    /// Publishes `value`. In-flight holders of the previous value keep
+    /// it alive until they drop their `Arc`.
     pub fn store(&self, value: T) {
-        let new = Arc::into_raw(Arc::new(value)) as *mut T;
-        let guard = epoch::pin();
-        let retired = Retired(self.ptr.swap(new, Ordering::AcqRel) as *const T);
-        // Safety: the swapped-out pointer is the cell's former
-        // `Arc::into_raw`, and the collector runs the drop only after
-        // every reader pinned at swap time has unpinned.
-        guard.defer(move || unsafe { retired.reclaim() });
+        let value = Arc::new(value);
+        let previous = std::mem::replace(
+            &mut *self.slot.write().unwrap_or_else(PoisonError::into_inner),
+            value,
+        );
+        drop(previous);
     }
 }
 
-impl<T> Drop for SnapshotCell<T> {
-    fn drop(&mut self) {
-        // `&mut self`: no concurrent load exists, reclaim directly.
-        let raw = *self.ptr.get_mut() as *const T;
-        unsafe { drop(Arc::from_raw(raw)) };
-    }
-}
-
-impl<T: fmt::Debug + Send + Sync + 'static> fmt::Debug for SnapshotCell<T> {
+impl<T: fmt::Debug> fmt::Debug for SnapshotCell<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_tuple("SnapshotCell").field(&self.load()).finish()
     }
@@ -173,10 +134,10 @@ impl<T: fmt::Debug + Send + Sync + 'static> fmt::Debug for SnapshotCell<T> {
 /// an optional decision cache stamped by snapshot generation, and any
 /// number of additional [`AuthorizationCallout`]s run after the PDP.
 ///
-/// The steady-state decision path acquires **zero locks**: one epoch pin
-/// and one atomic pointer load resolve the complete policy state
-/// (uncached decisions touch nothing else; cached ones add one sharded
-/// cache probe). Publication — [`reload`](AuthzEngine::reload),
+/// The steady-state decision path resolves the complete policy state
+/// with one [`SnapshotCell::load`] (uncached decisions touch nothing
+/// else; cached ones add one sharded cache probe). Publication —
+/// [`reload`](AuthzEngine::reload),
 /// [`policy_updated`](AuthzEngine::policy_updated) — builds the new
 /// snapshot off-path under a writer mutex nothing on the decision path
 /// ever touches.
@@ -344,10 +305,10 @@ impl AuthzEngine {
         self.decide_under(&snapshot, request)
     }
 
-    /// Evaluates a batch under **one** snapshot: a single epoch pin and
-    /// pointer load covers every element, and all decisions are
-    /// guaranteed to reflect the same policy generation — a VO-wide
-    /// cancel fan-out can never straddle a reload.
+    /// Evaluates a batch under **one** snapshot: a single load covers
+    /// every element, and all decisions are guaranteed to reflect the
+    /// same policy generation — a VO-wide cancel fan-out can never
+    /// straddle a reload.
     pub fn decide_batch(&self, requests: &[AuthzRequest]) -> Vec<Arc<CombinedDecision>> {
         let snapshot = self.cell.load();
         requests.iter().map(|request| self.decide_under(&snapshot, request)).collect()
@@ -460,8 +421,9 @@ impl AuthzEngine {
         }
     }
 
-    /// Authorizes `request`: the snapshot decision first, then every
-    /// extra callout in order; the first failure wins.
+    /// Authorizes `request` with no trace and no deadline: the snapshot
+    /// decision first, then every extra callout in order; the first
+    /// failure wins. A cache hit reads no clock.
     pub fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
         let snapshot = self.cell.load();
         if !snapshot.is_pass_through() {
@@ -473,92 +435,14 @@ impl AuthzEngine {
         Ok(())
     }
 
-    /// Authorizes a batch under one snapshot. Each extra callout sees
-    /// the still-undecided subset of the batch (so a snapshot-backed
-    /// callout also resolves its state once); a request's result is its
-    /// first failure in callout order — settled elements are never
-    /// re-presented to later callouts.
-    pub fn authorize_batch(&self, requests: &[AuthzRequest]) -> Vec<Result<(), AuthzFailure>> {
-        let snapshot = self.cell.load();
-        let mut outcomes: Vec<Result<(), AuthzFailure>> = if snapshot.is_pass_through() {
-            requests.iter().map(|_| Ok(())).collect()
-        } else {
-            requests
-                .iter()
-                .map(|request| AuthzEngine::to_outcome(&self.decide_under(&snapshot, request)))
-                .collect()
-        };
-        for callout in &self.extras {
-            let pending: Vec<usize> =
-                (0..requests.len()).filter(|&i| outcomes[i].is_ok()).collect();
-            if pending.is_empty() {
-                break;
-            }
-            if pending.len() == requests.len() {
-                for (outcome, sub) in outcomes.iter_mut().zip(callout.authorize_batch(requests)) {
-                    if outcome.is_ok() {
-                        *outcome = sub;
-                    }
-                }
-            } else {
-                let subset: Vec<AuthzRequest> =
-                    pending.iter().map(|&i| requests[i].clone()).collect();
-                for (&i, sub) in pending.iter().zip(callout.authorize_batch(&subset)) {
-                    outcomes[i] = sub;
-                }
-            }
-        }
-        outcomes
-    }
-
-    /// [`decide`](Self::decide) recording cache-probe and combine spans
-    /// into `trace` instead of bumping registry counters directly.
-    pub fn decide_traced(
-        &self,
-        request: &AuthzRequest,
-        trace: &mut DecisionTrace,
-    ) -> Arc<CombinedDecision> {
-        let snapshot = self.cell.load();
-        self.decide_instrumented(&snapshot, request, Some(trace))
-    }
-
-    /// [`authorize`](Self::authorize) with per-stage spans: the snapshot
-    /// decision contributes cache-probe/combine spans, and every extra
-    /// callout contributes a named [`Stage::Callout`] span (snapshot-
-    /// backed callouts additionally surface their interior stages — see
-    /// [`AuthorizationCallout::authorize_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// Exactly the failures [`authorize`](Self::authorize) returns.
-    pub fn authorize_traced(
-        &self,
-        request: &AuthzRequest,
-        trace: &mut DecisionTrace,
-    ) -> Result<(), AuthzFailure> {
-        let snapshot = self.cell.load();
-        if !snapshot.is_pass_through() {
-            AuthzEngine::to_outcome(&self.decide_instrumented(&snapshot, request, Some(trace)))?;
-        }
-        for callout in &self.extras {
-            let start = Instant::now();
-            let outcome = callout.authorize_traced(request, trace);
-            trace.record_callout(
-                callout.name(),
-                AuthzEngine::outcome_label(&outcome),
-                elapsed_nanos(Some(start)),
-            );
-            outcome?;
-        }
-        Ok(())
-    }
-
-    /// [`authorize_traced`](Self::authorize_traced) under a
-    /// [`RequestContext`]: an already-expired request is refused as an
-    /// authorization-system failure before any policy work, and every
-    /// extra callout receives the context so it can clamp its own time
-    /// spending (see [`AuthorizationCallout::authorize_within`]) — this
-    /// is how the front-end's deadline reaches the retry loop inside a
+    /// [`authorize`](Self::authorize) under a [`RequestContext`], with
+    /// per-stage spans: an already-expired request is refused as an
+    /// authorization-system failure before any policy work; otherwise
+    /// the snapshot decision contributes cache-probe/combine spans and
+    /// every extra callout a named [`Stage::Callout`] span. Each callout
+    /// receives the context so it can clamp its own time spending (see
+    /// [`AuthorizationCallout::authorize_within`]) — this is how the
+    /// front-end's deadline reaches the retry loop inside a
     /// [`SupervisedCallout`](crate::SupervisedCallout).
     ///
     /// # Errors
@@ -572,10 +456,38 @@ impl AuthzEngine {
         trace: &mut DecisionTrace,
     ) -> Result<(), AuthzFailure> {
         if ctx.expired() {
-            return Err(AuthzFailure::SystemError(
-                "request deadline expired before authorization".into(),
-            ));
+            return Err(expired());
         }
+        self.evaluate(ctx, request, trace)
+    }
+
+    /// [`authorize_within`](Self::authorize_within) for a batch sharing
+    /// one context, with one trace per request. The whole batch is
+    /// refused when the context has already expired; otherwise it
+    /// resolves under **one** snapshot, and each extra callout sees the
+    /// still-undecided subset through
+    /// [`AuthorizationCallout::authorize_batch_within`].
+    pub fn authorize_batch_within(
+        &self,
+        ctx: &RequestContext,
+        requests: &[AuthzRequest],
+        traces: &mut [DecisionTrace],
+    ) -> Vec<Result<(), AuthzFailure>> {
+        if ctx.expired() {
+            return requests.iter().map(|_| Err(expired())).collect();
+        }
+        self.evaluate_batch(ctx, requests, traces)
+    }
+
+    /// The traced single-request path without the deadline check — what
+    /// a [`PdpCallout`](crate::PdpCallout) runs, since a snapshot
+    /// decision never blocks and so has no time spending to clamp.
+    pub(crate) fn evaluate(
+        &self,
+        ctx: &RequestContext,
+        request: &AuthzRequest,
+        trace: &mut DecisionTrace,
+    ) -> Result<(), AuthzFailure> {
         let snapshot = self.cell.load();
         if !snapshot.is_pass_through() {
             AuthzEngine::to_outcome(&self.decide_instrumented(&snapshot, request, Some(trace)))?;
@@ -593,48 +505,22 @@ impl AuthzEngine {
         Ok(())
     }
 
-    /// [`decide`](Self::decide) under a [`RequestContext`]: the snapshot
-    /// decision itself is context-free (it never blocks), so the only
-    /// context effect is refusing an already-expired request.
-    ///
-    /// # Errors
-    ///
-    /// [`AuthzFailure::SystemError`] when `ctx` has expired.
-    pub fn decide_within(
-        &self,
-        ctx: &RequestContext,
-        request: &AuthzRequest,
-    ) -> Result<Arc<CombinedDecision>, AuthzFailure> {
-        if ctx.expired() {
-            return Err(AuthzFailure::SystemError(
-                "request deadline expired before decision".into(),
-            ));
-        }
-        Ok(self.decide(request))
-    }
-
-    /// [`authorize_batch_traced`](Self::authorize_batch_traced) under one
-    /// shared [`RequestContext`]: the whole batch is refused when the
-    /// context has already expired, still resolves under **one**
-    /// snapshot, and extra callouts receive the context through
-    /// [`AuthorizationCallout::authorize_batch_within`].
-    pub fn authorize_batch_within(
+    /// The traced batch path without the deadline check. Each extra
+    /// callout sees the still-undecided subset of the batch (so a
+    /// snapshot-backed callout also resolves its state once); a
+    /// request's result is its first failure in callout order — settled
+    /// elements are never re-presented to later callouts, so
+    /// side-effectful callouts observe each element at most once. A
+    /// callout's batch evaluation is timed as a whole and the elapsed
+    /// time amortized evenly across the elements it saw — the batch API
+    /// deliberately gives callouts no per-element boundary to clock.
+    pub(crate) fn evaluate_batch(
         &self,
         ctx: &RequestContext,
         requests: &[AuthzRequest],
         traces: &mut [DecisionTrace],
     ) -> Vec<Result<(), AuthzFailure>> {
         debug_assert_eq!(requests.len(), traces.len());
-        if ctx.expired() {
-            return requests
-                .iter()
-                .map(|_| {
-                    Err(AuthzFailure::SystemError(
-                        "request deadline expired before authorization".into(),
-                    ))
-                })
-                .collect();
-        }
         let snapshot = self.cell.load();
         let mut outcomes: Vec<Result<(), AuthzFailure>> = if snapshot.is_pass_through() {
             requests.iter().map(|_| Ok(())).collect()
@@ -661,68 +547,6 @@ impl AuthzEngine {
             let subs = if pending.len() == requests.len() {
                 callout.authorize_batch_within(ctx, requests, traces)
             } else {
-                let subset: Vec<AuthzRequest> =
-                    pending.iter().map(|&i| requests[i].clone()).collect();
-                let mut sub_traces: Vec<DecisionTrace> = pending
-                    .iter()
-                    .map(|&i| std::mem::replace(&mut traces[i], DecisionTrace::detached()))
-                    .collect();
-                let subs = callout.authorize_batch_within(ctx, &subset, &mut sub_traces);
-                for (&i, trace) in pending.iter().zip(sub_traces) {
-                    traces[i] = trace;
-                }
-                subs
-            };
-            let amortized = elapsed_nanos(Some(start)) / pending.len().max(1) as u64;
-            for (&i, sub) in pending.iter().zip(subs) {
-                traces[i].record_callout(
-                    callout.name(),
-                    AuthzEngine::outcome_label(&sub),
-                    amortized,
-                );
-                outcomes[i] = sub;
-            }
-        }
-        outcomes
-    }
-
-    /// [`authorize_batch`](Self::authorize_batch) with one trace per
-    /// request. A callout's batch evaluation is timed as a whole and the
-    /// elapsed time amortized evenly across the elements it saw — the
-    /// batch API deliberately gives callouts no per-element boundary to
-    /// clock.
-    pub fn authorize_batch_traced(
-        &self,
-        requests: &[AuthzRequest],
-        traces: &mut [DecisionTrace],
-    ) -> Vec<Result<(), AuthzFailure>> {
-        debug_assert_eq!(requests.len(), traces.len());
-        let snapshot = self.cell.load();
-        let mut outcomes: Vec<Result<(), AuthzFailure>> = if snapshot.is_pass_through() {
-            requests.iter().map(|_| Ok(())).collect()
-        } else {
-            requests
-                .iter()
-                .zip(traces.iter_mut())
-                .map(|(request, trace)| {
-                    AuthzEngine::to_outcome(&self.decide_instrumented(
-                        &snapshot,
-                        request,
-                        Some(trace),
-                    ))
-                })
-                .collect()
-        };
-        for callout in &self.extras {
-            let pending: Vec<usize> =
-                (0..requests.len()).filter(|&i| outcomes[i].is_ok()).collect();
-            if pending.is_empty() {
-                break;
-            }
-            let start = Instant::now();
-            let subs = if pending.len() == requests.len() {
-                callout.authorize_batch_traced(requests, traces)
-            } else {
                 // Settled elements keep their traces untouched: swap the
                 // pending traces out, run the callout over the subset,
                 // and put them back.
@@ -732,7 +556,7 @@ impl AuthzEngine {
                     .iter()
                     .map(|&i| std::mem::replace(&mut traces[i], DecisionTrace::detached()))
                     .collect();
-                let subs = callout.authorize_batch_traced(&subset, &mut sub_traces);
+                let subs = callout.authorize_batch_within(ctx, &subset, &mut sub_traces);
                 for (&i, trace) in pending.iter().zip(sub_traces) {
                     traces[i] = trace;
                 }
@@ -789,6 +613,11 @@ impl AuthzEngine {
     }
 }
 
+/// The refusal for a request whose deadline passed before authorization.
+fn expired() -> AuthzFailure {
+    AuthzFailure::SystemError("request deadline expired before authorization".into())
+}
+
 /// Elapsed nanoseconds since `start`, or 0 when timing was off.
 fn elapsed_nanos(start: Option<Instant>) -> u64 {
     start.map_or(0, |start| u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX))
@@ -809,8 +638,11 @@ impl fmt::Debug for AuthzEngine {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicUsize;
+
     use super::*;
     use crate::combine::{Combiner, PolicyOrigin};
+    use crate::decision::DenyReason;
     use gridauthz_credential::DistinguishedName;
     use gridauthz_rsl::parse;
 
@@ -819,6 +651,16 @@ mod tests {
             subject.parse::<DistinguishedName>().unwrap(),
             parse(job).unwrap().as_conjunction().unwrap().clone(),
         )
+    }
+
+    /// The served batch path with no deadline and detached traces.
+    fn batch_outcomes(
+        engine: &AuthzEngine,
+        requests: &[AuthzRequest],
+    ) -> Vec<Result<(), AuthzFailure>> {
+        let mut traces: Vec<DecisionTrace> =
+            requests.iter().map(|_| DecisionTrace::detached()).collect();
+        engine.authorize_batch_within(&RequestContext::unbounded(), requests, &mut traces)
     }
 
     fn pdp(policy: &str) -> CombinedPdp {
@@ -902,7 +744,7 @@ mod tests {
                 "deny-all"
             }
             fn authorize(&self, _: &AuthzRequest) -> Result<(), AuthzFailure> {
-                Err(AuthzFailure::Denied(crate::decision::DenyReason::NoApplicableGrant))
+                Err(AuthzFailure::Denied(DenyReason::NoApplicableGrant))
             }
         }
         let mut engine = AuthzEngine::new("e", pdp("/O=G/CN=Bo: &(action = start)"));
@@ -911,7 +753,92 @@ mod tests {
         assert_eq!(engine.callout_names(), vec!["deny-all"]);
         let r = request("/O=G/CN=Bo", "&(executable = x)");
         assert!(engine.authorize(&r).is_err());
-        let batch = engine.authorize_batch(std::slice::from_ref(&r));
+        let batch = batch_outcomes(&engine, std::slice::from_ref(&r));
         assert!(batch[0].is_err());
+    }
+
+    #[test]
+    fn batch_skips_elements_settled_by_earlier_callouts() {
+        // Denies requests from a specific subject; records nothing.
+        struct DenySubject(&'static str);
+        impl AuthorizationCallout for DenySubject {
+            fn name(&self) -> &str {
+                "deny-subject"
+            }
+            fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
+                if request.subject().to_string().contains(self.0) {
+                    Err(AuthzFailure::Denied(DenyReason::NoApplicableGrant))
+                } else {
+                    Ok(())
+                }
+            }
+        }
+
+        // Records every request it is shown — a side-effectful callout.
+        #[derive(Default)]
+        struct Spy {
+            seen: Mutex<Vec<String>>,
+        }
+        impl AuthorizationCallout for Spy {
+            fn name(&self) -> &str {
+                "spy"
+            }
+            fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
+                self.seen.lock().unwrap().push(request.subject().to_string());
+                Ok(())
+            }
+        }
+
+        let spy = Arc::new(Spy::default());
+        let mut engine = AuthzEngine::pass_through("chain");
+        engine.push_callout(Arc::new(DenySubject("Mallory")));
+        engine.push_callout(spy.clone());
+
+        let requests = vec![
+            request("/O=G/CN=Alice", "&(executable = x)"),
+            request("/O=G/CN=Mallory", "&(executable = x)"),
+            request("/O=G/CN=Carol", "&(executable = x)"),
+        ];
+        let outcomes = batch_outcomes(&engine, &requests);
+        assert!(outcomes[0].is_ok());
+        assert!(outcomes[1].is_err(), "first failure in callout order must stand");
+        assert!(outcomes[2].is_ok());
+
+        // The spy must only ever have observed the two surviving elements.
+        let seen = spy.seen.lock().unwrap();
+        assert_eq!(seen.len(), 2, "settled element re-presented to a later callout: {seen:?}");
+        assert!(seen[0].contains("Alice") && seen[1].contains("Carol"), "{seen:?}");
+    }
+
+    #[test]
+    fn batch_short_circuits_when_everything_is_settled() {
+        struct DenyAll;
+        impl AuthorizationCallout for DenyAll {
+            fn name(&self) -> &str {
+                "deny-all"
+            }
+            fn authorize(&self, _: &AuthzRequest) -> Result<(), AuthzFailure> {
+                Err(AuthzFailure::Denied(DenyReason::NoApplicableGrant))
+            }
+        }
+        #[derive(Default)]
+        struct Counting(AtomicUsize);
+        impl AuthorizationCallout for Counting {
+            fn name(&self) -> &str {
+                "counting"
+            }
+            fn authorize(&self, _: &AuthzRequest) -> Result<(), AuthzFailure> {
+                self.0.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            }
+        }
+        let counter = Arc::new(Counting::default());
+        let mut engine = AuthzEngine::pass_through("chain");
+        engine.push_callout(Arc::new(DenyAll));
+        engine.push_callout(counter.clone());
+        let requests = vec![request("/O=G/CN=Bo", "&(executable = x)")];
+        let outcomes = batch_outcomes(&engine, &requests);
+        assert!(outcomes[0].is_err());
+        assert_eq!(counter.0.load(Ordering::SeqCst), 0);
     }
 }

@@ -620,12 +620,12 @@ impl SupervisedCallout {
         }
     }
 
-    /// The supervised decision path shared by `authorize`,
-    /// `authorize_traced` and `authorize_within`. The retry schedule is
-    /// clamped by `ctx`: once the request cannot afford another backoff
-    /// plus a full per-attempt deadline, the supervisor stops retrying
-    /// and degrades instead of blowing through the caller's deadline —
-    /// the context's remaining time, not the standalone
+    /// The supervised decision path shared by `authorize` and
+    /// `authorize_within`. The retry schedule is clamped by `ctx`: once
+    /// the request cannot afford another backoff plus a full
+    /// per-attempt deadline, the supervisor stops retrying and degrades
+    /// instead of blowing through the caller's deadline — the context's
+    /// remaining time, not the standalone
     /// [`decision_budget`](ResilienceConfig::decision_budget), bounds
     /// the call.
     fn call_supervised(
@@ -716,14 +716,6 @@ impl AuthorizationCallout for SupervisedCallout {
         self.call_supervised(&RequestContext::unbounded(), request, None)
     }
 
-    fn authorize_traced(
-        &self,
-        request: &AuthzRequest,
-        trace: &mut DecisionTrace,
-    ) -> Result<(), AuthzFailure> {
-        self.call_supervised(&RequestContext::unbounded(), request, Some(trace))
-    }
-
     fn authorize_within(
         &self,
         ctx: &RequestContext,
@@ -731,32 +723,6 @@ impl AuthorizationCallout for SupervisedCallout {
         trace: &mut DecisionTrace,
     ) -> Result<(), AuthzFailure> {
         self.call_supervised(ctx, request, Some(trace))
-    }
-
-    fn authorize_batch_traced(
-        &self,
-        requests: &[AuthzRequest],
-        traces: &mut [DecisionTrace],
-    ) -> Vec<Result<(), AuthzFailure>> {
-        let ctx = RequestContext::unbounded();
-        requests
-            .iter()
-            .zip(traces.iter_mut())
-            .map(|(request, trace)| self.call_supervised(&ctx, request, Some(trace)))
-            .collect()
-    }
-
-    fn authorize_batch_within(
-        &self,
-        ctx: &RequestContext,
-        requests: &[AuthzRequest],
-        traces: &mut [DecisionTrace],
-    ) -> Vec<Result<(), AuthzFailure>> {
-        requests
-            .iter()
-            .zip(traces.iter_mut())
-            .map(|(request, trace)| self.call_supervised(ctx, request, Some(trace)))
-            .collect()
     }
 
     fn policy_updated(&self) {
@@ -1045,7 +1011,9 @@ mod tests {
         config.degradation = DegradationPolicy::FailOpenAdvisory;
         let supervised = SupervisedCallout::new(inner, &clock, config);
         let mut trace = DecisionTrace::detached();
-        assert!(supervised.authorize_traced(&request("/O=G/CN=Bo"), &mut trace).is_ok());
+        assert!(supervised
+            .authorize_within(&RequestContext::unbounded(), &request("/O=G/CN=Bo"), &mut trace)
+            .is_ok());
         assert!(trace.is_degraded());
         assert_eq!(supervised.stats().fail_open, 1);
     }
@@ -1064,7 +1032,9 @@ mod tests {
         inner.broken.store(true, Ordering::SeqCst);
         let mut trace = DecisionTrace::detached();
         assert!(
-            supervised.authorize_traced(&request("/O=G/CN=Bo"), &mut trace).is_ok(),
+            supervised
+                .authorize_within(&RequestContext::unbounded(), &request("/O=G/CN=Bo"), &mut trace)
+                .is_ok(),
             "remembered request must be served stale"
         );
         assert!(trace.is_degraded());

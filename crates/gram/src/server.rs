@@ -278,7 +278,8 @@ impl GramServerBuilder {
         let start = Instant::now();
         let snapshot =
             snapshots.load().map_err(|e| durability_error(format!("snapshot load failed: {e}")))?;
-        let (journal, tail) = Journal::open(storage)
+        let covers = snapshot.as_ref().map_or(0, |blob| blob.covers_seq);
+        let (journal, tail) = Journal::open_after(storage, covers)
             .map_err(|e| durability_error(format!("journal open failed: {e}")))?;
         if let Some(blob) = &snapshot {
             let records = decode_records(&blob.payload)
@@ -288,7 +289,6 @@ impl GramServerBuilder {
                 server.telemetry.record(Stage::Recovery, labels::REPLAY);
             }
         }
-        let covers = snapshot.as_ref().map_or(0, |blob| blob.covers_seq);
         for frame in &tail.records {
             if frame.seq <= covers {
                 continue;
@@ -503,13 +503,13 @@ struct Durability {
 /// benchmarks (experiment T5).
 pub struct GramServer {
     resource_name: String,
-    /// Swap-on-update: every request loads one epoch-protected pointer;
+    /// Swap-on-update: every request loads one published `Arc`;
     /// administrative changes (grid-mapfile swap, CRL load) clone the
     /// gatekeeper, mutate the clone, and publish it under `admin`.
     /// Authentication never blocks on administration.
     gatekeeper: SnapshotCell<Gatekeeper>,
     /// The authorization engine: snapshot-published policy plus the
-    /// configured callouts, lock-free on the decision path.
+    /// configured callouts; no lock is held across a decision.
     engine: AuthzEngine,
     mode: GramMode,
     /// Records are shared (`Arc`): the management hot path looks one up
@@ -1128,10 +1128,10 @@ impl GramServer {
     }
 
     /// Authorizes one management action per record. In extended mode the
-    /// whole batch is judged through [`AuthzEngine::authorize_batch`],
-    /// i.e. against **one** policy snapshot: a VO-wide sweep can never
-    /// see the pre-reload policy for some jobs and the post-reload
-    /// policy for others.
+    /// whole batch is judged through
+    /// [`AuthzEngine::authorize_batch_within`], i.e. against **one**
+    /// policy snapshot: a VO-wide sweep can never see the pre-reload
+    /// policy for some jobs and the post-reload policy for others.
     fn authorize_management_batch(
         &self,
         ctx: &RequestContext,

@@ -1,30 +1,33 @@
-//! Stress tests for the epoch-published snapshot path (DESIGN.md's
-//! "Epoch-published snapshots"): decision floods racing rapid policy
+//! Stress tests for the published-snapshot path (DESIGN.md's
+//! "Published snapshots"): decision floods racing rapid policy
 //! publication must never
 //!
 //! 1. serve a **stale permit after an acknowledged revocation** — once
 //!    `reload`/`revoke_credential` has returned, every subsequently
 //!    *started* decision reflects the new state, and
 //! 2. observe a **torn snapshot** — a decision's per-source breakdown
-//!    (and every element of one `decide_batch`) always comes from a
-//!    single publication, never a mix of generations.
+//!    (and every element of one `decide_batch` or
+//!    `authorize_batch_within`) always comes from a single publication,
+//!    never a mix of generations.
 //!
-//! A property test additionally pins `decide_batch` to element-wise
-//! `decide` over arbitrary request mixes.
+//! A property test additionally pins the batch APIs to their
+//! element-wise counterparts over arbitrary request mixes.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use gridauthz_clock::{SimClock, SimDuration};
 use gridauthz_core::{
-    paper, Action, AuthzEngine, AuthzRequest, CalloutChain, CombinedPdp, Combiner, PdpCallout,
-    PolicyOrigin, PolicySource,
+    paper, Action, AuthzEngine, AuthzFailure, AuthzRequest, CalloutChain, CombinedPdp, Combiner,
+    PdpCallout, PolicyOrigin, PolicySource, RequestContext,
 };
 use gridauthz_credential::{
     CertificateAuthority, Credential, GridMapEntry, GridMapFile, TrustStore,
 };
 use gridauthz_gram::{GramError, GramServer, GramServerBuilder};
 use gridauthz_rsl::Conjunction;
+use gridauthz_telemetry::DecisionTrace;
 
 use proptest::prelude::*;
 
@@ -94,6 +97,63 @@ fn floods_never_observe_torn_snapshots() {
                         decisions
                             .iter()
                             .flat_map(|d| d.per_source().iter().map(|(name, _)| name.as_ref())),
+                    );
+                }
+            });
+        }
+    });
+}
+
+/// A PDP that grants Bo `test1` under even versions and only Kate under
+/// odd ones: a batch of identical Bo requests mixing permits and denials
+/// must have straddled two publications.
+fn parity_pdp(version: u64) -> CombinedPdp {
+    let subject = if version.is_multiple_of(2) { paper::BO_LIU_DN } else { paper::KATE_KEAHEY_DN };
+    let policy = format!("{subject}: &(action = start)(executable = test1)");
+    CombinedPdp::new(
+        vec![PolicySource::new("parity", PolicyOrigin::ResourceOwner, policy.parse().unwrap())],
+        Combiner::DenyOverrides,
+    )
+}
+
+/// Runs `batch` through the served batch path with no deadline.
+fn authorize_batch_within(
+    engine: &AuthzEngine,
+    batch: &[AuthzRequest],
+) -> Vec<Result<(), AuthzFailure>> {
+    let mut traces: Vec<DecisionTrace> = batch.iter().map(|_| DecisionTrace::detached()).collect();
+    engine.authorize_batch_within(&RequestContext::unbounded(), batch, &mut traces)
+}
+
+#[test]
+fn served_batches_never_straddle_publications() {
+    const PUBLICATIONS: u64 = 400;
+    // Shaped like the GRAM server's engine: a pass-through snapshot with
+    // the cached PDP callout behind it, reloaded in place.
+    let callout = Arc::new(PdpCallout::cached("parity", parity_pdp(0)));
+    let mut engine = AuthzEngine::pass_through("served");
+    engine.push_callout(callout.clone());
+    let request = AuthzRequest::start(paper::bo_liu(), conj("&(executable = test1)(count = 1)"));
+    let batch: Vec<AuthzRequest> = (0..8).map(|_| request.clone()).collect();
+    let stop = AtomicBool::new(false);
+
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for version in 1..=PUBLICATIONS {
+                callout.reload(parity_pdp(version));
+            }
+            stop.store(true, Ordering::SeqCst);
+        });
+        for _ in 0..3 {
+            scope.spawn(|| {
+                while !stop.load(Ordering::SeqCst) {
+                    let outcomes = authorize_batch_within(&engine, &batch);
+                    assert_eq!(outcomes.len(), batch.len());
+                    let permits = outcomes.iter().filter(|outcome| outcome.is_ok()).count();
+                    assert!(
+                        permits == 0 || permits == batch.len(),
+                        "torn snapshot: {permits} of {} identical requests permitted",
+                        batch.len()
                     );
                 }
             });
@@ -257,9 +317,10 @@ fn arb_request() -> impl Strategy<Value = AuthzRequest> {
 }
 
 proptest! {
-    /// `decide_batch` is element-wise `decide` (and `authorize_batch`
-    /// element-wise `authorize`) for every request mix — the batch API
-    /// changes consistency guarantees, never outcomes.
+    /// `decide_batch` is element-wise `decide` (and
+    /// `authorize_batch_within` element-wise `authorize`) for every
+    /// request mix — the batch API changes consistency guarantees, never
+    /// outcomes.
     #[test]
     fn batch_apis_match_elementwise(requests in proptest::collection::vec(arb_request(), 1..12)) {
         let engine = AuthzEngine::new(
@@ -278,7 +339,7 @@ proptest! {
         for (request, batched) in requests.iter().zip(&batch) {
             prop_assert_eq!(&**batched, &*engine.decide(request));
         }
-        for (request, batched) in requests.iter().zip(engine.authorize_batch(&requests)) {
+        for (request, batched) in requests.iter().zip(authorize_batch_within(&engine, &requests)) {
             prop_assert_eq!(batched.is_ok(), engine.authorize(request).is_ok());
         }
     }

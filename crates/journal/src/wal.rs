@@ -190,13 +190,29 @@ impl Journal {
     /// # Errors
     ///
     /// Any I/O error reading or truncating the device.
-    pub fn open(mut storage: Box<dyn Storage>) -> io::Result<(Journal, Replay)> {
+    pub fn open(storage: Box<dyn Storage>) -> io::Result<(Journal, Replay)> {
+        Journal::open_after(storage, 0)
+    }
+
+    /// [`open`](Self::open) for a journal compacted through `covered`
+    /// (the recovered snapshot's `covers_seq`): new frames are numbered
+    /// after both the last intact frame and `covered`. Compaction can
+    /// leave the device empty, and frames renumbered from 1 would sit
+    /// at or below the snapshot's cover, where recovery skips them.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error reading or truncating the device.
+    pub fn open_after(
+        mut storage: Box<dyn Storage>,
+        covered: u64,
+    ) -> io::Result<(Journal, Replay)> {
         let bytes = storage.read_all()?;
         let (records, valid_len) = scan_frames(&bytes);
         if valid_len < bytes.len() {
             storage.truncate(valid_len as u64)?;
         }
-        let next_seq = records.last().map_or(1, |r| r.seq + 1);
+        let next_seq = records.last().map_or(1, |r| r.seq + 1).max(covered + 1);
         let replay = Replay {
             truncated_bytes: (bytes.len() - valid_len) as u64,
             valid_bytes: valid_len as u64,
@@ -454,6 +470,28 @@ mod tests {
         assert_eq!(replay.records.len(), 1);
         assert_eq!(replay.records[0].payload, b"aaaa");
         assert!(replay.truncated_bytes > 0);
+    }
+
+    #[test]
+    fn reopen_after_compaction_numbers_past_the_cover() {
+        let device = MemStorage::new();
+        let (journal, _) = open_mem(&device);
+        for i in 0..3u8 {
+            journal.append(&[i]).unwrap();
+        }
+        let covered = journal.committed_seq();
+        journal.compact_through(covered).unwrap();
+        drop(journal);
+
+        let (journal, replay) = Journal::open_after(Box::new(device.clone()), covered).unwrap();
+        assert!(replay.records.is_empty());
+        let seq = journal.append(b"after").unwrap();
+        assert!(seq > covered, "seq {seq} reused at or below the cover {covered}");
+        drop(journal);
+
+        let (_, replay) = Journal::open_after(Box::new(device.clone()), covered).unwrap();
+        assert_eq!(replay.records.len(), 1);
+        assert_eq!(replay.records[0].seq, seq);
     }
 
     #[test]

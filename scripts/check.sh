@@ -16,6 +16,9 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> cargo test --release --manifest-path perfbench/Cargo.toml (benchmark builds, its tests pass)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> harness t10 (callout resilience phase tables)"
 cargo run -p gridauthz-bench --bin harness --release -- t10
 
