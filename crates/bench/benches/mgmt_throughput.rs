@@ -9,7 +9,7 @@
 //! * `t5_locked_vs_snapshot` — the authorization state path alone:
 //!   the pre-snapshot architecture (every decision evaluated under a
 //!   read lock, every reload under the write lock) against the
-//!   snapshot-published `AuthzEngine` (the lock held only to clone the
+//!   snapshot-published `PdpCallout` (the lock held only to clone the
 //!   snapshot's `Arc`), flooded from 1/2/4/8 threads while a publisher
 //!   concurrently republishes the policy.
 //! * `t5_batch` — the T4 jobtag fan-out (requirement 3 of §2)
@@ -22,7 +22,7 @@ use std::sync::{Arc, RwLock};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gridauthz_bench::{combined_pdp_with_n_sources, extended_testbed, sanctioned_request};
 use gridauthz_clock::SimDuration;
-use gridauthz_core::{AuthzEngine, AuthzRequest, CombinedPdp};
+use gridauthz_core::{AuthzRequest, CombinedPdp, PdpCallout};
 
 const REQUESTS: usize = 512;
 /// Publications interleaved with each measured flood.
@@ -119,9 +119,9 @@ fn bench_locked_vs_snapshot(c: &mut Criterion) {
     // same off-path construction cost.
     let fresh = combined_pdp_with_n_sources(2);
     let locked = LockedPdp { pdp: RwLock::new(fresh.clone()) };
-    let engine = AuthzEngine::new("t5", fresh.clone());
+    let callout = PdpCallout::new("t5", fresh.clone());
     assert!(locked.decide_is_permit(&request), "fixture must permit");
-    assert!(engine.decide(&request).is_permit(), "fixture must permit");
+    assert!(callout.decide(&request).is_permit(), "fixture must permit");
 
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("locked", threads), &threads, |b, &threads| {
@@ -140,9 +140,9 @@ fn bench_locked_vs_snapshot(c: &mut Criterion) {
                 flood(
                     threads,
                     &|| {
-                        std::hint::black_box(engine.decide(&request).is_permit());
+                        std::hint::black_box(callout.decide(&request).is_permit());
                     },
-                    &|| engine.reload(fresh.clone()),
+                    &|| callout.reload(fresh.clone()),
                 )
             })
         });

@@ -12,19 +12,19 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 use gridauthz_bench::{combined_pdp_with_n_sources, management_request};
 use gridauthz_clock::SimTime;
-use gridauthz_core::{AuthzEngine, RequestContext};
+use gridauthz_core::{AuthorizationCallout, PdpCallout, RequestContext};
 use gridauthz_telemetry::TelemetryRegistry;
 
 fn bench_telemetry_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_overhead");
     let request = management_request();
 
-    let bare = AuthzEngine::cached("bench", combined_pdp_with_n_sources(2));
+    let bare = PdpCallout::cached("bench", combined_pdp_with_n_sources(2));
     assert!(bare.decide(&request).is_permit(), "fixture must permit");
 
     let registry = Arc::new(TelemetryRegistry::new());
-    let mut telemetered = AuthzEngine::cached("bench", combined_pdp_with_n_sources(2));
-    telemetered.set_telemetry(Arc::clone(&registry));
+    let telemetered = PdpCallout::cached("bench", combined_pdp_with_n_sources(2));
+    telemetered.attach_telemetry(&registry);
     assert!(telemetered.decide(&request).is_permit(), "fixture must permit");
 
     // Steady-state cache hits: the caches are warm after the asserts.

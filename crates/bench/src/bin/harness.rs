@@ -19,8 +19,8 @@ use gridauthz_bench::{
 };
 use gridauthz_clock::{SimClock, SimDuration, SimTime};
 use gridauthz_core::{
-    paper, Action, AuthzEngine, AuthzRequest, CombinedPdp, Combiner, DecisionCache, Pdp,
-    PolicyOrigin, PolicySource,
+    paper, Action, AuthorizationCallout, AuthzRequest, CombinedPdp, Combiner, DecisionCache, Pdp,
+    PdpCallout, PolicyOrigin, PolicySource,
 };
 use gridauthz_credential::DistinguishedName;
 use gridauthz_enforcement::{
@@ -475,9 +475,9 @@ fn t9() {
     // Overhead of an attached registry on the cached decide hot path
     // (budget: <5%; a hit is one relaxed counter increment, no clock).
     let request = management_request();
-    let bare = AuthzEngine::cached("bench", combined_pdp_with_n_sources(2));
-    let mut telemetered = AuthzEngine::cached("bench", combined_pdp_with_n_sources(2));
-    telemetered.set_telemetry(Arc::new(TelemetryRegistry::new()));
+    let bare = PdpCallout::cached("bench", combined_pdp_with_n_sources(2));
+    let telemetered = PdpCallout::cached("bench", combined_pdp_with_n_sources(2));
+    telemetered.attach_telemetry(&Arc::new(TelemetryRegistry::new()));
     assert!(bare.decide(&request).is_permit(), "fixture must permit");
     assert!(telemetered.decide(&request).is_permit(), "fixture must permit");
     let iters: u32 = 20_000;

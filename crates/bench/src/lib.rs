@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use gridauthz_clock::{SimClock, SimDuration};
 use gridauthz_core::{
-    paper, Action, AuthzRequest, CalloutChain, CombinedPdp, Combiner, PdpCallout, Policy,
-    PolicyOrigin, PolicySource,
+    paper, Action, AuthorizationCallout, AuthzEngine, AuthzRequest, CombinedPdp, Combiner,
+    PdpCallout, Policy, PolicyOrigin, PolicySource,
 };
 use gridauthz_credential::DistinguishedName;
 use gridauthz_rsl::Conjunction;
@@ -129,41 +129,53 @@ pub fn combined_pdp_with_n_sources(n: usize) -> CombinedPdp {
 }
 
 /// The callout chain configurations compared by T1, labelled.
-pub fn t1_callout_chains() -> Vec<(&'static str, CalloutChain)> {
+pub fn t1_callout_chains() -> Vec<(&'static str, AuthzEngine)> {
     let clock = SimClock::new();
+    let chain = |callouts: Vec<Arc<dyn AuthorizationCallout>>| {
+        let mut engine = AuthzEngine::pass_through("t1");
+        for callout in callouts {
+            engine.push_callout(callout);
+        }
+        engine
+    };
+    let rsl_pdp = || Arc::new(PdpCallout::new("rsl-pdp", combined_pdp_with_n_sources(2)));
 
     // (a) empty chain = GT2's Job Manager (no policy evaluation).
-    let gt2 = CalloutChain::new();
+    let gt2 = chain(vec![]);
 
     // (b) the RSL PDP (local + VO policy, deny-overrides).
-    let mut rsl = CalloutChain::new();
-    rsl.push(Arc::new(PdpCallout::new("rsl-pdp", combined_pdp_with_n_sources(2))));
+    let rsl = chain(vec![rsl_pdp()]);
 
     // (c) RSL PDP + Akenti.
     let authority = gridauthz_akenti::AttributeAuthority::new("/O=Grid/CN=AA", &clock)
         .expect("fixture DN parses");
-    let mut engine = gridauthz_akenti::AkentiEngine::new();
-    engine.trust_authority("group", &authority);
-    engine.add_use_condition(gridauthz_akenti::UseCondition::new(
+    let mut akenti_engine = gridauthz_akenti::AkentiEngine::new();
+    akenti_engine.trust_authority("group", &authority);
+    akenti_engine.add_use_condition(gridauthz_akenti::UseCondition::new(
         "/O=LBL/CN=Stakeholder".parse().expect("fixture DN parses"),
         "TRANSP",
         [Action::Start, Action::Cancel],
         vec![vec![("group".into(), "fusion".into())]],
     ));
-    engine.deposit(authority.issue(&member_dn(0), "group", "fusion", SimDuration::from_hours(8)));
-    let mut akenti = CalloutChain::new();
-    akenti.push(Arc::new(PdpCallout::new("rsl-pdp", combined_pdp_with_n_sources(2))));
-    akenti.push(Arc::new(gridauthz_akenti::AkentiCallout::new(
-        "akenti",
-        Arc::new(engine),
-        clock,
-        gridauthz_akenti::ResourceNaming::Executable,
-    )));
+    akenti_engine.deposit(authority.issue(
+        &member_dn(0),
+        "group",
+        "fusion",
+        SimDuration::from_hours(8),
+    ));
+    let akenti = chain(vec![
+        rsl_pdp(),
+        Arc::new(gridauthz_akenti::AkentiCallout::new(
+            "akenti",
+            Arc::new(akenti_engine),
+            clock,
+            gridauthz_akenti::ResourceNaming::Executable,
+        )),
+    ]);
 
     // (d) RSL PDP + CAS restriction enforcement.
-    let mut cas = CalloutChain::new();
-    cas.push(Arc::new(PdpCallout::new("rsl-pdp", combined_pdp_with_n_sources(2))));
-    cas.push(Arc::new(gridauthz_cas::RestrictionCallout::new("cas-enforce")));
+    let cas =
+        chain(vec![rsl_pdp(), Arc::new(gridauthz_cas::RestrictionCallout::new("cas-enforce"))]);
 
     vec![("gt2-empty", gt2), ("pep-rsl", rsl), ("pep-rsl+akenti", akenti), ("pep-rsl+cas", cas)]
 }

@@ -151,7 +151,7 @@ impl DecisionCache {
     /// with a *different* generation are evicted on the way in — the
     /// inserting generation is by construction the current one. When a
     /// shard stays full of current entries, a bounded fraction
-    /// ([`EVICT_BATCH`] entries) is evicted rather than the whole shard:
+    /// (`EVICT_BATCH` entries) is evicted rather than the whole shard:
     /// dropping every hot entry at once would turn one insert into a
     /// latency spike for the entire shard's working set.
     pub fn insert(&self, key: u128, generation: u64, decision: Arc<CombinedDecision>) {

@@ -90,14 +90,6 @@ pub struct CombinedDecision {
 }
 
 impl CombinedDecision {
-    /// The decision of a pass-through evaluation point with no policy
-    /// sources configured — a permit with an empty breakdown. This is
-    /// the GT2 baseline ("an empty chain permits"), kept distinct from
-    /// [`CombinedPdp`] with zero sources, which fails *closed*.
-    pub fn pass_through() -> CombinedDecision {
-        CombinedDecision { decision: Decision::permit(0), per_source: Vec::new() }
-    }
-
     /// The overall decision.
     pub fn decision(&self) -> &Decision {
         &self.decision

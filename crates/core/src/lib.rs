@@ -37,8 +37,11 @@
 //! from multiple policy sources (resource owner + VO) under a
 //! [`Combiner`] — the paper's model is [`Combiner::DenyOverrides`]: *both*
 //! PEPs must authorize. The runtime-configurable callout API of §5.2 is
-//! modelled by [`AuthorizationCallout`], [`CalloutRegistry`] and
-//! [`CalloutChain`].
+//! modelled by [`AuthorizationCallout`] and [`CalloutRegistry`]; an
+//! [`AuthzEngine`] is the ordered callout chain the Job Manager runs
+//! before each action, and [`PdpCallout`] — the RSL policy evaluator
+//! over a published [`PolicySnapshot`] — is one callout in it. An engine
+//! with no callouts is the GT2 baseline.
 //!
 //! # Example
 //!
@@ -92,12 +95,12 @@ pub use explain::{Explanation, GrantAttempt, RequirementCheck};
 pub use index::SubjectIndex;
 pub use parser::parse_policy;
 pub use pep::{
-    AuthorizationCallout, CalloutChain, CalloutConfig, CalloutConfigEntry, CalloutFactory,
-    CalloutRegistry, PdpCallout,
+    AuthorizationCallout, AuthzEngine, CalloutConfig, CalloutConfigEntry, CalloutFactory,
+    CalloutRegistry,
 };
 pub use policy::Policy;
 pub use request::{AuthzRequest, JobDescription};
-pub use snapshot::{AuthzEngine, PolicySnapshot, SnapshotCell};
+pub use snapshot::{PdpCallout, PolicySnapshot, SnapshotCell};
 pub use statement::{PolicyStatement, StatementRole, SubjectMatcher};
 pub use supervise::{
     BreakerState, BreakerTransition, DegradationPolicy, ResilienceConfig, SupervisedCallout,

@@ -9,22 +9,24 @@
 //! This module models that with trait objects instead of `dlopen`:
 //! [`AuthorizationCallout`] is the callout signature, [`CalloutRegistry`]
 //! maps "library/symbol" names to factories, [`CalloutConfig`] parses the
-//! same style of configuration file, and [`CalloutChain`] is the ordered
-//! set of callouts a PEP invokes before every action.
+//! same style of configuration file, and [`AuthzEngine`] is the ordered
+//! chain of callouts a PEP invokes before every action. The RSL policy
+//! evaluator is one callout in that chain
+//! ([`PdpCallout`](crate::PdpCallout)).
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
 
 use gridauthz_clock::SimClock;
-use gridauthz_telemetry::{DecisionTrace, TelemetryRegistry};
+use gridauthz_telemetry::{labels, DecisionTrace, Gauge, TelemetryRegistry};
 
-use crate::cache::{CacheStats, DecisionCache};
-use crate::combine::CombinedPdp;
+use crate::cache::CacheStats;
 use crate::context::RequestContext;
 use crate::error::{AuthzFailure, PolicyParseError};
 use crate::request::AuthzRequest;
-use crate::snapshot::{AuthzEngine, PolicySnapshot};
+use crate::snapshot::elapsed_nanos;
 use crate::supervise::{ResilienceConfig, SupervisedCallout, SupervisionReport};
 
 /// A pluggable authorization module, invoked before every job action.
@@ -45,8 +47,8 @@ pub trait AuthorizationCallout: Send + Sync {
     /// recording interior per-stage spans into `trace`. The default
     /// ignores both and delegates — stateless callouts answer
     /// immediately and have no interior stages; the caller records the
-    /// callout-level span itself. [`PdpCallout`] overrides this to
-    /// surface its cache probe and PDP combine, and
+    /// callout-level span itself. [`PdpCallout`](crate::PdpCallout)
+    /// overrides this to surface its cache probe and PDP combine, and
     /// [`SupervisedCallout`] to fit its retry schedule inside the
     /// deadline.
     ///
@@ -101,7 +103,9 @@ pub trait AuthorizationCallout: Send + Sync {
     /// callouts have nothing to record beyond the callout-level span the
     /// caller already takes, so the default is a no-op;
     /// [`SupervisedCallout`] stores the registry to count retries,
-    /// timeouts and breaker transitions.
+    /// timeouts and breaker transitions, and
+    /// [`PdpCallout`](crate::PdpCallout) to report its snapshot
+    /// generation.
     fn attach_telemetry(&self, registry: &Arc<TelemetryRegistry>) {
         let _ = registry;
     }
@@ -115,168 +119,102 @@ pub trait AuthorizationCallout: Send + Sync {
     }
 }
 
-/// The built-in callout: evaluate against a [`CombinedPdp`] (local + VO
-/// policy, deny-overrides by default), optionally through a
-/// generation-stamped [`DecisionCache`].
-///
-/// Internally this is a thin wrapper over [`AuthzEngine`]: the PDP lives
-/// in a published [`PolicySnapshot`], so `authorize` never holds a lock
-/// across evaluation and [`PdpCallout::reload`] swaps policy without
-/// stalling in-flight decisions.
-pub struct PdpCallout {
-    engine: AuthzEngine,
-}
-
-impl PdpCallout {
-    /// Wraps `pdp` as an uncached callout named `name`.
-    pub fn new(name: impl Into<String>, pdp: CombinedPdp) -> PdpCallout {
-        PdpCallout { engine: AuthzEngine::new(name, pdp) }
-    }
-
-    /// Wraps `pdp` with a decision cache in front: repeated identical
-    /// requests skip evaluation until the next publication
-    /// ([`PdpCallout::reload`] or [`PdpCallout::policy_updated`]).
-    pub fn cached(name: impl Into<String>, pdp: CombinedPdp) -> PdpCallout {
-        PdpCallout { engine: AuthzEngine::cached(name, pdp) }
-    }
-
-    /// Wraps `pdp` with a caller-supplied cache.
-    pub fn with_cache(
-        name: impl Into<String>,
-        pdp: CombinedPdp,
-        cache: DecisionCache,
-    ) -> PdpCallout {
-        PdpCallout { engine: AuthzEngine::with_cache(name, pdp, cache) }
-    }
-
-    /// The currently published policy snapshot.
-    pub fn pdp(&self) -> Arc<PolicySnapshot> {
-        self.engine.snapshot()
-    }
-
-    /// Publishes a new combined PDP — the runtime policy-reload path.
-    /// The snapshot swap carries a fresh cache generation, so no
-    /// decision from the old policy survives it.
-    pub fn reload(&self, pdp: CombinedPdp) {
-        self.engine.reload(pdp);
-    }
-
-    /// The underlying engine.
-    pub fn engine(&self) -> &AuthzEngine {
-        &self.engine
-    }
-
-    /// Attaches a metrics registry to the underlying engine (see
-    /// [`AuthzEngine::set_telemetry`]).
-    pub fn set_telemetry(&mut self, registry: Arc<TelemetryRegistry>) {
-        self.engine.set_telemetry(registry);
-    }
-
-    /// The decision cache, when this callout was built with one.
-    pub fn cache(&self) -> Option<&DecisionCache> {
-        self.engine.cache()
-    }
-
-    /// Hit/miss counters, when this callout was built with a cache.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.engine.cache_stats()
-    }
-}
-
-impl fmt::Debug for PdpCallout {
+impl fmt::Debug for dyn AuthorizationCallout {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PdpCallout")
-            .field("name", &self.engine.name())
-            .field("cached", &self.engine.cache().is_some())
-            .finish()
+        f.debug_tuple("AuthorizationCallout").field(&self.name()).finish()
     }
 }
 
-impl AuthorizationCallout for PdpCallout {
-    fn name(&self) -> &str {
-        self.engine.name()
-    }
-
-    fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
-        self.engine.authorize(request)
-    }
-
-    fn authorize_within(
-        &self,
-        ctx: &RequestContext,
-        request: &AuthzRequest,
-        trace: &mut DecisionTrace,
-    ) -> Result<(), AuthzFailure> {
-        // Surfaces the interior cache probe and combine as spans. The
-        // deadline is not checked: a snapshot decision never blocks.
-        self.engine.evaluate(ctx, request, trace)
-    }
-
-    fn authorize_batch_within(
-        &self,
-        ctx: &RequestContext,
-        requests: &[AuthzRequest],
-        traces: &mut [DecisionTrace],
-    ) -> Vec<Result<(), AuthzFailure>> {
-        // One snapshot resolution covers the whole batch.
-        self.engine.evaluate_batch(ctx, requests, traces)
-    }
-
-    fn policy_updated(&self) {
-        self.engine.policy_updated();
-    }
-
-    fn cache_report(&self) -> Option<(CacheStats, usize)> {
-        self.engine.cache().map(|cache| (cache.stats(), cache.len()))
-    }
-}
-
-/// An ordered chain of callouts. All must permit; evaluation stops at the
-/// first failure. An **empty chain permits** — that is exactly the GT2
-/// baseline, where the Job Manager performs no authorization of its own.
-#[derive(Clone, Default)]
-pub struct CalloutChain {
+/// The policy enforcement point: an ordered chain of
+/// [`AuthorizationCallout`]s run before every job action. All must
+/// permit; evaluation stops at the first failure. An engine with **no
+/// callouts permits** — that is exactly the GT2 baseline, where the Job
+/// Manager performs no authorization of its own.
+pub struct AuthzEngine {
+    name: String,
     callouts: Vec<Arc<dyn AuthorizationCallout>>,
+    /// Optional metrics sink, handed to every callout on attachment.
+    telemetry: Option<Arc<TelemetryRegistry>>,
 }
 
-impl CalloutChain {
-    /// Creates an empty (always-permitting) chain.
-    pub fn new() -> CalloutChain {
-        CalloutChain::default()
+impl AuthzEngine {
+    /// An engine with no callouts: every request permitted — the GT2
+    /// baseline. Callouts pushed later may deny.
+    pub fn pass_through(name: impl Into<String>) -> AuthzEngine {
+        AuthzEngine { name: name.into(), callouts: Vec::new(), telemetry: None }
     }
 
-    /// Appends a callout.
-    pub fn push(&mut self, callout: Arc<dyn AuthorizationCallout>) {
+    /// The engine's configured name (for audit and error messages).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Attaches a metrics registry and hands it to every callout (see
+    /// [`AuthorizationCallout::attach_telemetry`]); callouts pushed later
+    /// receive it too.
+    pub fn set_telemetry(&mut self, registry: Arc<TelemetryRegistry>) {
+        for callout in &self.callouts {
+            callout.attach_telemetry(&registry);
+        }
+        self.telemetry = Some(registry);
+    }
+
+    /// The attached metrics registry, if any.
+    pub fn telemetry(&self) -> Option<&Arc<TelemetryRegistry>> {
+        self.telemetry.as_ref()
+    }
+
+    /// Appends a callout, evaluated after those already in the chain.
+    pub fn push_callout(&mut self, callout: Arc<dyn AuthorizationCallout>) {
+        if let Some(telemetry) = &self.telemetry {
+            callout.attach_telemetry(telemetry);
+        }
         self.callouts.push(callout);
     }
 
-    /// Number of callouts in the chain.
-    pub fn len(&self) -> usize {
-        self.callouts.len()
-    }
-
-    /// True when the chain is empty (GT2 mode).
-    pub fn is_empty(&self) -> bool {
-        self.callouts.is_empty()
-    }
-
-    /// The configured callout names, in invocation order.
-    pub fn names(&self) -> Vec<&str> {
+    /// The callouts' names, in invocation order.
+    pub fn callout_names(&self) -> Vec<&str> {
         self.callouts.iter().map(|c| c.name()).collect()
     }
 
-    /// The callouts themselves, in invocation order.
-    pub fn callouts(&self) -> &[Arc<dyn AuthorizationCallout>] {
-        &self.callouts
-    }
-
-    /// Consumes the chain into its callouts (the GRAM server builder
-    /// folds them into its [`AuthzEngine`]).
-    pub fn into_callouts(self) -> Vec<Arc<dyn AuthorizationCallout>> {
+    /// Supervision state of every supervised callout, in invocation
+    /// order, paired with the callout name. Unsupervised callouts are
+    /// skipped. The GRAM server polls this to append breaker-transition
+    /// audit records.
+    pub fn supervision_reports(&self) -> Vec<(String, SupervisionReport)> {
         self.callouts
+            .iter()
+            .filter_map(|c| c.supervision_report().map(|r| (c.name().to_string(), r)))
+            .collect()
     }
 
-    /// Runs every callout; the first failure aborts the chain.
+    /// True when the chain has no callouts, so authorization is vacuous.
+    /// The GRAM server downgrades Extended mode to GT2 when its engine is
+    /// vacuous.
+    pub fn is_vacuous(&self) -> bool {
+        self.callouts.is_empty()
+    }
+
+    /// Forwards a policy-environment change (grid-mapfile swap,
+    /// credential revocation) to every callout; see
+    /// [`AuthorizationCallout::policy_updated`].
+    pub fn policy_updated(&self) {
+        for callout in &self.callouts {
+            callout.policy_updated();
+        }
+    }
+
+    /// Outcome label for an authorization result.
+    fn outcome_label(outcome: &Result<(), AuthzFailure>) -> &'static str {
+        match outcome {
+            Ok(()) => labels::PERMIT,
+            Err(AuthzFailure::Denied(_)) => labels::POLICY_DENIED,
+            Err(AuthzFailure::SystemError(_)) => labels::AUTHZ_SYSTEM,
+        }
+    }
+
+    /// Authorizes `request` with no trace and no deadline: every callout
+    /// in order; the first failure wins.
     ///
     /// # Errors
     ///
@@ -288,18 +226,136 @@ impl CalloutChain {
         Ok(())
     }
 
-    /// Forwards a policy-environment change to every callout (see
-    /// [`AuthorizationCallout::policy_updated`]).
-    pub fn policy_updated(&self) {
-        for callout in &self.callouts {
-            callout.policy_updated();
+    /// [`authorize`](Self::authorize) under a [`RequestContext`], with
+    /// per-stage spans: an already-expired request is refused as an
+    /// authorization-system failure before any policy work; otherwise
+    /// every callout contributes a named
+    /// [`Stage::Callout`](gridauthz_telemetry::Stage::Callout) span (and
+    /// a [`PdpCallout`](crate::PdpCallout) its interior
+    /// cache-probe/combine spans). Each callout receives the context so
+    /// it can clamp its own time spending (see
+    /// [`AuthorizationCallout::authorize_within`]) — this is how the
+    /// front-end's deadline reaches the retry loop inside a
+    /// [`SupervisedCallout`].
+    ///
+    /// # Errors
+    ///
+    /// The failures [`authorize`](Self::authorize) returns, plus
+    /// [`AuthzFailure::SystemError`] for an expired deadline.
+    pub fn authorize_within(
+        &self,
+        ctx: &RequestContext,
+        request: &AuthzRequest,
+        trace: &mut DecisionTrace,
+    ) -> Result<(), AuthzFailure> {
+        if ctx.expired() {
+            return Err(expired());
         }
+        for callout in &self.callouts {
+            let start = Instant::now();
+            let outcome = callout.authorize_within(ctx, request, trace);
+            trace.record_callout(
+                callout.name(),
+                AuthzEngine::outcome_label(&outcome),
+                elapsed_nanos(Some(start)),
+            );
+            outcome?;
+        }
+        Ok(())
+    }
+
+    /// [`authorize_within`](Self::authorize_within) for a batch sharing
+    /// one context, with one trace per request. The whole batch is
+    /// refused when the context has already expired. Otherwise each
+    /// callout sees the still-undecided subset of the batch through
+    /// [`AuthorizationCallout::authorize_batch_within`] (so a
+    /// [`PdpCallout`](crate::PdpCallout) resolves **one** snapshot for
+    /// it); a request's result is its first failure in callout order —
+    /// settled elements are never re-presented to later callouts, so
+    /// side-effectful callouts observe each element at most once. A
+    /// callout's batch evaluation is timed as a whole and the elapsed
+    /// time amortized evenly across the elements it saw — the batch API
+    /// deliberately gives callouts no per-element boundary to clock.
+    pub fn authorize_batch_within(
+        &self,
+        ctx: &RequestContext,
+        requests: &[AuthzRequest],
+        traces: &mut [DecisionTrace],
+    ) -> Vec<Result<(), AuthzFailure>> {
+        debug_assert_eq!(requests.len(), traces.len());
+        if ctx.expired() {
+            return requests.iter().map(|_| Err(expired())).collect();
+        }
+        let mut outcomes: Vec<Result<(), AuthzFailure>> = requests.iter().map(|_| Ok(())).collect();
+        for callout in &self.callouts {
+            let pending: Vec<usize> =
+                (0..requests.len()).filter(|&i| outcomes[i].is_ok()).collect();
+            if pending.is_empty() {
+                break;
+            }
+            let start = Instant::now();
+            let subs = if pending.len() == requests.len() {
+                callout.authorize_batch_within(ctx, requests, traces)
+            } else {
+                // Settled elements keep their traces untouched: swap the
+                // pending traces out, run the callout over the subset,
+                // and put them back.
+                let subset: Vec<AuthzRequest> =
+                    pending.iter().map(|&i| requests[i].clone()).collect();
+                let mut sub_traces: Vec<DecisionTrace> = pending
+                    .iter()
+                    .map(|&i| std::mem::replace(&mut traces[i], DecisionTrace::detached()))
+                    .collect();
+                let subs = callout.authorize_batch_within(ctx, &subset, &mut sub_traces);
+                for (&i, trace) in pending.iter().zip(sub_traces) {
+                    traces[i] = trace;
+                }
+                subs
+            };
+            let amortized = elapsed_nanos(Some(start)) / pending.len().max(1) as u64;
+            for (&i, sub) in pending.iter().zip(subs) {
+                traces[i].record_callout(
+                    callout.name(),
+                    AuthzEngine::outcome_label(&sub),
+                    amortized,
+                );
+                outcomes[i] = sub;
+            }
+        }
+        outcomes
+    }
+
+    /// Refreshes the cache gauges ([`Gauge::CacheHits`],
+    /// [`Gauge::CacheMisses`], [`Gauge::CacheEntries`]) by summing every
+    /// callout's [`cache_report`](AuthorizationCallout::cache_report).
+    /// Gauges are sampled state, not counters, so this is called at
+    /// snapshot/export time rather than on the decision path. A no-op
+    /// without telemetry.
+    pub fn refresh_telemetry_gauges(&self) {
+        let Some(telemetry) = &self.telemetry else { return };
+        let (mut hits, mut misses, mut entries) = (0u64, 0u64, 0u64);
+        for (stats, len) in self.callouts.iter().filter_map(|c| c.cache_report()) {
+            hits += stats.hits;
+            misses += stats.misses;
+            entries += len as u64;
+        }
+        telemetry.set_gauge(Gauge::CacheHits, hits);
+        telemetry.set_gauge(Gauge::CacheMisses, misses);
+        telemetry.set_gauge(Gauge::CacheEntries, entries);
     }
 }
 
-impl fmt::Debug for CalloutChain {
+/// The refusal for a request whose deadline passed before authorization.
+fn expired() -> AuthzFailure {
+    AuthzFailure::SystemError("request deadline expired before authorization".into())
+}
+
+impl fmt::Debug for AuthzEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CalloutChain").field("callouts", &self.names()).finish()
+        f.debug_struct("AuthzEngine")
+            .field("name", &self.name)
+            .field("callouts", &self.callout_names())
+            .finish()
     }
 }
 
@@ -346,9 +402,9 @@ impl CalloutConfig {
     /// # Errors
     ///
     /// Returns [`PolicyParseError`] for lines with fewer than three
-    /// fields, malformed options, or a callout name already configured on
-    /// an earlier line — a duplicate would silently shadow one of the two
-    /// definitions when the chain is instantiated.
+    /// fields, malformed options, a callout name already configured on
+    /// an earlier line, or an option key repeated on one line — either
+    /// duplicate would silently shadow one of the two definitions.
     pub fn parse(text: &str) -> Result<CalloutConfig, PolicyParseError> {
         let mut entries: Vec<CalloutConfigEntry> = Vec::new();
         for (idx, raw) in text.lines().enumerate() {
@@ -380,7 +436,12 @@ impl CalloutConfig {
                         format!("malformed option {opt:?} (expected key=value)"),
                     ));
                 };
-                options.insert(k.to_string(), v.to_string());
+                if options.insert(k.to_string(), v.to_string()).is_some() {
+                    return Err(PolicyParseError::new(
+                        line_no,
+                        format!("duplicate option {k:?} on callout {name:?}"),
+                    ));
+                }
             }
             entries.push(CalloutConfigEntry {
                 name: name.to_string(),
@@ -428,25 +489,31 @@ impl CalloutRegistry {
         self.factories.contains_key(library)
     }
 
-    /// Instantiates every entry of `config` into a [`CalloutChain`].
+    /// Instantiates every entry of `config`, in file order (push them
+    /// onto an [`AuthzEngine`] to run them as a chain).
     ///
     /// # Errors
     ///
     /// [`AuthzFailure::SystemError`] when an entry names an unregistered
     /// library, or when a factory fails — mirroring the paper's
     /// "authorization system failure" error class.
-    pub fn instantiate(&self, config: &CalloutConfig) -> Result<CalloutChain, AuthzFailure> {
-        let mut chain = CalloutChain::new();
-        for entry in config.entries() {
-            let factory = self.factories.get(&entry.library).ok_or_else(|| {
-                AuthzFailure::SystemError(format!(
-                    "no callout library {:?} registered (entry {:?})",
-                    entry.library, entry.name
-                ))
-            })?;
-            chain.push(factory(entry)?);
-        }
-        Ok(chain)
+    pub fn instantiate(
+        &self,
+        config: &CalloutConfig,
+    ) -> Result<Vec<Arc<dyn AuthorizationCallout>>, AuthzFailure> {
+        config
+            .entries()
+            .iter()
+            .map(|entry| {
+                let factory = self.factories.get(&entry.library).ok_or_else(|| {
+                    AuthzFailure::SystemError(format!(
+                        "no callout library {:?} registered (entry {:?})",
+                        entry.library, entry.name
+                    ))
+                })?;
+                factory(entry)
+            })
+            .collect()
     }
 
     /// Like [`instantiate`](Self::instantiate), but wraps every entry
@@ -463,24 +530,22 @@ impl CalloutRegistry {
         &self,
         config: &CalloutConfig,
         clock: &SimClock,
-    ) -> Result<CalloutChain, AuthzFailure> {
-        let mut chain = CalloutChain::new();
-        for entry in config.entries() {
-            let factory = self.factories.get(&entry.library).ok_or_else(|| {
-                AuthzFailure::SystemError(format!(
-                    "no callout library {:?} registered (entry {:?})",
-                    entry.library, entry.name
-                ))
-            })?;
-            let callout = factory(entry)?;
-            match entry.resilience().map_err(|e| AuthzFailure::SystemError(e.to_string()))? {
-                Some(resilience) => {
-                    chain.push(Arc::new(SupervisedCallout::new(callout, clock, resilience)));
-                }
-                None => chain.push(callout),
-            }
-        }
-        Ok(chain)
+    ) -> Result<Vec<Arc<dyn AuthorizationCallout>>, AuthzFailure> {
+        config
+            .entries()
+            .iter()
+            .zip(self.instantiate(config)?)
+            .map(|(entry, callout)| {
+                let resilience =
+                    entry.resilience().map_err(|e| AuthzFailure::SystemError(e.to_string()))?;
+                Ok(match resilience {
+                    Some(resilience) => {
+                        Arc::new(SupervisedCallout::new(callout, clock, resilience))
+                    }
+                    None => callout,
+                })
+            })
+            .collect()
     }
 }
 
@@ -494,9 +559,13 @@ impl fmt::Debug for CalloutRegistry {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
     use super::*;
-    use crate::combine::{Combiner, PolicyOrigin, PolicySource};
+    use crate::combine::{CombinedPdp, Combiner, PolicyOrigin, PolicySource};
     use crate::decision::DenyReason;
+    use crate::snapshot::PdpCallout;
     use gridauthz_credential::DistinguishedName;
     use gridauthz_rsl::parse;
 
@@ -507,46 +576,137 @@ mod tests {
         )
     }
 
-    fn pdp_callout(policy: &str) -> PdpCallout {
+    fn pdp(policy: &str) -> CombinedPdp {
         let source =
             PolicySource::new("test", PolicyOrigin::ResourceOwner, policy.parse().unwrap());
-        PdpCallout::new("test-callout", CombinedPdp::new(vec![source], Combiner::DenyOverrides))
+        CombinedPdp::new(vec![source], Combiner::DenyOverrides)
+    }
+
+    /// The served batch path with no deadline and detached traces.
+    fn batch_outcomes(
+        engine: &AuthzEngine,
+        requests: &[AuthzRequest],
+    ) -> Vec<Result<(), AuthzFailure>> {
+        let mut traces: Vec<DecisionTrace> =
+            requests.iter().map(|_| DecisionTrace::detached()).collect();
+        engine.authorize_batch_within(&RequestContext::unbounded(), requests, &mut traces)
+    }
+
+    struct DenyAll;
+    impl AuthorizationCallout for DenyAll {
+        fn name(&self) -> &str {
+            "deny-all"
+        }
+        fn authorize(&self, _: &AuthzRequest) -> Result<(), AuthzFailure> {
+            Err(AuthzFailure::Denied(DenyReason::NoApplicableGrant))
+        }
+    }
+
+    /// Permits everything and counts the requests it is shown.
+    #[derive(Default)]
+    struct Counting(AtomicUsize);
+    impl AuthorizationCallout for Counting {
+        fn name(&self) -> &str {
+            "counting"
+        }
+        fn authorize(&self, _: &AuthzRequest) -> Result<(), AuthzFailure> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        }
     }
 
     #[test]
-    fn pdp_callout_permits_and_denies() {
-        let callout = pdp_callout("/O=G/CN=Bo: &(action = start)(executable = a)");
-        assert!(callout.authorize(&request("/O=G/CN=Bo", "&(executable = a)")).is_ok());
-        let err = callout.authorize(&request("/O=G/CN=Bo", "&(executable = b)")).unwrap_err();
-        assert!(err.is_denial());
-    }
-
-    #[test]
-    fn empty_chain_permits_gt2_style() {
-        let chain = CalloutChain::new();
-        assert!(chain.is_empty());
-        assert!(chain.authorize(&request("/O=G/CN=Anyone", "&(executable = x)")).is_ok());
+    fn engine_without_callouts_permits_gt2_style() {
+        let engine = AuthzEngine::pass_through("gt2");
+        assert!(engine.is_vacuous());
+        let r = request("/O=G/CN=Anyone", "&(executable = x)");
+        assert!(engine.authorize(&r).is_ok());
+        assert!(batch_outcomes(&engine, std::slice::from_ref(&r))[0].is_ok());
     }
 
     #[test]
     fn chain_stops_at_first_denial() {
-        struct CountingDeny(std::sync::atomic::AtomicUsize);
-        impl AuthorizationCallout for CountingDeny {
+        let counter = Arc::new(Counting::default());
+        let mut engine = AuthzEngine::pass_through("chain");
+        engine.push_callout(Arc::new(PdpCallout::new("pdp", pdp("/O=G/CN=Bo: &(action = start)"))));
+        engine.push_callout(Arc::new(DenyAll));
+        engine.push_callout(counter.clone());
+        assert!(!engine.is_vacuous());
+        assert_eq!(engine.callout_names(), vec!["pdp", "deny-all", "counting"]);
+        let r = request("/O=G/CN=Bo", "&(executable = x)");
+        assert!(engine.authorize(&r).is_err());
+        assert!(batch_outcomes(&engine, std::slice::from_ref(&r))[0].is_err());
+        assert_eq!(counter.0.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn batch_skips_elements_settled_by_earlier_callouts() {
+        // Denies requests from a specific subject; records nothing.
+        struct DenySubject(&'static str);
+        impl AuthorizationCallout for DenySubject {
             fn name(&self) -> &str {
-                "deny"
+                "deny-subject"
             }
-            fn authorize(&self, _: &AuthzRequest) -> Result<(), AuthzFailure> {
-                self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                Err(AuthzFailure::Denied(DenyReason::NoApplicableGrant))
+            fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
+                if request.subject().to_string().contains(self.0) {
+                    Err(AuthzFailure::Denied(DenyReason::NoApplicableGrant))
+                } else {
+                    Ok(())
+                }
             }
         }
-        let counter = Arc::new(CountingDeny(Default::default()));
-        let mut chain = CalloutChain::new();
-        chain.push(counter.clone());
-        chain.push(counter.clone());
-        assert!(chain.authorize(&request("/O=G/CN=Bo", "&(executable = x)")).is_err());
-        assert_eq!(counter.0.load(std::sync::atomic::Ordering::SeqCst), 1);
-        assert_eq!(chain.names(), vec!["deny", "deny"]);
+
+        // Records every request it is shown — a side-effectful callout.
+        #[derive(Default)]
+        struct Spy {
+            seen: Mutex<Vec<String>>,
+        }
+        impl AuthorizationCallout for Spy {
+            fn name(&self) -> &str {
+                "spy"
+            }
+            fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
+                self.seen.lock().unwrap().push(request.subject().to_string());
+                Ok(())
+            }
+        }
+
+        let spy = Arc::new(Spy::default());
+        let mut engine = AuthzEngine::pass_through("chain");
+        engine.push_callout(Arc::new(DenySubject("Mallory")));
+        engine.push_callout(spy.clone());
+
+        let requests = vec![
+            request("/O=G/CN=Alice", "&(executable = x)"),
+            request("/O=G/CN=Mallory", "&(executable = x)"),
+            request("/O=G/CN=Carol", "&(executable = x)"),
+        ];
+        let outcomes = batch_outcomes(&engine, &requests);
+        assert!(outcomes[0].is_ok());
+        assert!(outcomes[1].is_err(), "first failure in callout order must stand");
+        assert!(outcomes[2].is_ok());
+
+        // The spy must only ever have observed the two surviving elements.
+        let seen = spy.seen.lock().unwrap();
+        assert_eq!(seen.len(), 2, "settled element re-presented to a later callout: {seen:?}");
+        assert!(seen[0].contains("Alice") && seen[1].contains("Carol"), "{seen:?}");
+    }
+
+    #[test]
+    fn policy_updated_invalidates_chain_caches() {
+        let callout =
+            Arc::new(PdpCallout::cached("c", pdp("/O=G/CN=Bo: &(action = start)(executable = a)")));
+        let mut engine = AuthzEngine::pass_through("chain");
+        engine.push_callout(callout.clone());
+        let r = request("/O=G/CN=Bo", "&(executable = a)");
+        engine.authorize(&r).unwrap();
+        engine.authorize(&r).unwrap();
+        assert_eq!(callout.cache_stats().unwrap().hits, 1);
+        engine.policy_updated();
+        engine.authorize(&r).unwrap();
+        // Post-invalidation the entry was stale: no new hit yet.
+        assert_eq!(callout.cache_stats().unwrap().hits, 1);
+        assert_eq!(callout.cache_stats().unwrap().misses, 2);
     }
 
     #[test]
@@ -571,7 +731,7 @@ gram-audit libaudit.so audit_authorize";
     }
 
     #[test]
-    fn config_rejects_duplicate_callout_names() {
+    fn config_rejects_duplicate_callout_names_and_option_keys() {
         let text = "\
 # comment line
 gram-authorization liba.so sym_a
@@ -580,89 +740,16 @@ gram-authorization libc.so sym_c";
         let err = CalloutConfig::parse(text).unwrap_err();
         assert_eq!(err.line(), 4);
         assert!(err.to_string().contains("gram-authorization"), "{err}");
-        // Distinct names still parse.
-        assert!(CalloutConfig::parse("a lib.so s\nb lib.so s").is_ok());
+        // A repeated option key would silently keep only the last value.
+        let err = CalloutConfig::parse("a lib.so s\nb lib.so s deadline_ms=5 deadline_ms=500")
+            .unwrap_err();
+        assert_eq!(err.line(), 2);
+        assert!(err.to_string().contains("deadline_ms"), "{err}");
+        // Distinct names and keys still parse.
+        assert!(CalloutConfig::parse("a lib.so s x=1\nb lib.so s x=1 y=2").is_ok());
     }
 
-    #[test]
-    fn cached_callout_agrees_with_uncached() {
-        let build = |cached: bool| {
-            let source = PolicySource::new(
-                "test",
-                PolicyOrigin::ResourceOwner,
-                "/O=G/CN=Bo: &(action = start)(executable = a)".parse().unwrap(),
-            );
-            let pdp = CombinedPdp::new(vec![source], Combiner::DenyOverrides);
-            if cached {
-                PdpCallout::cached("c", pdp)
-            } else {
-                PdpCallout::new("c", pdp)
-            }
-        };
-        let cached = build(true);
-        let plain = build(false);
-        for job in ["&(executable = a)", "&(executable = b)"] {
-            for _ in 0..3 {
-                let r = request("/O=G/CN=Bo", job);
-                assert_eq!(cached.authorize(&r).is_ok(), plain.authorize(&r).is_ok(), "{job}");
-            }
-        }
-        let stats = cached.cache_stats().unwrap();
-        assert_eq!((stats.hits, stats.misses), (4, 2));
-        assert!(plain.cache_stats().is_none());
-    }
-
-    #[test]
-    fn reload_drops_cached_permits() {
-        let source = PolicySource::new(
-            "test",
-            PolicyOrigin::ResourceOwner,
-            "/O=G/CN=Bo: &(action = start)(executable = a)".parse().unwrap(),
-        );
-        let callout =
-            PdpCallout::cached("c", CombinedPdp::new(vec![source], Combiner::DenyOverrides));
-        let r = request("/O=G/CN=Bo", "&(executable = a)");
-        assert!(callout.authorize(&r).is_ok());
-        assert!(callout.authorize(&r).is_ok()); // cached permit
-
-        // Reload with a policy that revokes Bo's grant: the cached permit
-        // must not survive.
-        let revoked = PolicySource::new(
-            "test",
-            PolicyOrigin::ResourceOwner,
-            "/O=G/CN=Kate: &(action = start)".parse().unwrap(),
-        );
-        callout.reload(CombinedPdp::new(vec![revoked], Combiner::DenyOverrides));
-        assert!(callout.authorize(&r).is_err());
-        assert_eq!(callout.pdp().sources().len(), 1);
-    }
-
-    #[test]
-    fn policy_updated_invalidates_chain_caches() {
-        let source = PolicySource::new(
-            "test",
-            PolicyOrigin::ResourceOwner,
-            "/O=G/CN=Bo: &(action = start)(executable = a)".parse().unwrap(),
-        );
-        let callout = Arc::new(PdpCallout::cached(
-            "c",
-            CombinedPdp::new(vec![source], Combiner::DenyOverrides),
-        ));
-        let mut chain = CalloutChain::new();
-        chain.push(callout.clone());
-        let r = request("/O=G/CN=Bo", "&(executable = a)");
-        chain.authorize(&r).unwrap();
-        chain.authorize(&r).unwrap();
-        assert_eq!(callout.cache_stats().unwrap().hits, 1);
-        chain.policy_updated();
-        chain.authorize(&r).unwrap();
-        // Post-invalidation the entry was stale: no new hit yet.
-        assert_eq!(callout.cache_stats().unwrap().hits, 1);
-        assert_eq!(callout.cache_stats().unwrap().misses, 2);
-    }
-
-    #[test]
-    fn registry_instantiates_config() {
+    fn pdp_registry() -> CalloutRegistry {
         let mut registry = CalloutRegistry::new();
         registry.register(
             "librsl_pdp.so",
@@ -681,43 +768,36 @@ gram-authorization libc.so sym_c";
                 )))
             }),
         );
+        registry
+    }
+
+    #[test]
+    fn registry_instantiates_config() {
+        let registry = pdp_registry();
         assert!(registry.contains("librsl_pdp.so"));
 
         // Inline policies cannot contain spaces in this config format, so
         // exercise with a single-token policy.
         let config =
             CalloutConfig::parse("authz librsl_pdp.so sym policy=*:&(action=information)").unwrap();
-        let chain = registry.instantiate(&config).unwrap();
-        assert_eq!(chain.len(), 1);
-        assert_eq!(chain.names(), vec!["authz"]);
+        let callouts = registry.instantiate(&config).unwrap();
+        assert_eq!(callouts.len(), 1);
+        assert_eq!(callouts[0].name(), "authz");
     }
 
     #[test]
     fn registry_wraps_entries_with_resilience_options() {
-        let mut registry = CalloutRegistry::new();
-        registry.register(
-            "librsl_pdp.so",
-            Box::new(|entry| {
-                let source = PolicySource::new(
-                    "configured",
-                    PolicyOrigin::ResourceOwner,
-                    "*:&(action=information)".parse().unwrap(),
-                );
-                Ok(Arc::new(PdpCallout::new(
-                    entry.name.clone(),
-                    CombinedPdp::new(vec![source], Combiner::DenyOverrides),
-                )))
-            }),
-        );
+        let registry = pdp_registry();
         let config = CalloutConfig::parse(
             "authz librsl_pdp.so sym attempts=2 degrade=fail-closed\nplain librsl_pdp.so sym",
         )
         .unwrap();
         let clock = SimClock::new();
-        let chain = registry.instantiate_supervised(&config, &clock).unwrap();
-        assert_eq!(chain.names(), vec!["authz", "plain"]);
-        assert!(chain.callouts()[0].supervision_report().is_some());
-        assert!(chain.callouts()[1].supervision_report().is_none());
+        let callouts = registry.instantiate_supervised(&config, &clock).unwrap();
+        assert_eq!(callouts.len(), 2);
+        assert_eq!((callouts[0].name(), callouts[1].name()), ("authz", "plain"));
+        assert!(callouts[0].supervision_report().is_some());
+        assert!(callouts[1].supervision_report().is_none());
 
         // Malformed resilience options surface as a system error.
         let bad = CalloutConfig::parse("authz librsl_pdp.so sym degrade=maybe").unwrap();

@@ -10,9 +10,10 @@ use crate::cache::DecisionCache;
 use crate::combine::{CombinedPdp, Combiner, PolicyOrigin, PolicySource};
 use crate::decision::{Decision, DenyReason};
 use crate::eval::Pdp;
-use crate::pep::{AuthorizationCallout, PdpCallout};
+use crate::pep::AuthorizationCallout;
 use crate::policy::Policy;
 use crate::request::AuthzRequest;
+use crate::snapshot::PdpCallout;
 use crate::statement::{PolicyStatement, StatementRole, SubjectMatcher};
 
 const ATTRS: [&str; 7] =

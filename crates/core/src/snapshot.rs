@@ -21,18 +21,18 @@
 //!   swap it in. Evaluation runs on the reader's own `Arc`, so no
 //!   decision ever waits for a reload's policy build and no reload ever
 //!   waits for a decision's evaluation.
-//! * [`AuthzEngine`] is the facade the PEP and the GRAM server use:
-//!   `decide`/`decide_batch` for per-source breakdowns, `authorize` for
-//!   an untraced single request, `authorize_within`/
-//!   `authorize_batch_within` for the served path (a batch resolves
-//!   **one snapshot for all its elements** — the VO-wide jobtag fan-out),
-//!   `reload`/`policy_updated` for publication. The cache generation is
-//!   the snapshot's own generation — there is no separate counter to
-//!   fall out of sync.
+//! * [`PdpCallout`] is the RSL policy evaluator as one callout in the
+//!   chain (§5.2): it owns the published snapshot and its optional
+//!   decision cache. `decide`/`decide_batch` return per-source
+//!   breakdowns; as an [`AuthorizationCallout`] a batch resolves **one
+//!   snapshot for all its elements** — the VO-wide jobtag fan-out;
+//!   `reload`/`policy_updated` publish. The cache generation is the
+//!   snapshot's own generation — there is no separate counter to fall
+//!   out of sync.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
 use gridauthz_telemetry::{labels, DecisionTrace, Gauge, Stage, TelemetryRegistry};
@@ -44,47 +44,36 @@ use crate::error::AuthzFailure;
 use crate::pep::AuthorizationCallout;
 use crate::request::AuthzRequest;
 
-/// One immutable, atomically published view of the authorization state.
-///
-/// `pdp: None` is the pass-through (GT2) snapshot: no policy sources are
-/// configured and evaluation permits vacuously — distinct from a
-/// [`CombinedPdp`] with zero sources, which fails closed.
+/// One immutable, atomically published view of a [`PdpCallout`]'s
+/// policy: the combined PDP and the generation it was published under.
 #[derive(Debug)]
 pub struct PolicySnapshot {
-    pdp: Option<CombinedPdp>,
+    pdp: CombinedPdp,
     generation: u64,
 }
 
 impl PolicySnapshot {
     /// The generation this snapshot was published under. Strictly
-    /// monotone across publications of one [`AuthzEngine`]; decision
+    /// monotone across publications of one [`PdpCallout`]; decision
     /// cache entries are stamped with it, so swapping a snapshot
     /// invalidates every decision made under its predecessors.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// The combined PDP, or `None` for the pass-through snapshot.
-    pub fn pdp(&self) -> Option<&CombinedPdp> {
-        self.pdp.as_ref()
+    /// The combined PDP.
+    pub fn pdp(&self) -> &CombinedPdp {
+        &self.pdp
     }
 
-    /// The policy sources (empty for the pass-through snapshot).
+    /// The policy sources.
     pub fn sources(&self) -> &[PolicySource] {
-        self.pdp.as_ref().map(CombinedPdp::sources).unwrap_or(&[])
-    }
-
-    /// True when this snapshot carries no policy at all.
-    pub fn is_pass_through(&self) -> bool {
-        self.pdp.is_none()
+        self.pdp.sources()
     }
 
     /// Evaluates `request` against this snapshot.
     pub fn decide(&self, request: &AuthzRequest) -> CombinedDecision {
-        match &self.pdp {
-            Some(pdp) => pdp.decide(request),
-            None => CombinedDecision::pass_through(),
-        }
+        self.pdp.decide(request)
     }
 }
 
@@ -130,18 +119,19 @@ impl<T: fmt::Debug> fmt::Debug for SnapshotCell<T> {
     }
 }
 
-/// The unified policy enforcement engine: snapshot-published PDP state,
-/// an optional decision cache stamped by snapshot generation, and any
-/// number of additional [`AuthorizationCallout`]s run after the PDP.
+/// The built-in callout: evaluate against a [`CombinedPdp`] (local + VO
+/// policy, deny-overrides by default), optionally through a
+/// generation-stamped [`DecisionCache`].
 ///
-/// The steady-state decision path resolves the complete policy state
-/// with one [`SnapshotCell::load`] (uncached decisions touch nothing
-/// else; cached ones add one sharded cache probe). Publication —
-/// [`reload`](AuthzEngine::reload),
-/// [`policy_updated`](AuthzEngine::policy_updated) — builds the new
-/// snapshot off-path under a writer mutex nothing on the decision path
-/// ever touches.
-pub struct AuthzEngine {
+/// The PDP lives in a published [`PolicySnapshot`]. The steady-state
+/// decision path resolves the complete policy state with one
+/// [`SnapshotCell::load`] (uncached decisions touch nothing else; cached
+/// ones add one sharded cache probe), so `authorize` never holds a lock
+/// across evaluation. Publication — [`reload`](PdpCallout::reload),
+/// [`policy_updated`](AuthorizationCallout::policy_updated) — builds the
+/// new snapshot off-path under a writer mutex nothing on the decision
+/// path ever touches.
+pub struct PdpCallout {
     name: String,
     cell: SnapshotCell<PolicySnapshot>,
     /// Monotone generation source; the *snapshot* carries the published
@@ -151,120 +141,52 @@ pub struct AuthzEngine {
     /// resurrect a PDP that a concurrent `reload` just replaced.
     publish: Mutex<()>,
     cache: Option<DecisionCache>,
-    extras: Vec<Arc<dyn AuthorizationCallout>>,
-    /// Optional metrics sink. `None` costs nothing; `Some` costs one
-    /// relaxed counter increment on the cached hit path (no clocks are
-    /// read there — see `decide_under`).
-    telemetry: Option<Arc<TelemetryRegistry>>,
+    /// Metrics sink, set once by
+    /// [`attach_telemetry`](AuthorizationCallout::attach_telemetry).
+    /// Unset costs nothing; set costs one relaxed counter increment on
+    /// the cached hit path (no clocks are read there — see
+    /// `decide_instrumented`).
+    telemetry: OnceLock<Arc<TelemetryRegistry>>,
 }
 
-impl AuthzEngine {
-    fn with_parts(
-        name: impl Into<String>,
-        pdp: Option<CombinedPdp>,
-        cache: Option<DecisionCache>,
-    ) -> AuthzEngine {
-        AuthzEngine {
+impl PdpCallout {
+    fn with_parts(name: impl Into<String>, pdp: CombinedPdp, cache: Option<DecisionCache>) -> Self {
+        PdpCallout {
             name: name.into(),
             cell: SnapshotCell::new(PolicySnapshot { pdp, generation: 0 }),
             next_generation: AtomicU64::new(0),
             publish: Mutex::new(()),
             cache,
-            extras: Vec::new(),
-            telemetry: None,
+            telemetry: OnceLock::new(),
         }
     }
 
-    /// An uncached engine evaluating `pdp`.
-    pub fn new(name: impl Into<String>, pdp: CombinedPdp) -> AuthzEngine {
-        AuthzEngine::with_parts(name, Some(pdp), None)
+    /// Wraps `pdp` as an uncached callout named `name`.
+    pub fn new(name: impl Into<String>, pdp: CombinedPdp) -> PdpCallout {
+        PdpCallout::with_parts(name, pdp, None)
     }
 
-    /// An engine with a decision cache in front of `pdp`; repeated
-    /// identical requests skip evaluation until the next publication.
-    pub fn cached(name: impl Into<String>, pdp: CombinedPdp) -> AuthzEngine {
-        AuthzEngine::with_parts(name, Some(pdp), Some(DecisionCache::new()))
+    /// Wraps `pdp` with a decision cache in front: repeated identical
+    /// requests skip evaluation until the next publication
+    /// ([`reload`](PdpCallout::reload) or
+    /// [`policy_updated`](AuthorizationCallout::policy_updated)).
+    pub fn cached(name: impl Into<String>, pdp: CombinedPdp) -> PdpCallout {
+        PdpCallout::with_parts(name, pdp, Some(DecisionCache::new()))
     }
 
-    /// An engine over `pdp` fronted by a caller-supplied cache.
-    pub fn with_cache(
-        name: impl Into<String>,
-        pdp: CombinedPdp,
-        cache: DecisionCache,
-    ) -> AuthzEngine {
-        AuthzEngine::with_parts(name, Some(pdp), Some(cache))
-    }
-
-    /// The pass-through engine: no policy sources, every request
-    /// permitted — the GT2 baseline. Extra callouts may still deny.
-    pub fn pass_through(name: impl Into<String>) -> AuthzEngine {
-        AuthzEngine::with_parts(name, None, None)
-    }
-
-    /// The engine's configured name (for audit and error messages).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Attaches a metrics registry. Untraced decisions then report cache
-    /// probes (counter-only on hits) and combine latency (on misses);
-    /// every publication updates the snapshot-generation gauge. Traced
-    /// decisions record spans instead, so nothing is counted twice.
-    pub fn set_telemetry(&mut self, registry: Arc<TelemetryRegistry>) {
-        registry.set_gauge(Gauge::SnapshotGeneration, self.cell.load().generation());
-        for callout in &self.extras {
-            callout.attach_telemetry(&registry);
-        }
-        self.telemetry = Some(registry);
-    }
-
-    /// The attached metrics registry, if any.
-    pub fn telemetry(&self) -> Option<&Arc<TelemetryRegistry>> {
-        self.telemetry.as_ref()
-    }
-
-    /// Appends a callout evaluated (in insertion order) after the
-    /// snapshot PDP on every `authorize`.
-    pub fn push_callout(&mut self, callout: Arc<dyn AuthorizationCallout>) {
-        if let Some(telemetry) = &self.telemetry {
-            callout.attach_telemetry(telemetry);
-        }
-        self.extras.push(callout);
-    }
-
-    /// The extra callouts' names, in invocation order.
-    pub fn callout_names(&self) -> Vec<&str> {
-        self.extras.iter().map(|c| c.name()).collect()
-    }
-
-    /// Supervision state of every supervised extra callout, in
-    /// invocation order, paired with the callout name. Unsupervised
-    /// callouts are skipped. The GRAM server polls this to append
-    /// breaker-transition audit records.
-    pub fn supervision_reports(&self) -> Vec<(String, crate::supervise::SupervisionReport)> {
-        self.extras
-            .iter()
-            .filter_map(|c| c.supervision_report().map(|r| (c.name().to_string(), r)))
-            .collect()
-    }
-
-    /// True when authorization is entirely vacuous: a pass-through
-    /// snapshot and no extra callouts. The GRAM server downgrades
-    /// Extended mode to GT2 when its engine is vacuous.
-    pub fn is_vacuous(&self) -> bool {
-        self.extras.is_empty() && self.cell.load().is_pass_through()
-    }
-
-    /// The currently published snapshot.
-    pub fn snapshot(&self) -> Arc<PolicySnapshot> {
+    /// The currently published policy snapshot.
+    pub fn pdp(&self) -> Arc<PolicySnapshot> {
         self.cell.load()
     }
 
-    fn publish(&self, pdp: Option<CombinedPdp>) {
-        let _writer = self.publish.lock().unwrap_or_else(|e| e.into_inner());
+    /// Publishes `pdp` under the next generation and reports it to the
+    /// snapshot-generation gauge.
+    fn publish(&self, pdp: impl FnOnce(&PolicySnapshot) -> CombinedPdp) {
+        let _writer = self.publish.lock().unwrap_or_else(PoisonError::into_inner);
         let generation = self.next_generation.fetch_add(1, Ordering::SeqCst) + 1;
+        let pdp = pdp(&self.cell.load());
         self.cell.store(PolicySnapshot { pdp, generation });
-        if let Some(telemetry) = &self.telemetry {
+        if let Some(telemetry) = self.telemetry.get() {
             telemetry.set_gauge(Gauge::SnapshotGeneration, generation);
         }
     }
@@ -275,34 +197,12 @@ impl AuthzEngine {
     /// cached decision from an earlier snapshot is ever served again
     /// (the generation moved with the pointer).
     pub fn reload(&self, pdp: CombinedPdp) {
-        self.publish(Some(pdp));
+        self.publish(|_| pdp);
     }
 
-    /// Notifies the engine that the policy *environment* changed without
-    /// replacing the PDP itself (grid-mapfile swap, credential
-    /// revocation): republishes the current PDP under a fresh
-    /// generation, dropping every cached decision, and forwards the
-    /// notification to the extra callouts.
-    pub fn policy_updated(&self) {
-        {
-            let _writer = self.publish.lock().unwrap_or_else(|e| e.into_inner());
-            let generation = self.next_generation.fetch_add(1, Ordering::SeqCst) + 1;
-            let pdp = self.cell.load().pdp.clone();
-            self.cell.store(PolicySnapshot { pdp, generation });
-            if let Some(telemetry) = &self.telemetry {
-                telemetry.set_gauge(Gauge::SnapshotGeneration, generation);
-            }
-        }
-        for callout in &self.extras {
-            callout.policy_updated();
-        }
-    }
-
-    /// Evaluates `request` against the published snapshot (extra
-    /// callouts are not consulted; see [`authorize`](Self::authorize)).
+    /// Evaluates `request` against the published snapshot.
     pub fn decide(&self, request: &AuthzRequest) -> Arc<CombinedDecision> {
-        let snapshot = self.cell.load();
-        self.decide_under(&snapshot, request)
+        self.decide_instrumented(&self.cell.load(), request, None)
     }
 
     /// Evaluates a batch under **one** snapshot: a single load covers
@@ -311,15 +211,17 @@ impl AuthzEngine {
     /// straddle a reload.
     pub fn decide_batch(&self, requests: &[AuthzRequest]) -> Vec<Arc<CombinedDecision>> {
         let snapshot = self.cell.load();
-        requests.iter().map(|request| self.decide_under(&snapshot, request)).collect()
+        requests.iter().map(|request| self.decide_instrumented(&snapshot, request, None)).collect()
     }
 
-    fn decide_under(
-        &self,
-        snapshot: &PolicySnapshot,
-        request: &AuthzRequest,
-    ) -> Arc<CombinedDecision> {
-        self.decide_instrumented(snapshot, request, None)
+    /// The decision cache, when this callout was built with one.
+    pub fn cache(&self) -> Option<&DecisionCache> {
+        self.cache.as_ref()
+    }
+
+    /// Hit/miss counters, when this callout was built with a cache.
+    pub fn cache_stats(&self) -> Option<CacheStats> {
+        self.cache.as_ref().map(DecisionCache::stats)
     }
 
     /// Outcome label for a combined decision.
@@ -328,15 +230,6 @@ impl AuthzEngine {
             labels::PERMIT
         } else {
             labels::POLICY_DENIED
-        }
-    }
-
-    /// Outcome label for an authorization result.
-    fn outcome_label(outcome: &Result<(), AuthzFailure>) -> &'static str {
-        match outcome {
-            Ok(()) => labels::PERMIT,
-            Err(AuthzFailure::Denied(_)) => labels::POLICY_DENIED,
-            Err(AuthzFailure::SystemError(_)) => labels::AUTHZ_SYSTEM,
         }
     }
 
@@ -367,7 +260,7 @@ impl AuthzEngine {
                             trace.record(Stage::CacheProbe, labels::HIT, elapsed_nanos(probe_start))
                         }
                         None => {
-                            if let Some(telemetry) = &self.telemetry {
+                            if let Some(telemetry) = self.telemetry.get() {
                                 telemetry.record(Stage::CacheProbe, labels::HIT);
                             }
                         }
@@ -376,17 +269,17 @@ impl AuthzEngine {
                 }
                 let probe_nanos = elapsed_nanos(probe_start);
                 let combine_start =
-                    (trace.is_some() || self.telemetry.is_some()).then(Instant::now);
+                    (trace.is_some() || self.telemetry.get().is_some()).then(Instant::now);
                 let decision = Arc::new(snapshot.decide(request));
                 let combine_nanos = elapsed_nanos(combine_start);
-                let label = AuthzEngine::decision_label(&decision);
+                let label = PdpCallout::decision_label(&decision);
                 match trace {
                     Some(trace) => {
                         trace.record(Stage::CacheProbe, labels::MISS, probe_nanos);
                         trace.record(Stage::Combine, label, combine_nanos);
                     }
                     None => {
-                        if let Some(telemetry) = &self.telemetry {
+                        if let Some(telemetry) = self.telemetry.get() {
                             telemetry.record(Stage::CacheProbe, labels::MISS);
                             telemetry.record_timed(Stage::Combine, label, combine_nanos);
                         }
@@ -397,14 +290,14 @@ impl AuthzEngine {
             }
             None => {
                 let combine_start =
-                    (trace.is_some() || self.telemetry.is_some()).then(Instant::now);
+                    (trace.is_some() || self.telemetry.get().is_some()).then(Instant::now);
                 let decision = Arc::new(snapshot.decide(request));
                 let combine_nanos = elapsed_nanos(combine_start);
-                let label = AuthzEngine::decision_label(&decision);
+                let label = PdpCallout::decision_label(&decision);
                 match trace {
                     Some(trace) => trace.record(Stage::Combine, label, combine_nanos),
                     None => {
-                        if let Some(telemetry) = &self.telemetry {
+                        if let Some(telemetry) = self.telemetry.get() {
                             telemetry.record_timed(Stage::Combine, label, combine_nanos);
                         }
                     }
@@ -420,229 +313,89 @@ impl AuthzEngine {
             Some(reason) => Err(AuthzFailure::Denied(reason.clone())),
         }
     }
+}
 
-    /// Authorizes `request` with no trace and no deadline: the snapshot
-    /// decision first, then every extra callout in order; the first
-    /// failure wins. A cache hit reads no clock.
-    pub fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
-        let snapshot = self.cell.load();
-        if !snapshot.is_pass_through() {
-            AuthzEngine::to_outcome(&self.decide_under(&snapshot, request))?;
-        }
-        for callout in &self.extras {
-            callout.authorize(request)?;
-        }
-        Ok(())
+impl AuthorizationCallout for PdpCallout {
+    fn name(&self) -> &str {
+        &self.name
     }
 
-    /// [`authorize`](Self::authorize) under a [`RequestContext`], with
-    /// per-stage spans: an already-expired request is refused as an
-    /// authorization-system failure before any policy work; otherwise
-    /// the snapshot decision contributes cache-probe/combine spans and
-    /// every extra callout a named [`Stage::Callout`] span. Each callout
-    /// receives the context so it can clamp its own time spending (see
-    /// [`AuthorizationCallout::authorize_within`]) — this is how the
-    /// front-end's deadline reaches the retry loop inside a
-    /// [`SupervisedCallout`](crate::SupervisedCallout).
-    ///
-    /// # Errors
-    ///
-    /// The failures [`authorize`](Self::authorize) returns, plus
-    /// [`AuthzFailure::SystemError`] for an expired deadline.
-    pub fn authorize_within(
+    /// The snapshot decision with no trace; a cache hit reads no clock.
+    fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
+        PdpCallout::to_outcome(&self.decide(request))
+    }
+
+    fn authorize_within(
         &self,
-        ctx: &RequestContext,
+        _ctx: &RequestContext,
         request: &AuthzRequest,
         trace: &mut DecisionTrace,
     ) -> Result<(), AuthzFailure> {
-        if ctx.expired() {
-            return Err(expired());
-        }
-        self.evaluate(ctx, request, trace)
+        // Surfaces the interior cache probe and combine as spans. The
+        // deadline is not checked: a snapshot decision never blocks.
+        PdpCallout::to_outcome(&self.decide_instrumented(&self.cell.load(), request, Some(trace)))
     }
 
-    /// [`authorize_within`](Self::authorize_within) for a batch sharing
-    /// one context, with one trace per request. The whole batch is
-    /// refused when the context has already expired; otherwise it
-    /// resolves under **one** snapshot, and each extra callout sees the
-    /// still-undecided subset through
-    /// [`AuthorizationCallout::authorize_batch_within`].
-    pub fn authorize_batch_within(
+    fn authorize_batch_within(
         &self,
-        ctx: &RequestContext,
+        _ctx: &RequestContext,
         requests: &[AuthzRequest],
         traces: &mut [DecisionTrace],
     ) -> Vec<Result<(), AuthzFailure>> {
-        if ctx.expired() {
-            return requests.iter().map(|_| Err(expired())).collect();
-        }
-        self.evaluate_batch(ctx, requests, traces)
-    }
-
-    /// The traced single-request path without the deadline check — what
-    /// a [`PdpCallout`](crate::PdpCallout) runs, since a snapshot
-    /// decision never blocks and so has no time spending to clamp.
-    pub(crate) fn evaluate(
-        &self,
-        ctx: &RequestContext,
-        request: &AuthzRequest,
-        trace: &mut DecisionTrace,
-    ) -> Result<(), AuthzFailure> {
+        // One snapshot resolution covers the whole batch.
         let snapshot = self.cell.load();
-        if !snapshot.is_pass_through() {
-            AuthzEngine::to_outcome(&self.decide_instrumented(&snapshot, request, Some(trace)))?;
-        }
-        for callout in &self.extras {
-            let start = Instant::now();
-            let outcome = callout.authorize_within(ctx, request, trace);
-            trace.record_callout(
-                callout.name(),
-                AuthzEngine::outcome_label(&outcome),
-                elapsed_nanos(Some(start)),
-            );
-            outcome?;
-        }
-        Ok(())
+        requests
+            .iter()
+            .zip(traces.iter_mut())
+            .map(|(request, trace)| {
+                PdpCallout::to_outcome(&self.decide_instrumented(&snapshot, request, Some(trace)))
+            })
+            .collect()
     }
 
-    /// The traced batch path without the deadline check. Each extra
-    /// callout sees the still-undecided subset of the batch (so a
-    /// snapshot-backed callout also resolves its state once); a
-    /// request's result is its first failure in callout order — settled
-    /// elements are never re-presented to later callouts, so
-    /// side-effectful callouts observe each element at most once. A
-    /// callout's batch evaluation is timed as a whole and the elapsed
-    /// time amortized evenly across the elements it saw — the batch API
-    /// deliberately gives callouts no per-element boundary to clock.
-    pub(crate) fn evaluate_batch(
-        &self,
-        ctx: &RequestContext,
-        requests: &[AuthzRequest],
-        traces: &mut [DecisionTrace],
-    ) -> Vec<Result<(), AuthzFailure>> {
-        debug_assert_eq!(requests.len(), traces.len());
-        let snapshot = self.cell.load();
-        let mut outcomes: Vec<Result<(), AuthzFailure>> = if snapshot.is_pass_through() {
-            requests.iter().map(|_| Ok(())).collect()
-        } else {
-            requests
-                .iter()
-                .zip(traces.iter_mut())
-                .map(|(request, trace)| {
-                    AuthzEngine::to_outcome(&self.decide_instrumented(
-                        &snapshot,
-                        request,
-                        Some(trace),
-                    ))
-                })
-                .collect()
-        };
-        for callout in &self.extras {
-            let pending: Vec<usize> =
-                (0..requests.len()).filter(|&i| outcomes[i].is_ok()).collect();
-            if pending.is_empty() {
-                break;
-            }
-            let start = Instant::now();
-            let subs = if pending.len() == requests.len() {
-                callout.authorize_batch_within(ctx, requests, traces)
-            } else {
-                // Settled elements keep their traces untouched: swap the
-                // pending traces out, run the callout over the subset,
-                // and put them back.
-                let subset: Vec<AuthzRequest> =
-                    pending.iter().map(|&i| requests[i].clone()).collect();
-                let mut sub_traces: Vec<DecisionTrace> = pending
-                    .iter()
-                    .map(|&i| std::mem::replace(&mut traces[i], DecisionTrace::detached()))
-                    .collect();
-                let subs = callout.authorize_batch_within(ctx, &subset, &mut sub_traces);
-                for (&i, trace) in pending.iter().zip(sub_traces) {
-                    traces[i] = trace;
-                }
-                subs
-            };
-            let amortized = elapsed_nanos(Some(start)) / pending.len().max(1) as u64;
-            for (&i, sub) in pending.iter().zip(subs) {
-                traces[i].record_callout(
-                    callout.name(),
-                    AuthzEngine::outcome_label(&sub),
-                    amortized,
-                );
-                outcomes[i] = sub;
-            }
-        }
-        outcomes
+    /// Republishes the current PDP under a fresh generation, dropping
+    /// every cached decision: the policy *environment* changed
+    /// (grid-mapfile swap, credential revocation) without the PDP
+    /// itself being replaced.
+    fn policy_updated(&self) {
+        self.publish(|current| current.pdp.clone());
     }
 
-    /// Refreshes the cache gauges ([`Gauge::CacheHits`],
-    /// [`Gauge::CacheMisses`], [`Gauge::CacheEntries`]) by summing this
-    /// engine's own cache with every extra callout's
-    /// [`cache_report`](AuthorizationCallout::cache_report). Gauges are
-    /// sampled state, not counters, so this is called at snapshot/export
-    /// time rather than on the decision path. A no-op without telemetry.
-    pub fn refresh_telemetry_gauges(&self) {
-        let Some(telemetry) = &self.telemetry else { return };
-        let (mut hits, mut misses, mut entries) = (0u64, 0u64, 0u64);
-        let mut fold = |stats: CacheStats, len: usize| {
-            hits += stats.hits;
-            misses += stats.misses;
-            entries += len as u64;
-        };
-        if let Some(cache) = &self.cache {
-            fold(cache.stats(), cache.len());
-        }
-        for callout in &self.extras {
-            if let Some((stats, len)) = callout.cache_report() {
-                fold(stats, len);
-            }
-        }
-        telemetry.set_gauge(Gauge::CacheHits, hits);
-        telemetry.set_gauge(Gauge::CacheMisses, misses);
-        telemetry.set_gauge(Gauge::CacheEntries, entries);
+    fn cache_report(&self) -> Option<(CacheStats, usize)> {
+        self.cache.as_ref().map(|cache| (cache.stats(), cache.len()))
     }
 
-    /// The decision cache, when this engine carries one.
-    pub fn cache(&self) -> Option<&DecisionCache> {
-        self.cache.as_ref()
-    }
-
-    /// Hit/miss counters, when this engine carries a cache.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(DecisionCache::stats)
+    /// Stores `registry` (the first attachment wins) and reports the
+    /// published generation to its snapshot-generation gauge, here and
+    /// on every later publication. Untraced decisions then count cache
+    /// probes (counter-only on hits) and time PDP combines (on misses);
+    /// traced decisions record spans instead, so nothing is counted
+    /// twice.
+    fn attach_telemetry(&self, registry: &Arc<TelemetryRegistry>) {
+        let registry = self.telemetry.get_or_init(|| Arc::clone(registry));
+        registry.set_gauge(Gauge::SnapshotGeneration, self.cell.load().generation());
     }
 }
 
-/// The refusal for a request whose deadline passed before authorization.
-fn expired() -> AuthzFailure {
-    AuthzFailure::SystemError("request deadline expired before authorization".into())
-}
-
-/// Elapsed nanoseconds since `start`, or 0 when timing was off.
-fn elapsed_nanos(start: Option<Instant>) -> u64 {
-    start.map_or(0, |start| u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX))
-}
-
-impl fmt::Debug for AuthzEngine {
+impl fmt::Debug for PdpCallout {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let snapshot = self.cell.load();
-        f.debug_struct("AuthzEngine")
+        f.debug_struct("PdpCallout")
             .field("name", &self.name)
-            .field("generation", &snapshot.generation())
-            .field("pass_through", &snapshot.is_pass_through())
+            .field("generation", &self.cell.load().generation())
             .field("cached", &self.cache.is_some())
-            .field("extras", &self.callout_names())
             .finish()
     }
 }
 
+/// Elapsed nanoseconds since `start`, or 0 when timing was off.
+pub(crate) fn elapsed_nanos(start: Option<Instant>) -> u64 {
+    start.map_or(0, |start| u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX))
+}
+
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::AtomicUsize;
-
     use super::*;
     use crate::combine::{Combiner, PolicyOrigin};
-    use crate::decision::DenyReason;
     use gridauthz_credential::DistinguishedName;
     use gridauthz_rsl::parse;
 
@@ -651,16 +404,6 @@ mod tests {
             subject.parse::<DistinguishedName>().unwrap(),
             parse(job).unwrap().as_conjunction().unwrap().clone(),
         )
-    }
-
-    /// The served batch path with no deadline and detached traces.
-    fn batch_outcomes(
-        engine: &AuthzEngine,
-        requests: &[AuthzRequest],
-    ) -> Vec<Result<(), AuthzFailure>> {
-        let mut traces: Vec<DecisionTrace> =
-            requests.iter().map(|_| DecisionTrace::detached()).collect();
-        engine.authorize_batch_within(&RequestContext::unbounded(), requests, &mut traces)
     }
 
     fn pdp(policy: &str) -> CombinedPdp {
@@ -688,157 +431,68 @@ mod tests {
     }
 
     #[test]
-    fn engine_decides_and_reloads_without_stale_results() {
-        let engine = AuthzEngine::cached("e", pdp("/O=G/CN=Bo: &(action = start)"));
-        let r = request("/O=G/CN=Bo", "&(executable = x)");
-        assert!(engine.authorize(&r).is_ok());
-        assert!(engine.authorize(&r).is_ok()); // cached
-        engine.reload(pdp("/O=G/CN=Kate: &(action = start)"));
-        assert!(engine.authorize(&r).is_err());
+    fn pdp_callout_permits_and_denies() {
+        let callout = PdpCallout::new("c", pdp("/O=G/CN=Bo: &(action = start)(executable = a)"));
+        assert!(callout.authorize(&request("/O=G/CN=Bo", "&(executable = a)")).is_ok());
+        let err = callout.authorize(&request("/O=G/CN=Bo", "&(executable = b)")).unwrap_err();
+        assert!(err.is_denial());
     }
 
     #[test]
     fn generations_are_monotone_across_publications() {
-        let engine = AuthzEngine::new("e", pdp("/O=G/CN=Bo: &(action = start)"));
-        let mut last = engine.snapshot().generation();
+        let callout = PdpCallout::new("c", pdp("/O=G/CN=Bo: &(action = start)"));
+        let mut last = callout.pdp().generation();
         for _ in 0..3 {
-            engine.policy_updated();
-            let now = engine.snapshot().generation();
+            callout.policy_updated();
+            let now = callout.pdp().generation();
             assert!(now > last);
             last = now;
         }
-        engine.reload(pdp("/O=G/CN=Bo: &(action = start)"));
-        assert!(engine.snapshot().generation() > last);
-    }
-
-    #[test]
-    fn pass_through_engine_permits_everything() {
-        let engine = AuthzEngine::pass_through("gt2");
-        assert!(engine.is_vacuous());
-        let r = request("/O=G/CN=Anyone", "&(executable = x)");
-        assert!(engine.authorize(&r).is_ok());
-        let d = engine.decide(&r);
-        assert!(d.is_permit());
-        assert!(d.per_source().is_empty());
+        callout.reload(pdp("/O=G/CN=Bo: &(action = start)"));
+        assert!(callout.pdp().generation() > last);
     }
 
     #[test]
     fn decide_batch_matches_elementwise_decide() {
-        let engine = AuthzEngine::new("e", pdp("/O=G/CN=Bo: &(action = start)(executable = a)"));
+        let callout = PdpCallout::new("c", pdp("/O=G/CN=Bo: &(action = start)(executable = a)"));
         let requests = vec![
             request("/O=G/CN=Bo", "&(executable = a)"),
             request("/O=G/CN=Bo", "&(executable = b)"),
             request("/O=G/CN=Eve", "&(executable = a)"),
         ];
-        let batch = engine.decide_batch(&requests);
+        let batch = callout.decide_batch(&requests);
         for (request, batched) in requests.iter().zip(&batch) {
-            assert_eq!(**batched, *engine.decide(request));
+            assert_eq!(**batched, *callout.decide(request));
         }
     }
 
     #[test]
-    fn extra_callouts_run_after_snapshot_and_can_deny() {
-        struct DenyAll;
-        impl AuthorizationCallout for DenyAll {
-            fn name(&self) -> &str {
-                "deny-all"
-            }
-            fn authorize(&self, _: &AuthzRequest) -> Result<(), AuthzFailure> {
-                Err(AuthzFailure::Denied(DenyReason::NoApplicableGrant))
+    fn cached_callout_agrees_with_uncached() {
+        let policy = "/O=G/CN=Bo: &(action = start)(executable = a)";
+        let cached = PdpCallout::cached("c", pdp(policy));
+        let plain = PdpCallout::new("c", pdp(policy));
+        for job in ["&(executable = a)", "&(executable = b)"] {
+            for _ in 0..3 {
+                let r = request("/O=G/CN=Bo", job);
+                assert_eq!(cached.authorize(&r).is_ok(), plain.authorize(&r).is_ok(), "{job}");
             }
         }
-        let mut engine = AuthzEngine::new("e", pdp("/O=G/CN=Bo: &(action = start)"));
-        engine.push_callout(Arc::new(DenyAll));
-        assert!(!engine.is_vacuous());
-        assert_eq!(engine.callout_names(), vec!["deny-all"]);
-        let r = request("/O=G/CN=Bo", "&(executable = x)");
-        assert!(engine.authorize(&r).is_err());
-        let batch = batch_outcomes(&engine, std::slice::from_ref(&r));
-        assert!(batch[0].is_err());
+        let stats = cached.cache_stats().unwrap();
+        assert_eq!((stats.hits, stats.misses), (4, 2));
+        assert!(plain.cache_stats().is_none());
     }
 
     #[test]
-    fn batch_skips_elements_settled_by_earlier_callouts() {
-        // Denies requests from a specific subject; records nothing.
-        struct DenySubject(&'static str);
-        impl AuthorizationCallout for DenySubject {
-            fn name(&self) -> &str {
-                "deny-subject"
-            }
-            fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
-                if request.subject().to_string().contains(self.0) {
-                    Err(AuthzFailure::Denied(DenyReason::NoApplicableGrant))
-                } else {
-                    Ok(())
-                }
-            }
-        }
+    fn reload_drops_cached_permits() {
+        let callout = PdpCallout::cached("c", pdp("/O=G/CN=Bo: &(action = start)(executable = a)"));
+        let r = request("/O=G/CN=Bo", "&(executable = a)");
+        assert!(callout.authorize(&r).is_ok());
+        assert!(callout.authorize(&r).is_ok()); // cached permit
 
-        // Records every request it is shown — a side-effectful callout.
-        #[derive(Default)]
-        struct Spy {
-            seen: Mutex<Vec<String>>,
-        }
-        impl AuthorizationCallout for Spy {
-            fn name(&self) -> &str {
-                "spy"
-            }
-            fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
-                self.seen.lock().unwrap().push(request.subject().to_string());
-                Ok(())
-            }
-        }
-
-        let spy = Arc::new(Spy::default());
-        let mut engine = AuthzEngine::pass_through("chain");
-        engine.push_callout(Arc::new(DenySubject("Mallory")));
-        engine.push_callout(spy.clone());
-
-        let requests = vec![
-            request("/O=G/CN=Alice", "&(executable = x)"),
-            request("/O=G/CN=Mallory", "&(executable = x)"),
-            request("/O=G/CN=Carol", "&(executable = x)"),
-        ];
-        let outcomes = batch_outcomes(&engine, &requests);
-        assert!(outcomes[0].is_ok());
-        assert!(outcomes[1].is_err(), "first failure in callout order must stand");
-        assert!(outcomes[2].is_ok());
-
-        // The spy must only ever have observed the two surviving elements.
-        let seen = spy.seen.lock().unwrap();
-        assert_eq!(seen.len(), 2, "settled element re-presented to a later callout: {seen:?}");
-        assert!(seen[0].contains("Alice") && seen[1].contains("Carol"), "{seen:?}");
-    }
-
-    #[test]
-    fn batch_short_circuits_when_everything_is_settled() {
-        struct DenyAll;
-        impl AuthorizationCallout for DenyAll {
-            fn name(&self) -> &str {
-                "deny-all"
-            }
-            fn authorize(&self, _: &AuthzRequest) -> Result<(), AuthzFailure> {
-                Err(AuthzFailure::Denied(DenyReason::NoApplicableGrant))
-            }
-        }
-        #[derive(Default)]
-        struct Counting(AtomicUsize);
-        impl AuthorizationCallout for Counting {
-            fn name(&self) -> &str {
-                "counting"
-            }
-            fn authorize(&self, _: &AuthzRequest) -> Result<(), AuthzFailure> {
-                self.0.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            }
-        }
-        let counter = Arc::new(Counting::default());
-        let mut engine = AuthzEngine::pass_through("chain");
-        engine.push_callout(Arc::new(DenyAll));
-        engine.push_callout(counter.clone());
-        let requests = vec![request("/O=G/CN=Bo", "&(executable = x)")];
-        let outcomes = batch_outcomes(&engine, &requests);
-        assert!(outcomes[0].is_err());
-        assert_eq!(counter.0.load(Ordering::SeqCst), 0);
+        // Reload with a policy that revokes Bo's grant: the cached permit
+        // must not survive.
+        callout.reload(pdp("/O=G/CN=Kate: &(action = start)"));
+        assert!(callout.authorize(&r).is_err());
+        assert_eq!(callout.pdp().sources().len(), 1);
     }
 }

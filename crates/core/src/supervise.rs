@@ -3,7 +3,7 @@
 //!
 //! The paper's integration targets — Akenti and CAS — are *remote*
 //! authorization services whose latency and availability §7 reasons about
-//! only qualitatively. A bare [`CalloutChain`](crate::CalloutChain)
+//! only qualitatively. A bare callout chain ([`AuthzEngine`](crate::AuthzEngine))
 //! aborts on the first callout error with no deadline, no retry and no
 //! degradation story, so one flapping policy server takes the whole
 //! decision pipeline down with it. [`SupervisedCallout`] wraps any

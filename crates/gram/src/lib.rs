@@ -22,12 +22,12 @@
 //! * [`GramMode::Gt2`] (Figure 1): authorization is the grid-mapfile
 //!   alone; only the job initiator may manage a job; the Job Manager does
 //!   no policy evaluation.
-//! * [`GramMode::Extended`] (Figure 2): a [`CalloutChain`] —
+//! * [`GramMode::Extended`] (Figure 2): an [`AuthzEngine`] callout chain —
 //!   typically local policy ∧ VO policy, optionally Akenti or CAS
 //!   restriction enforcement — authorizes startup *and* management, so a
 //!   VO admin can cancel any `NFC`-tagged job (requirement 3 of §2).
 //!
-//! [`CalloutChain`]: gridauthz_core::CalloutChain
+//! [`AuthzEngine`]: gridauthz_core::AuthzEngine
 
 mod audit;
 pub mod authcache;

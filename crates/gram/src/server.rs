@@ -11,8 +11,9 @@ use parking_lot::{Mutex, RwLock};
 
 use gridauthz_clock::{SimClock, SimDuration, SimTime};
 use gridauthz_core::{
-    Action, AdmissionClass, AuthzEngine, AuthzFailure, AuthzRequest, BreakerState, CalloutChain,
-    DenyReason, JobDescription, RequestContext, ShedReason, SnapshotCell, SupervisionReport,
+    Action, AdmissionClass, AuthorizationCallout, AuthzEngine, AuthzFailure, AuthzRequest,
+    BreakerState, DenyReason, JobDescription, RequestContext, ShedReason, SnapshotCell,
+    SupervisionReport,
 };
 use gridauthz_credential::{
     Certificate, DistinguishedName, GridMapFile, TrustStore, VerifiedIdentity,
@@ -87,7 +88,7 @@ pub struct GramServerBuilder {
     resource_name: String,
     trust: TrustStore,
     gridmap: GridMapFile,
-    callouts: CalloutChain,
+    callouts: Vec<Arc<dyn AuthorizationCallout>>,
     mode: GramMode,
     cluster: Cluster,
     queues: Vec<SchedulerQueue>,
@@ -104,7 +105,7 @@ impl GramServerBuilder {
             resource_name: resource_name.into(),
             trust: TrustStore::new(),
             gridmap: GridMapFile::new(),
-            callouts: CalloutChain::new(),
+            callouts: Vec::new(),
             mode: GramMode::Gt2,
             cluster: Cluster::uniform(4, 8, 16_384),
             queues: Vec::new(),
@@ -141,7 +142,7 @@ impl GramServerBuilder {
     /// Installs the authorization callout chain and switches to
     /// [`GramMode::Extended`].
     #[must_use]
-    pub fn callouts(mut self, callouts: CalloutChain) -> Self {
+    pub fn callouts(mut self, callouts: Vec<Arc<dyn AuthorizationCallout>>) -> Self {
         self.callouts = callouts;
         self.mode = GramMode::Extended;
         self
@@ -198,12 +199,10 @@ impl GramServerBuilder {
         for queue in self.queues {
             scheduler.add_queue(queue);
         }
-        // The configured chain folds into one AuthzEngine: PDP-backed
-        // callouts keep their own snapshots; the server-level engine is
-        // pass-through (GT2's "Job Manager does no evaluation") with the
-        // chain's callouts as its post-snapshot stages.
+        // The configured callouts become the engine's chain; PDP-backed
+        // callouts keep their own snapshots.
         let mut engine = AuthzEngine::pass_through(self.resource_name.clone());
-        for callout in self.callouts.into_callouts() {
+        for callout in self.callouts {
             engine.push_callout(callout);
         }
         let telemetry = self.telemetry.unwrap_or_else(|| Arc::new(TelemetryRegistry::new()));
@@ -508,8 +507,9 @@ pub struct GramServer {
     /// gatekeeper, mutate the clone, and publish it under `admin`.
     /// Authentication never blocks on administration.
     gatekeeper: SnapshotCell<Gatekeeper>,
-    /// The authorization engine: snapshot-published policy plus the
-    /// configured callouts; no lock is held across a decision.
+    /// The authorization engine: the configured callout chain (policy
+    /// callouts hold their own published snapshots); no lock is held
+    /// across a decision.
     engine: AuthzEngine,
     mode: GramMode,
     /// Records are shared (`Arc`): the management hot path looks one up
@@ -580,7 +580,7 @@ impl GramServer {
     /// Administrative access to the gatekeeper's grid-mapfile: a new
     /// gatekeeper is built off-path and published by pointer swap. The
     /// authorization basis changed, so cached decisions are invalidated
-    /// (the engine republishes under a fresh generation).
+    /// (every policy callout republishes under a fresh generation).
     ///
     /// # Errors
     ///
@@ -649,7 +649,7 @@ impl GramServer {
     /// # Errors
     ///
     /// [`GramError::AuthorizationSystemFailure`] when the generation
-    /// bump cannot be journaled; the engine keeps its current
+    /// bump cannot be journaled; the policy callouts keep their current
     /// generation so recovery replays the same decision basis.
     pub fn policy_updated(&self) -> Result<(), GramError> {
         {
@@ -2390,9 +2390,7 @@ mod tests {
                 paper::figure3_policy(),
             );
             let pdp = CombinedPdp::new(vec![vo_source], Combiner::DenyOverrides);
-            let mut chain = CalloutChain::new();
-            chain.push(Arc::new(PdpCallout::new("fig3", pdp)));
-            builder = builder.callouts(chain);
+            builder = builder.callouts(vec![Arc::new(PdpCallout::new("fig3", pdp))]);
         }
         Fixture { clock, bo, kate, outsider, server: builder.build() }
     }
@@ -3012,11 +3010,12 @@ mod tests {
     }
 
     /// Gauges sampled by [`GramServer::telemetry_snapshot`]: snapshot
-    /// generation tracks policy publications, live jobs tracks the JMI
-    /// table, and the cache gauges aggregate the callout chain.
+    /// generation tracks the PDP callout's policy publications, live jobs
+    /// tracks the JMI table, and the cache gauges aggregate the callout
+    /// chain.
     #[test]
     fn telemetry_snapshot_refreshes_gauges() {
-        let f = fixture(GramMode::Gt2);
+        let f = fixture(GramMode::Extended);
         f.server.submit(f.bo.chain(), BO_TEST1, None, mins(30)).unwrap();
         f.server.set_gridmap(GridMapFile::new()).unwrap();
 
@@ -3078,13 +3077,11 @@ mod tests {
             kate = paper::KATE_KEAHEY_DN
         );
         let callout = Arc::new(PdpCallout::cached("local", make_pdp(&before)));
-        let mut chain = CalloutChain::new();
-        chain.push(callout.clone());
         let server = GramServerBuilder::new("anl-cluster", &ids.clock)
             .trust(ids.trust)
             .gridmap(ids.gridmap.clone())
             .cluster(Cluster::uniform(64, 8, 16_384))
-            .callouts(chain)
+            .callouts(vec![callout.clone()])
             .build();
 
         let job = "&(executable = test1)(directory = /sandbox/test)(jobtag = NFC)(count = 1)";

@@ -18,7 +18,7 @@ use parking_lot::RwLock;
 /// rare whole-map operations.
 const SHARDS: usize = 16;
 
-/// A `HashMap` split into [`SHARDS`] independently locked shards.
+/// A `HashMap` split into `SHARDS` independently locked shards.
 ///
 /// Point operations (`insert`, `get_cloned`, `update`) lock exactly one
 /// shard. Whole-map reads ([`ShardedMap::for_each`], [`ShardedMap::len`])

@@ -41,9 +41,7 @@ fn grid(extended: bool) -> (SimClock, Credential, Arc<GramServer>) {
             paper::figure3_policy(),
         );
         let pdp = CombinedPdp::new(vec![vo], Combiner::DenyOverrides);
-        let mut chain = gridauthz_core::CalloutChain::new();
-        chain.push(Arc::new(PdpCallout::new("fig3", pdp)));
-        builder = builder.callouts(chain);
+        builder = builder.callouts(vec![Arc::new(PdpCallout::new("fig3", pdp))]);
     }
     (clock, bo, Arc::new(builder.build()))
 }

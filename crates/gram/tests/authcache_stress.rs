@@ -7,9 +7,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use gridauthz_clock::{SimClock, SimDuration};
-use gridauthz_core::{
-    paper, CalloutChain, CombinedPdp, Combiner, PdpCallout, PolicyOrigin, PolicySource,
-};
+use gridauthz_core::{paper, CombinedPdp, Combiner, PdpCallout, PolicyOrigin, PolicySource};
 use gridauthz_credential::{
     pem, CertificateAuthority, Credential, GridMapEntry, GridMapFile, TrustStore,
 };
@@ -33,8 +31,7 @@ fn grid() -> Grid {
     gridmap.insert(GridMapEntry::new(paper::bo_liu(), vec!["bliu".into()]));
     gridmap.insert(GridMapEntry::new(paper::kate_keahey(), vec!["keahey".into()]));
 
-    let mut chain = CalloutChain::new();
-    chain.push(std::sync::Arc::new(PdpCallout::cached(
+    let callout = std::sync::Arc::new(PdpCallout::cached(
         "fig3",
         CombinedPdp::new(
             vec![PolicySource::new(
@@ -44,12 +41,12 @@ fn grid() -> Grid {
             )],
             Combiner::DenyOverrides,
         ),
-    )));
+    ));
     let server = GramServerBuilder::new("anl-cluster", &clock)
         .trust(trust)
         .gridmap(gridmap)
         .cluster(gridauthz_scheduler::Cluster::uniform(64, 8, 16_384))
-        .callouts(chain)
+        .callouts(vec![callout])
         .build();
     Grid { bo, kate, server }
 }

@@ -19,15 +19,15 @@ use std::sync::Arc;
 
 use gridauthz_clock::{SimClock, SimDuration};
 use gridauthz_core::{
-    paper, Action, AuthzEngine, AuthzFailure, AuthzRequest, CalloutChain, CombinedPdp, Combiner,
-    PdpCallout, PolicyOrigin, PolicySource, RequestContext,
+    paper, Action, AuthorizationCallout, AuthzEngine, AuthzFailure, AuthzRequest, CombinedPdp,
+    Combiner, PdpCallout, PolicyOrigin, PolicySource, RequestContext,
 };
 use gridauthz_credential::{
     CertificateAuthority, Credential, GridMapEntry, GridMapFile, TrustStore,
 };
 use gridauthz_gram::{GramError, GramServer, GramServerBuilder};
 use gridauthz_rsl::Conjunction;
-use gridauthz_telemetry::DecisionTrace;
+use gridauthz_telemetry::{DecisionTrace, Gauge};
 
 use proptest::prelude::*;
 
@@ -69,7 +69,7 @@ fn sole_version<'a>(per_source: impl Iterator<Item = &'a str>) -> String {
 fn floods_never_observe_torn_snapshots() {
     const SOURCES: usize = 4;
     const PUBLICATIONS: u64 = 400;
-    let engine = AuthzEngine::new("torn", versioned_pdp(SOURCES, 0));
+    let callout = PdpCallout::new("torn", versioned_pdp(SOURCES, 0));
     let request = AuthzRequest::start(paper::bo_liu(), conj("&(executable = test1)(count = 1)"));
     let batch: Vec<AuthzRequest> = (0..8).map(|_| request.clone()).collect();
     let stop = AtomicBool::new(false);
@@ -77,7 +77,7 @@ fn floods_never_observe_torn_snapshots() {
     std::thread::scope(|scope| {
         scope.spawn(|| {
             for version in 1..=PUBLICATIONS {
-                engine.reload(versioned_pdp(SOURCES, version));
+                callout.reload(versioned_pdp(SOURCES, version));
             }
             stop.store(true, Ordering::SeqCst);
         });
@@ -85,13 +85,13 @@ fn floods_never_observe_torn_snapshots() {
             scope.spawn(|| {
                 while !stop.load(Ordering::SeqCst) {
                     // A single decision never mixes versions.
-                    let decision = engine.decide(&request);
+                    let decision = callout.decide(&request);
                     assert_eq!(decision.per_source().len(), SOURCES);
                     sole_version(decision.per_source().iter().map(|(name, _)| name.as_ref()));
 
                     // A batch resolves one snapshot: every element of
                     // every decision agrees on the version.
-                    let decisions = engine.decide_batch(&batch);
+                    let decisions = callout.decide_batch(&batch);
                     assert_eq!(decisions.len(), batch.len());
                     sole_version(
                         decisions
@@ -128,8 +128,8 @@ fn authorize_batch_within(
 #[test]
 fn served_batches_never_straddle_publications() {
     const PUBLICATIONS: u64 = 400;
-    // Shaped like the GRAM server's engine: a pass-through snapshot with
-    // the cached PDP callout behind it, reloaded in place.
+    // Shaped like the GRAM server's engine: a chain holding the cached
+    // PDP callout, reloaded in place.
     let callout = Arc::new(PdpCallout::cached("parity", parity_pdp(0)));
     let mut engine = AuthzEngine::pass_through("served");
     engine.push_callout(callout.clone());
@@ -171,11 +171,11 @@ fn no_stale_permit_after_acknowledged_reload() {
             Combiner::DenyOverrides,
         )
     };
-    // A *cached* engine: the dangerous stale state is a cached permit
+    // A *cached* callout: the dangerous stale state is a cached permit
     // stamped under the pre-revocation generation.
-    let engine = AuthzEngine::cached("stale", pdp(&grant));
+    let callout = PdpCallout::cached("stale", pdp(&grant));
     let request = AuthzRequest::start(paper::bo_liu(), conj("&(executable = test1)(count = 1)"));
-    assert!(engine.authorize(&request).is_ok());
+    assert!(callout.authorize(&request).is_ok());
 
     let revoked = AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -187,7 +187,7 @@ fn no_stale_permit_after_acknowledged_reload() {
                     // decision started after the reload returned and must
                     // deny.
                     let acknowledged = revoked.load(Ordering::SeqCst);
-                    let outcome = engine.authorize(&request);
+                    let outcome = callout.authorize(&request);
                     if acknowledged {
                         assert!(outcome.is_err(), "stale permit served after revocation");
                     }
@@ -197,16 +197,17 @@ fn no_stale_permit_after_acknowledged_reload() {
         scope.spawn(|| {
             // Let the flood warm the cache, then yank the grant.
             std::thread::yield_now();
-            engine.reload(pdp(&revoked_policy));
+            callout.reload(pdp(&revoked_policy));
             revoked.store(true, Ordering::SeqCst);
         });
     });
-    assert!(engine.authorize(&request).is_err());
+    assert!(callout.authorize(&request).is_err());
 }
 
 struct Grid {
     bo: Credential,
     kate: Credential,
+    callout: Arc<PdpCallout>,
     server: GramServer,
 }
 
@@ -222,8 +223,7 @@ fn grid() -> Grid {
     gridmap.insert(GridMapEntry::new(paper::bo_liu(), vec!["bliu".into()]));
     gridmap.insert(GridMapEntry::new(paper::kate_keahey(), vec!["keahey".into()]));
 
-    let mut chain = CalloutChain::new();
-    chain.push(std::sync::Arc::new(PdpCallout::cached(
+    let callout = Arc::new(PdpCallout::cached(
         "fig3",
         CombinedPdp::new(
             vec![PolicySource::new(
@@ -233,14 +233,35 @@ fn grid() -> Grid {
             )],
             Combiner::DenyOverrides,
         ),
-    )));
+    ));
     let server = GramServerBuilder::new("anl-cluster", &clock)
         .trust(trust)
         .gridmap(gridmap)
         .cluster(gridauthz_scheduler::Cluster::uniform(64, 8, 16_384))
-        .callouts(chain)
+        .callouts(vec![callout.clone()])
         .build();
-    Grid { bo, kate, server }
+    Grid { bo, kate, callout, server }
+}
+
+/// The served `snapshot-generation` gauge reports the PDP callout's
+/// published generation, whether the publication came through the
+/// server (`set_gridmap`) or straight to the callout (`reload`).
+#[test]
+fn snapshot_generation_gauge_follows_the_pdp_callout() {
+    let g = grid();
+    let gauge = || {
+        let snapshot = g.server.telemetry_snapshot();
+        snapshot.gauges.iter().find(|(name, _)| *name == Gauge::SnapshotGeneration).unwrap().1
+    };
+    assert_eq!(gauge(), 0);
+    for _ in 0..3 {
+        g.callout.reload(g.callout.pdp().pdp().clone());
+    }
+    assert_eq!(g.callout.pdp().generation(), 3);
+    assert_eq!(gauge(), 3);
+    g.server.set_gridmap(GridMapFile::new()).unwrap();
+    assert_eq!(gauge(), g.callout.pdp().generation());
+    assert_eq!(gauge(), 4);
 }
 
 #[test]
@@ -323,7 +344,7 @@ proptest! {
     /// outcomes.
     #[test]
     fn batch_apis_match_elementwise(requests in proptest::collection::vec(arb_request(), 1..12)) {
-        let engine = AuthzEngine::new(
+        let callout = Arc::new(PdpCallout::new(
             "prop",
             CombinedPdp::new(
                 vec![PolicySource::new(
@@ -333,14 +354,16 @@ proptest! {
                 )],
                 Combiner::DenyOverrides,
             ),
-        );
-        let batch = engine.decide_batch(&requests);
+        ));
+        let batch = callout.decide_batch(&requests);
         prop_assert_eq!(batch.len(), requests.len());
         for (request, batched) in requests.iter().zip(&batch) {
-            prop_assert_eq!(&**batched, &*engine.decide(request));
+            prop_assert_eq!(&**batched, &*callout.decide(request));
         }
+        let mut engine = AuthzEngine::pass_through("prop");
+        engine.push_callout(callout.clone());
         for (request, batched) in requests.iter().zip(authorize_batch_within(&engine, &requests)) {
-            prop_assert_eq!(batched.is_ok(), engine.authorize(request).is_ok());
+            prop_assert_eq!(batched.is_ok(), callout.authorize(request).is_ok());
         }
     }
 }

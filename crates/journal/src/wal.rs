@@ -406,6 +406,8 @@ impl Journal {
 mod tests {
     use std::sync::Arc;
 
+    use proptest::prelude::*;
+
     use super::*;
     use crate::storage::MemStorage;
 
@@ -620,5 +622,60 @@ mod tests {
         let (_, replay) = open_mem(&device);
         assert_eq!(replay.records.len(), 1);
         assert_eq!(replay.records[0].payload, b"durable");
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Append(u8),
+        /// Compact through the committed seq (a checkpoint).
+        Compact,
+        /// Drop the journal and reopen it after the current cover.
+        Reopen,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            3 => any::<u8>().prop_map(Op::Append),
+            1 => Just(Op::Compact),
+            1 => Just(Op::Reopen),
+        ]
+    }
+
+    proptest! {
+        /// Over any interleaving of appends, compactions and reopens,
+        /// every returned seq exceeds all earlier seqs and the cover, and
+        /// a reopen replays exactly the uncovered records, in order.
+        #[test]
+        fn seqs_stay_monotonic_across_compaction_and_reopen(
+            ops in proptest::collection::vec(arb_op(), 1..40),
+        ) {
+            let device = MemStorage::new();
+            let (mut journal, _) = open_mem(&device);
+            let (mut covered, mut last_seq) = (0u64, 0u64);
+            let mut uncovered: Vec<ReplayRecord> = Vec::new();
+            for op in ops {
+                match op {
+                    Op::Append(byte) => {
+                        let seq = journal.append(&[byte]).unwrap();
+                        prop_assert!(seq > last_seq, "seq {} after {}", seq, last_seq);
+                        prop_assert!(seq > covered, "seq {} within cover {}", seq, covered);
+                        last_seq = seq;
+                        uncovered.push(ReplayRecord { seq, payload: vec![byte] });
+                    }
+                    Op::Compact => {
+                        covered = journal.committed_seq();
+                        journal.compact_through(covered).unwrap();
+                        uncovered.retain(|record| record.seq > covered);
+                    }
+                    Op::Reopen => {
+                        drop(journal);
+                        let replay;
+                        (journal, replay) =
+                            Journal::open_after(Box::new(device.clone()), covered).unwrap();
+                        prop_assert_eq!(&replay.records, &uncovered);
+                    }
+                }
+            }
+        }
     }
 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use gridauthz_clock::{SimClock, SimDuration};
 use gridauthz_core::{
-    paper, CalloutChain, CombinedPdp, Combiner, PdpCallout, Policy, PolicyOrigin, PolicySource,
+    paper, CombinedPdp, Combiner, PdpCallout, Policy, PolicyOrigin, PolicySource,
 };
 use gridauthz_credential::{
     Certificate, CertificateAuthority, Credential, GridMapEntry, GridMapFile, TrustStore,
@@ -106,17 +106,16 @@ impl MultiSiteGrid {
                         vo_policy.clone(),
                     ),
                 ];
-                let mut chain = CalloutChain::new();
-                chain.push(Arc::new(PdpCallout::cached(
+                let callout = Arc::new(PdpCallout::cached(
                     "gram-authorization",
                     CombinedPdp::new(sources, Combiner::DenyOverrides),
-                )));
+                ));
                 Arc::new(
                     GramServerBuilder::new(&spec.name, &clock)
                         .trust(trust.clone())
                         .gridmap(gridmap.clone())
                         .cluster(Cluster::uniform(spec.nodes, spec.cpus_per_node, 16_384))
-                        .callouts(chain)
+                        .callouts(vec![callout])
                         .build(),
                 )
             })

@@ -4,8 +4,8 @@ use std::sync::Arc;
 
 use gridauthz_clock::{SimClock, SimDuration};
 use gridauthz_core::{
-    paper, AdmissionClass, AuthorizationCallout, CalloutChain, CombinedPdp, Combiner, PdpCallout,
-    Policy, PolicyOrigin, PolicySource, RequestContext,
+    paper, AdmissionClass, AuthorizationCallout, CombinedPdp, Combiner, PdpCallout, Policy,
+    PolicyOrigin, PolicySource, RequestContext,
 };
 use gridauthz_credential::{
     CertificateAuthority, Credential, DistinguishedName, GridMapEntry, GridMapFile, TrustStore,
@@ -274,14 +274,12 @@ impl TestbedBuilder {
             GramMode::Gt2 => builder.mode(GramMode::Gt2),
             GramMode::Extended => {
                 let pdp = CombinedPdp::new(sources, self.combiner);
-                let mut chain = CalloutChain::new();
                 // Cached: the server hot path reuses decisions for
                 // repeated identical requests; set_gridmap and policy
                 // reloads invalidate via the generation counter.
-                chain.push(Arc::new(PdpCallout::cached("gram-authorization", pdp)));
-                for callout in self.extra_callouts {
-                    chain.push(callout);
-                }
+                let mut chain: Vec<Arc<dyn AuthorizationCallout>> =
+                    vec![Arc::new(PdpCallout::cached("gram-authorization", pdp))];
+                chain.extend(self.extra_callouts);
                 builder.callouts(chain)
             }
         };

@@ -18,8 +18,8 @@ use gridauthz::akenti::{
 use gridauthz::cas::{CasServer, RestrictionCallout};
 use gridauthz::clock::{SimClock, SimDuration};
 use gridauthz::core::{
-    Action, AuthzRequest, CalloutChain, CombinedPdp, Combiner, PdpCallout, PolicyOrigin,
-    PolicySource,
+    Action, AuthorizationCallout, AuthzEngine, AuthzRequest, CombinedPdp, Combiner, PdpCallout,
+    PolicyOrigin, PolicySource,
 };
 use gridauthz::credential::{verify_chain, CertificateAuthority, DistinguishedName, TrustStore};
 use gridauthz::rsl::parse;
@@ -35,7 +35,14 @@ fn request(subject: DistinguishedName, job: &str) -> AuthzRequest {
     )
 }
 
-fn outcome(chain: &CalloutChain, request: &AuthzRequest) -> &'static str {
+/// A one-callout chain: the Job Manager's callout point running `callout`.
+fn chain(callout: Arc<dyn AuthorizationCallout>) -> AuthzEngine {
+    let mut engine = AuthzEngine::pass_through(callout.name().to_string());
+    engine.push_callout(callout);
+    engine
+}
+
+fn outcome(chain: &AuthzEngine, request: &AuthzRequest) -> &'static str {
     match chain.authorize(request) {
         Ok(()) => "permit",
         Err(_) => "deny",
@@ -55,8 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         PolicyOrigin::VirtualOrganization("fusion".into()),
         policy.parse()?,
     );
-    let mut rsl_chain = CalloutChain::new();
-    rsl_chain.push(Arc::new(PdpCallout::new(
+    let rsl_chain = chain(Arc::new(PdpCallout::new(
         "rsl-pdp",
         CombinedPdp::new(vec![source], Combiner::DenyOverrides),
     )));
@@ -72,8 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         vec![vec![("group".into(), "fusion".into())]],
     ));
     engine.deposit(authority.issue(&kate, "group", "fusion", hour));
-    let mut akenti_chain = CalloutChain::new();
-    akenti_chain.push(Arc::new(AkentiCallout::new(
+    let akenti_chain = chain(Arc::new(AkentiCallout::new(
         "akenti",
         Arc::new(engine),
         clock.clone(),
@@ -96,8 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let verified = verify_chain(kate_proxy.chain(), &trust, clock.now())?;
     let restrictions: Vec<String> =
         verified.restrictions().iter().map(|e| e.value.clone()).collect();
-    let mut cas_chain = CalloutChain::new();
-    cas_chain.push(Arc::new(RestrictionCallout::new("cas-enforce")));
+    let cas_chain = chain(Arc::new(RestrictionCallout::new("cas-enforce")));
 
     // ---------- Compare --------------------------------------------------
     let sanctioned = "&(executable = TRANSP)(jobtag = NFC)";

@@ -40,4 +40,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo doc -D warnings (broken or private intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "all checks passed"

@@ -7,9 +7,7 @@
 use std::sync::Arc;
 
 use gridauthz::clock::{SimClock, SimDuration, SimTime};
-use gridauthz::core::{
-    BreakerState, CalloutChain, DegradationPolicy, ResilienceConfig, SupervisedCallout,
-};
+use gridauthz::core::{BreakerState, DegradationPolicy, ResilienceConfig, SupervisedCallout};
 use gridauthz::credential::{CertificateAuthority, GridMapEntry, GridMapFile, TrustStore};
 use gridauthz::gram::{GramClient, GramError, GramServer, GramServerBuilder};
 use gridauthz::scheduler::Cluster;
@@ -39,7 +37,7 @@ struct Site {
     flaky: Arc<FlakyCallout>,
 }
 
-/// A site whose only extra callout is a supervised policy service that
+/// A site whose only callout is a supervised policy service that
 /// is down (fast failures) from t=10 s to t=40 s.
 fn site(policy: DegradationPolicy) -> Site {
     let clock = SimClock::new();
@@ -53,14 +51,12 @@ fn site(policy: DegradationPolicy) -> Site {
     let flaky =
         Arc::new(FlakyCallout::new("vo-policy", &clock).fail_between(OUTAGE_FROM, OUTAGE_UNTIL));
     let supervised = Arc::new(SupervisedCallout::new(flaky.clone(), &clock, resilience(policy)));
-    let mut chain = CalloutChain::new();
-    chain.push(supervised);
 
     let server = GramServerBuilder::new("site", &clock)
         .trust(trust)
         .gridmap(gridmap)
         .cluster(Cluster::uniform(4, 8, 8192))
-        .callouts(chain)
+        .callouts(vec![supervised])
         .build();
     let client = GramClient::new(user);
     Site { clock, server, client, flaky }

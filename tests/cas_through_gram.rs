@@ -7,7 +7,7 @@ use std::sync::Arc;
 use gridauthz::cas::{CasServer, RestrictionCallout};
 use gridauthz::clock::{SimClock, SimDuration};
 use gridauthz::core::{
-    CalloutChain, CombinedPdp, Combiner, PdpCallout, PolicyOrigin, PolicySource,
+    AuthorizationCallout, CombinedPdp, Combiner, PdpCallout, PolicyOrigin, PolicySource,
 };
 use gridauthz::credential::{
     CertificateAuthority, DistinguishedName, GridMapEntry, GridMapFile, TrustStore,
@@ -63,12 +63,13 @@ fn site() -> CasSite {
     );
     let source =
         PolicySource::new("local", PolicyOrigin::ResourceOwner, site_policy.parse().unwrap());
-    let mut callouts = CalloutChain::new();
-    callouts.push(Arc::new(PdpCallout::new(
-        "site-policy",
-        CombinedPdp::new(vec![source], Combiner::DenyOverrides),
-    )));
-    callouts.push(Arc::new(RestrictionCallout::new("cas-enforce")));
+    let callouts: Vec<Arc<dyn AuthorizationCallout>> = vec![
+        Arc::new(PdpCallout::new(
+            "site-policy",
+            CombinedPdp::new(vec![source], Combiner::DenyOverrides),
+        )),
+        Arc::new(RestrictionCallout::new("cas-enforce")),
+    ];
 
     let server = GramServerBuilder::new("cas-site", &clock)
         .trust(trust)

@@ -6,8 +6,7 @@ use std::sync::Arc;
 
 use gridauthz::clock::{SimClock, SimDuration};
 use gridauthz::core::{
-    AuthorizationCallout, AuthzFailure, AuthzRequest, CalloutChain, CalloutConfig, CalloutRegistry,
-    DenyReason,
+    AuthorizationCallout, AuthzFailure, AuthzRequest, CalloutConfig, CalloutRegistry, DenyReason,
 };
 use gridauthz::credential::{CertificateAuthority, GridMapEntry, GridMapFile, TrustStore};
 use gridauthz::gram::{GramClient, GramError, GramServerBuilder};
@@ -49,13 +48,11 @@ fn authorization_system_failure_fails_closed() {
     gridmap.insert(GridMapEntry::new(user.identity(), vec!["u".into()]));
 
     let flaky = Arc::new(FlakyCallout::default());
-    let mut chain = CalloutChain::new();
-    chain.push(flaky.clone());
     let server = GramServerBuilder::new("site", &clock)
         .trust(trust)
         .gridmap(gridmap)
         .cluster(Cluster::uniform(1, 4, 4096))
-        .callouts(chain)
+        .callouts(vec![flaky.clone()])
         .build();
     let client = GramClient::new(user);
 
@@ -110,13 +107,11 @@ fn newline_bearing_failure_messages_cannot_forge_wire_headers() {
     let user = ca.issue_identity("/O=Grid/CN=U", SimDuration::from_hours(8)).unwrap();
     let mut gridmap = GridMapFile::new();
     gridmap.insert(GridMapEntry::new(user.identity(), vec!["u".into()]));
-    let mut chain = CalloutChain::new();
-    chain.push(Arc::new(ForgingCallout));
     let server = GramServerBuilder::new("site", &clock)
         .trust(trust)
         .gridmap(gridmap)
         .cluster(Cluster::uniform(1, 4, 4096))
-        .callouts(chain)
+        .callouts(vec![Arc::new(ForgingCallout)])
         .build();
 
     let request = WireRequest::Submit {
@@ -165,13 +160,11 @@ fn garbage_restriction_payload_fails_closed_through_gram() {
         .unwrap();
     let mut gridmap = GridMapFile::new();
     gridmap.insert(GridMapEntry::new(user.identity(), vec!["u".into()]));
-    let mut chain = CalloutChain::new();
-    chain.push(Arc::new(RestrictionCallout::new("cas-enforce")));
     let server = GramServerBuilder::new("site", &clock)
         .trust(trust)
         .gridmap(gridmap)
         .cluster(Cluster::uniform(1, 4, 4096))
-        .callouts(chain)
+        .callouts(vec![Arc::new(RestrictionCallout::new("cas-enforce"))])
         .build();
 
     let err = server.submit(bad_proxy.chain(), "&(executable = a)", None, mins(1)).unwrap_err();
