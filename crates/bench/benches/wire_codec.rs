@@ -2,10 +2,12 @@
 //! borrowed (zero-copy) decode against the owned decode, and encoding
 //! into a reused buffer against allocating a fresh `String` per
 //! response — the two codec-level savings the serving layer's warm path
-//! is built on.
+//! is built on — plus the warm authentication every PEM request pays
+//! before decode: an authentication-cache hit on a repeat client's chain.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gridauthz_clock::SimDuration;
+use gridauthz_credential::pem;
 use gridauthz_gram::wire::{WireRequest, WireRequestRef, WireResponse};
 
 fn bench_wire_codec(c: &mut Criterion) {
@@ -53,6 +55,20 @@ fn bench_wire_codec(c: &mut Criterion) {
             std::hint::black_box(out.len())
         });
     });
+
+    // A testbed member's chain as it arrives on the wire, verified once
+    // so every iteration is a cache hit.
+    let testbed = gridauthz_bench::extended_testbed(1);
+    let chain = pem::encode_chain(testbed.members[0].chain());
+    testbed.server.authenticate_pem(&chain).expect("member chains authenticate");
+    group.bench_function("authenticate-pem-warm", |b| {
+        b.iter(|| {
+            std::hint::black_box(testbed.server.authenticate_pem(std::hint::black_box(&chain)))
+                .expect("member chains authenticate")
+        });
+    });
+    let stats = testbed.server.auth_cache_stats();
+    assert_eq!(stats.misses, 1, "every warm iteration must hit the authentication cache");
 
     group.finish();
 }

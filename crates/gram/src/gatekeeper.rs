@@ -31,12 +31,16 @@ impl Gatekeeper {
         Gatekeeper { trust, gridmap, clock: clock.clone(), generation: 0 }
     }
 
-    /// The publication generation of this gatekeeper state. Bumped by
-    /// every administrative mutation ([`Gatekeeper::set_gridmap`],
-    /// [`Gatekeeper::trust_mut`]) before the clone-mutate-publish cycle
-    /// stores the new value, so authentication-cache entries stamped
-    /// with the generation of the snapshot that verified them go stale
-    /// the instant a revocation or mapping change is published.
+    /// The publication generation of this gatekeeper state. Bumped only by
+    /// [`Gatekeeper::trust_mut`] (CRL loads, anchor changes, and their
+    /// replay during recovery) before the clone-mutate-publish cycle
+    /// stores the new value. Authentication-cache entries are stamped
+    /// with the generation of the snapshot that verified them, so a
+    /// revocation strands every cached verification the instant it is
+    /// published. A grid-mapfile swap leaves it alone: chain
+    /// verification never reads the grid-map, which is consulted fresh
+    /// on every request by [`Gatekeeper::authorize_and_map`], and expiry
+    /// is enforced per cache entry by the chain's validity window.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -46,10 +50,10 @@ impl Gatekeeper {
         &self.gridmap
     }
 
-    /// Replaces the grid-mapfile (administration).
+    /// Replaces the grid-mapfile (administration). Does not move the
+    /// generation: verified chains stay cached across the swap.
     pub fn set_gridmap(&mut self, gridmap: GridMapFile) {
         self.gridmap = gridmap;
-        self.generation += 1;
     }
 
     /// The trust store (read-only; does not move the generation).
@@ -58,8 +62,9 @@ impl Gatekeeper {
     }
 
     /// Mutable access to the trust store (CRL loading, anchor rotation).
-    /// Conservatively counts as a mutation: the generation moves even if
-    /// the caller only reads through the handle.
+    /// Conservatively counts as a trust change: the generation moves
+    /// even if the caller only reads through the handle, so every
+    /// cached chain verification goes stale.
     pub fn trust_mut(&mut self) -> &mut TrustStore {
         self.generation += 1;
         &mut self.trust
@@ -67,9 +72,8 @@ impl Gatekeeper {
 
     /// Raises the generation to at least `floor`. Recovery uses this to
     /// restore the pre-crash generation after replaying administrative
-    /// mutations: authentication-cache entries (and any other state
-    /// stamped with a pre-crash generation) must never compare fresh
-    /// against a restarted gatekeeper whose counter restarted lower.
+    /// mutations, so the journaled count never runs backwards across a
+    /// restart.
     pub fn raise_generation_floor(&mut self, floor: u64) {
         if self.generation < floor {
             self.generation = floor;

@@ -113,8 +113,7 @@ pub enum JournalRecord {
     PolicyReload,
     /// Snapshot-only: the gatekeeper generation floor. Replay raises
     /// the recovered gatekeeper's generation to at least this value so
-    /// nothing stamped with a pre-crash generation (auth-cache entries
-    /// above all) can compare fresh against a restarted counter.
+    /// the journaled generation never runs backwards across a restart.
     GatekeeperGeneration {
         /// The generation at snapshot time.
         generation: u64,

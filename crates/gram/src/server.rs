@@ -537,8 +537,9 @@ pub struct GramServer {
     telemetry: Arc<TelemetryRegistry>,
     /// Verified-chain cache in front of the PEM wire path. Entries are
     /// stamped with the generation of the gatekeeper snapshot that
-    /// verified them, so the same clone-bump-publish cycle that swaps
-    /// the gatekeeper also strands every cached verification.
+    /// verified them, so the clone-bump-publish cycle of a revocation or
+    /// other trust-store change strands every cached verification; a
+    /// grid-mapfile swap leaves them live.
     auth_cache: AuthCache,
     clock: SimClock,
     next_job: AtomicU64,
@@ -581,6 +582,8 @@ impl GramServer {
     /// gatekeeper is built off-path and published by pointer swap. The
     /// authorization basis changed, so cached decisions are invalidated
     /// (every policy callout republishes under a fresh generation).
+    /// Cached chain verifications stay live: the grid-map is applied per
+    /// request, after authentication.
     ///
     /// # Errors
     ///
@@ -2033,12 +2036,14 @@ impl GramServer {
     }
 
     /// Authenticates the PEM-armored chain `pem_text` through the
-    /// authentication cache: the SHA-256 of the armor text is looked up
-    /// first, and only a miss pays for PEM decoding and chain
-    /// verification. Entries are stamped with the generation of the
-    /// gatekeeper snapshot that verified them and carry the chain's
-    /// composite validity window, so revocations, grid-mapfile swaps and
-    /// credential expiry all force a fresh verification. Failed
+    /// authentication cache: the exact armor text is looked up first,
+    /// and only a miss pays for PEM decoding and chain verification.
+    /// Entries are stamped with the generation of the gatekeeper
+    /// snapshot that verified them and carry the chain's composite
+    /// validity window, so revocations, trust-store changes and
+    /// credential expiry all force a fresh verification. A grid-mapfile
+    /// swap does not: the grid-map is applied per request by
+    /// [`Gatekeeper::authorize_and_map`], after authentication. Failed
     /// verifications are never cached.
     ///
     /// # Errors
@@ -2047,11 +2052,10 @@ impl GramServer {
     /// current trust state rejects.
     pub fn authenticate_pem(&self, pem_text: &str) -> Result<Arc<AuthEntry>, GramError> {
         let start = Instant::now();
-        let key = AuthCache::digest(pem_text);
         let gatekeeper = self.gatekeeper.load();
         let generation = gatekeeper.generation();
         let now = self.clock.now();
-        if let Some(entry) = self.auth_cache.lookup(&key, generation, now) {
+        if let Some(entry) = self.auth_cache.lookup(pem_text, generation, now) {
             self.telemetry.record_timed(
                 Stage::Authenticate,
                 labels::HIT,
@@ -2063,12 +2067,11 @@ impl GramServer {
             .map_err(GramError::AuthenticationFailed)
             .and_then(|chain| {
                 let identity = gatekeeper.authenticate(&chain)?;
-                Ok(AuthEntry::new(generation, chain, identity))
+                Ok(Arc::new(AuthEntry::new(generation, pem_text, &chain, identity)))
             });
         match verified {
             Ok(entry) => {
-                let entry = Arc::new(entry);
-                self.auth_cache.insert(key, (*entry).clone());
+                self.auth_cache.insert(Arc::clone(&entry), now);
                 self.telemetry.record_timed(
                     Stage::Authenticate,
                     labels::MISS,
