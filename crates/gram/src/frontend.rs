@@ -41,6 +41,14 @@
 //!   worker and reused for every request of every connection: the warm
 //!   path is bytes-in → decision → bytes-out with no per-request heap
 //!   traffic in the serving layer itself.
+//! * **One write per read.** Every answer produced from one `read` —
+//!   service answers, typed decode-error answers, and the closing
+//!   `BUSY` or `IDLE_TIMEOUT` — is appended to the response buffer, and
+//!   the buffer is written with a single `write_all` before the next
+//!   `read` and before any close. A pipelined window of eight frames
+//!   costs one `write` syscall and one loopback segment, not eight, and
+//!   a connection closed for its error budget or its deadline still
+//!   gets every earlier answer, in order, ahead of the close.
 //! * **Connection lifecycle.** A serving connection can end five ways,
 //!   each observable: the peer closes (normal), an I/O error, the
 //!   connection's **admission deadline** passes (answered `BUSY`,
@@ -162,6 +170,10 @@ pub struct WorkerStats {
     pub connections: u64,
     /// Frames this worker answered (including error answers).
     pub frames: u64,
+    /// Response buffers this worker flushed: one `write_all` carrying
+    /// every answer produced from one read. `frames / writes` is the
+    /// mean number of answers coalesced into one write.
+    pub writes: u64,
     /// Connections this worker refused with a fast `BUSY` answer
     /// because their deadline expired while they waited in the
     /// admission queue.
@@ -232,6 +244,27 @@ pub fn jittered_retry(seed: u64, sequence: u64, base: SimDuration) -> SimDuratio
 }
 
 impl Shared {
+    fn new(
+        server: Arc<GramServer>,
+        clock: Arc<dyn TimeSource>,
+        config: FrontendConfig,
+        workers: usize,
+    ) -> Shared {
+        Shared {
+            server,
+            clock,
+            config,
+            queue: Mutex::new(AdmissionQueue::default()),
+            available: Condvar::new(),
+            stop: AtomicBool::new(false),
+            accepted: AtomicU64::new(0),
+            active: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            retry_sequence: AtomicU64::new(0),
+            serving_since: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
     fn telemetry(&self) -> &TelemetryRegistry {
         self.server.telemetry()
     }
@@ -324,19 +357,7 @@ impl Frontend {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let worker_count = config.workers.max(1);
-        let shared = Arc::new(Shared {
-            server,
-            clock,
-            config,
-            queue: Mutex::new(AdmissionQueue::default()),
-            available: Condvar::new(),
-            stop: AtomicBool::new(false),
-            accepted: AtomicU64::new(0),
-            active: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            retry_sequence: AtomicU64::new(0),
-            serving_since: (0..worker_count).map(|_| AtomicU64::new(0)).collect(),
-        });
+        let shared = Arc::new(Shared::new(server, clock, config, worker_count));
         shared.telemetry().set_gauge(Gauge::WorkersTotal, worker_count as u64);
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -538,8 +559,7 @@ fn worker_loop(shared: &Shared, index: usize) -> WorkerStats {
         shared.active.fetch_add(1, Ordering::Relaxed);
         shared.publish_gauges();
         shared.note_serve_start(index);
-        stats.frames +=
-            serve_connection(shared, entry, &mut read_buf, &mut assembler, &mut response);
+        serve_connection(shared, entry, &mut read_buf, &mut assembler, &mut response, &mut stats);
         stats.connections += 1;
         shared.note_serve_end(index);
         shared.active.fetch_sub(1, Ordering::Relaxed);
@@ -587,7 +607,8 @@ fn frame_context(
 
 /// Serves one connection until the peer closes, errors, goes silent past
 /// the idle timeout, exhausts its error budget, or the connection's
-/// admission deadline passes. Returns the number of frames answered.
+/// admission deadline passes, counting answered frames and flushed
+/// writes into `stats`.
 ///
 /// The deadline and idle checks both live on the `WouldBlock`/`TimedOut`
 /// wakeup path *and* (for the deadline) after every successful read:
@@ -602,7 +623,8 @@ fn serve_connection(
     read_buf: &mut [u8],
     assembler: &mut FrameAssembler,
     response: &mut String,
-) -> u64 {
+    stats: &mut WorkerStats,
+) {
     let QueuedConnection { mut stream, ctx, .. } = entry;
     // The poll interval is the context's remaining budget clamped to the
     // stop-poll granularity — the same deadline computation every other
@@ -615,7 +637,6 @@ fn serve_connection(
     // The admission wait belongs to the connection's first request; the
     // frames pipelined behind it did not stand in the accept queue.
     let mut queue_wait = ctx.queue_wait();
-    let mut frames = 0;
     let mut errors = 0u32;
     let mut last_activity = shared.clock.now();
     loop {
@@ -640,15 +661,9 @@ fn serve_connection(
                     &mut stream,
                     assembler,
                     response,
-                    &mut frames,
+                    stats,
                     &mut errors,
                 ) {
-                    break;
-                }
-                // A trickling (slowloris) client never hits the idle
-                // path, so the connection deadline is enforced here too.
-                if ctx.expired() {
-                    expire_connection(shared, &mut stream, &ctx);
                     break;
                 }
             }
@@ -666,18 +681,19 @@ fn serve_connection(
                 // worker-pinning bug — N silent clients deadlocked all N
                 // workers.)
                 if ctx.expired() {
-                    expire_connection(shared, &mut stream, &ctx);
+                    expire_connection(shared, &ctx, response);
+                    flush(&mut stream, response, stats);
                     break;
                 }
                 if shared.clock.now().saturating_since(last_activity) >= shared.config.idle_timeout
                 {
                     shared.telemetry().record(Stage::Admission, labels::IDLE_TIMEOUT);
-                    write_error_frame(
-                        &mut stream,
+                    push_error_frame(
                         response,
                         "IDLE_TIMEOUT",
                         "connection idle past the front-end idle timeout",
                     );
+                    flush(&mut stream, response, stats);
                     break;
                 }
             }
@@ -687,34 +703,49 @@ fn serve_connection(
     // The assembler is reused by the next connection; anything left
     // belongs to the finished one.
     assembler.reset();
-    frames
 }
 
 /// Cuts off a connection whose admission deadline passed mid-service:
-/// one `BUSY` frame with a fresh-budget retry hint, counted under
-/// [`Stage::Admission`] / deadline-expired, then the caller closes.
-fn expire_connection(shared: &Shared, stream: &mut TcpStream, ctx: &RequestContext) {
+/// appends one `BUSY` frame with a fresh-budget retry hint, counted
+/// under [`Stage::Admission`] / deadline-expired; the caller flushes it
+/// behind any answers already buffered, then closes.
+fn expire_connection(shared: &Shared, ctx: &RequestContext, response: &mut String) {
+    use std::fmt::Write as _;
     shared.telemetry().record(Stage::Admission, labels::EXPIRED);
     let retry_after = shared.retry_hint(shared.config.lane_budget(ctx.class()));
-    let answer = format!("GRAM/1 BUSY\nretry-after-micros: {}\n\n", retry_after.as_micros());
-    let _ = stream.write_all(answer.as_bytes());
+    let _ = write!(response, "GRAM/1 BUSY\nretry-after-micros: {}\n\n", retry_after.as_micros());
 }
 
-/// Writes one `GRAM/1 ERROR` frame through the reusable response buffer.
-fn write_error_frame(stream: &mut TcpStream, response: &mut String, code: &str, message: &str) {
-    response.clear();
+/// Appends one `GRAM/1 ERROR` frame to the response buffer. The encoder
+/// validates before it writes, so a refused value leaves nothing
+/// partial behind the answers already buffered — only the static
+/// fallback frame.
+fn push_error_frame(response: &mut String, code: &str, message: &str) {
     let answer =
         crate::wire::WireResponse::Error { code: code.to_string(), message: message.to_string() };
     if answer.encode_into(response).is_err() {
         response.push_str(crate::wire::WireResponse::FALLBACK);
     }
     response.push('\n');
-    let _ = stream.write_all(response.as_bytes());
 }
 
-/// Answers every complete frame currently buffered. Returns `false` when
-/// the connection must close (write failure, or its error budget is
-/// exhausted).
+/// Writes every answer buffered since the last flush with one
+/// `write_all` and empties the buffer. Returns `false` when the write
+/// failed (the connection must close).
+fn flush<W: Write>(out: &mut W, response: &mut String, stats: &mut WorkerStats) -> bool {
+    if response.is_empty() {
+        return true;
+    }
+    stats.writes += 1;
+    let written = out.write_all(response.as_bytes()).is_ok();
+    response.clear();
+    written
+}
+
+/// Answers every complete frame currently buffered, then writes all of
+/// the answers at once. Returns `false` when the connection must close
+/// (write failure, its error budget is exhausted, or its admission
+/// deadline has passed).
 ///
 /// Refused frames — malformed, oversized, duplicate-header — are
 /// answered in-stream with a typed error frame and the connection keeps
@@ -723,19 +754,23 @@ fn write_error_frame(stream: &mut TcpStream, response: &mut String, code: &str, 
 /// refusal spends one unit of the connection's error budget; exhausting
 /// it closes the connection (a peer producing nothing but garbage does
 /// not get to hold a worker).
+///
+/// The connection deadline is checked here, after every read, because a
+/// trickling (slowloris) client never reaches the idle path. Whatever
+/// closes the connection, its closing answer rides in the same write as
+/// the answers before it.
 #[allow(clippy::too_many_arguments)]
-fn drain_frames(
+fn drain_frames<W: Write>(
     shared: &Shared,
     conn: &RequestContext,
     queue_wait: &mut SimDuration,
-    stream: &mut TcpStream,
+    out: &mut W,
     assembler: &mut FrameAssembler,
     response: &mut String,
-    frames: &mut u64,
+    stats: &mut WorkerStats,
     errors: &mut u32,
 ) -> bool {
-    loop {
-        response.clear();
+    let mut open = loop {
         let wait = std::mem::replace(queue_wait, SimDuration::ZERO);
         let outcome = assembler.next_frame(|frame| {
             let ctx = frame_context(shared, conn, wait, frame);
@@ -745,15 +780,11 @@ fn drain_frames(
             shared.telemetry().record_timed(Stage::Service, label, micros.saturating_mul(1000));
             label
         });
-        match outcome {
+        let refused = match outcome {
             Ok(Some(label)) => {
                 // One extra '\n' turns the response into a frame of its
                 // own, so clients can pipeline with the same assembler.
                 response.push('\n');
-                *frames += 1;
-                if stream.write_all(response.as_bytes()).is_err() {
-                    return false;
-                }
                 // A frame the protocol layer refused (unparseable request
                 // or header injection) spends error budget even though it
                 // was valid UTF-8 and well-delimited — otherwise a
@@ -761,46 +792,183 @@ fn drain_frames(
                 // whole connection budget. Service-level denials
                 // (authentication, authorization, unknown job) are honest
                 // protocol use and spend nothing.
-                if label == labels::BAD_REQUEST || label == labels::DUPLICATE_HEADER {
-                    *errors += 1;
-                    if *errors >= shared.config.error_budget.max(1) {
-                        shared.telemetry().record(Stage::Admission, labels::ERROR_BUDGET);
-                        return false;
-                    }
-                }
+                label == labels::BAD_REQUEST || label == labels::DUPLICATE_HEADER
             }
-            Ok(None) => return true,
+            Ok(None) => break true,
             Err(e) => {
                 // Answer with the typed protocol error and count the
                 // shape; the assembler consumed the offending frame, so
                 // keep serving until the error budget runs out.
                 shared.telemetry().record(Stage::FrameDecode, decode_error_label(&e));
-                response.clear();
-                let answer = crate::wire::WireResponse::Error {
-                    code: e.code().to_string(),
-                    message: e.to_string(),
-                };
-                if answer.encode_into(response).is_err() {
-                    response.push_str(crate::wire::WireResponse::FALLBACK);
-                }
-                response.push('\n');
-                *frames += 1;
-                if stream.write_all(response.as_bytes()).is_err() {
-                    return false;
-                }
-                *errors += 1;
-                if *errors >= shared.config.error_budget.max(1) {
-                    shared.telemetry().record(Stage::Admission, labels::ERROR_BUDGET);
-                    return false;
-                }
+                push_error_frame(response, e.code(), &e.to_string());
+                true
+            }
+        };
+        stats.frames += 1;
+        if refused {
+            *errors += 1;
+            if *errors >= shared.config.error_budget.max(1) {
+                shared.telemetry().record(Stage::Admission, labels::ERROR_BUDGET);
+                break false;
             }
         }
+    };
+    if open && conn.expired() {
+        expire_connection(shared, conn, response);
+        open = false;
     }
+    flush(out, response, stats) && open
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::GramServerBuilder;
+    use gridauthz_clock::SimClock;
+    use gridauthz_core::paper;
+    use gridauthz_credential::{pem, CertificateAuthority, GridMapEntry, GridMapFile, TrustStore};
+
+    /// A sink that records every `write` call separately, so a test can
+    /// count syscalls-to-be exactly and see what each one carried.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A front-end clock that moves one microsecond forward every time
+    /// it is read, so a connection deadline passes part-way through a
+    /// drain.
+    struct TickingClock(AtomicU64);
+
+    impl TimeSource for TickingClock {
+        fn now(&self) -> SimTime {
+            SimTime::from_micros(self.0.fetch_add(1, Ordering::Relaxed))
+        }
+    }
+
+    /// A GT2 server holding one job of Bo Liu's, plus the `STATUS` frame
+    /// that polls it with Bo's PEM chain.
+    fn status_fixture() -> (Arc<GramServer>, String) {
+        let clock = SimClock::new();
+        let ca = CertificateAuthority::new_root("/O=Grid/CN=CA", &clock).unwrap();
+        let mut trust = TrustStore::new();
+        trust.add_anchor(ca.certificate().clone());
+        let bo = ca.issue_identity(paper::BO_LIU_DN, SimDuration::from_hours(24)).unwrap();
+        let mut gridmap = GridMapFile::new();
+        gridmap.insert(GridMapEntry::new(paper::bo_liu(), vec!["bliu".into()]));
+        let server = GramServerBuilder::new("anl-cluster", &clock)
+            .trust(trust)
+            .gridmap(gridmap)
+            .cluster(gridauthz_scheduler::Cluster::uniform(4, 8, 16_384))
+            .build();
+        let contact = server
+            .submit(bo.chain(), "&(executable = test1)(count = 1)", None, SimDuration::from_mins(5))
+            .unwrap();
+        let frame = format!(
+            "{}GRAM/1 STATUS\njob: {}\n\n",
+            pem::encode_chain(bo.chain()),
+            contact.as_str()
+        );
+        (Arc::new(server), frame)
+    }
+
+    /// Pushes `bytes` into a fresh assembler and drains it once under a
+    /// connection context of `budget`, returning whether the connection
+    /// stays open, the writes made, and the worker counters.
+    fn drain_once(
+        shared: &Shared,
+        budget: SimDuration,
+        bytes: &[u8],
+    ) -> (bool, Vec<Vec<u8>>, WorkerStats) {
+        let conn = RequestContext::with_budget(
+            Arc::clone(&shared.clock),
+            AdmissionClass::Interactive,
+            budget,
+        );
+        let mut assembler = FrameAssembler::new(MAX_FRAME_BYTES);
+        assembler.push(bytes);
+        let mut out = CountingWriter::default();
+        let mut response = String::new();
+        let mut stats = WorkerStats::default();
+        let mut queue_wait = SimDuration::ZERO;
+        let open = drain_frames(
+            shared,
+            &conn,
+            &mut queue_wait,
+            &mut out,
+            &mut assembler,
+            &mut response,
+            &mut stats,
+            &mut 0,
+        );
+        assert!(response.is_empty(), "a drain leaves nothing unflushed");
+        (open, out.writes, stats)
+    }
+
+    #[test]
+    fn a_pipelined_window_is_answered_with_exactly_one_write() {
+        let (server, frame) = status_fixture();
+        let shared = Shared::new(server, Arc::new(SimClock::new()), FrontendConfig::default(), 1);
+        let budget = SimDuration::from_secs(2);
+
+        // The same eight frames served one at a time: one write each.
+        let mut one_at_a_time = Vec::new();
+        for _ in 0..8 {
+            let (open, writes, _) = drain_once(&shared, budget, frame.as_bytes());
+            assert!(open);
+            assert_eq!(writes.len(), 1);
+            one_at_a_time.extend_from_slice(&writes[0]);
+        }
+
+        // All eight pushed at once: one write carrying the same bytes.
+        let (open, writes, stats) = drain_once(&shared, budget, frame.repeat(8).as_bytes());
+        assert!(open);
+        assert_eq!(writes.len(), 1, "eight pipelined frames must cost one write");
+        assert_eq!(stats, WorkerStats { frames: 8, writes: 1, ..WorkerStats::default() });
+        assert_eq!(writes[0], one_at_a_time);
+        let text = String::from_utf8(writes[0].clone()).unwrap();
+        assert_eq!(text.matches("GRAM/1 REPORT\n").count(), 8, "{text}");
+    }
+
+    #[test]
+    fn a_deadline_passing_mid_drain_flushes_the_answers_then_busy_together() {
+        let (server, frame) = status_fixture();
+        let clock = Arc::new(TickingClock(AtomicU64::new(0)));
+        let shared = Shared::new(server, clock, FrontendConfig::default(), 1);
+        // The connection context reads the clock once at creation, and
+        // every frame reads it several more times: the deadline passes
+        // while the window is being answered.
+        let (open, writes, stats) =
+            drain_once(&shared, SimDuration::from_micros(3), frame.repeat(8).as_bytes());
+        assert!(!open, "an expired connection closes");
+        assert_eq!(writes.len(), 1, "answers and BUSY share one write");
+        assert_eq!(stats.writes, 1);
+        assert_eq!(stats.frames, 8);
+        let text = String::from_utf8(writes[0].clone()).unwrap();
+        let frames: Vec<&str> = text.split_terminator("\n\n").collect();
+        assert_eq!(frames.len(), 9, "{text}");
+        assert!(frames[..8].iter().all(|f| f.starts_with("GRAM/1 REPORT\n")), "{text}");
+        assert!(frames[8].starts_with("GRAM/1 BUSY\nretry-after-micros: "), "{text}");
+        assert_eq!(shared.telemetry().counter(Stage::Admission, labels::EXPIRED), 1);
+    }
+
+    #[test]
+    fn a_refused_error_value_leaves_only_the_fallback_behind_earlier_answers() {
+        let mut response = String::from("GRAM/1 DONE\n\n");
+        push_error_frame(&mut response, "BAD_REQUEST", "forged\ncode: OK");
+        assert_eq!(response, format!("GRAM/1 DONE\n\n{}\n", crate::wire::WireResponse::FALLBACK));
+    }
 
     /// Pins the jitter envelope: every hint lands in [75%, 125%] of the
     /// base, the same (seed, sequence) replays the same hint, and a

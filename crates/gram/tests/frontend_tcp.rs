@@ -119,6 +119,7 @@ fn fragmented_and_pipelined_requests_are_served_over_tcp() {
     assert_eq!(worker_stats.len(), 2);
     assert_eq!(worker_stats.iter().map(|s| s.connections).sum::<u64>(), 1);
     assert_eq!(worker_stats.iter().map(|s| s.frames).sum::<u64>(), 3);
+    assert!(worker_stats.iter().all(|s| s.writes <= s.frames), "{worker_stats:?}");
 }
 
 #[test]
@@ -186,6 +187,60 @@ fn exhausting_the_error_budget_closes_the_connection() {
 
     let worker_stats = frontend.stop();
     assert_eq!(worker_stats.iter().map(|s| s.frames).sum::<u64>(), 2);
+}
+
+#[test]
+fn a_window_closed_for_its_error_budget_still_gets_every_earlier_answer_in_order() {
+    let (bo, server) = grid();
+    let budget = 3;
+    let frontend = Frontend::bind(
+        Arc::clone(&server),
+        "127.0.0.1:0",
+        FrontendConfig { workers: 1, error_budget: budget, ..FrontendConfig::default() },
+    )
+    .unwrap();
+    let bo_pem = pem::encode_chain(bo.chain());
+    let contact = server
+        .submit(
+            bo.chain(),
+            "&(executable = test1)(directory = /sandbox/test)(count = 1)",
+            None,
+            SimDuration::from_mins(5),
+        )
+        .unwrap();
+
+    // One write: N valid STATUS frames, then exactly enough junk frames
+    // to exhaust the error budget.
+    let n = 6;
+    let mut window = format!("{bo_pem}GRAM/1 STATUS\njob: {}\n\n", contact.as_str()).repeat(n);
+    for i in 0..budget {
+        window.push_str(&format!("junk frame {i}\n\n"));
+    }
+    let stream = TcpStream::connect(frontend.local_addr()).unwrap();
+    let mut reader = FrameReader::new(stream);
+    reader.stream.write_all(window.as_bytes()).unwrap();
+
+    // Every answer arrives, in order, before the close.
+    for i in 0..n {
+        let response = reader.read_frame();
+        assert!(response.starts_with("GRAM/1 REPORT\n"), "answer {i}: {response}");
+        assert!(response.contains(contact.as_str()), "answer {i}: {response}");
+    }
+    for i in 0..budget {
+        let response = reader.read_frame();
+        assert_eq!(error_code_of(&response), Some("BAD_REQUEST"), "refusal {i}: {response}");
+    }
+    let mut rest = Vec::new();
+    let read = reader.stream.read_to_end(&mut rest).unwrap();
+    assert_eq!(read, 0, "connection must close; got {:?}", String::from_utf8_lossy(&rest));
+    assert_eq!(server.telemetry().counter(Stage::Admission, labels::ERROR_BUDGET), 1);
+
+    drop(reader);
+    let worker_stats = frontend.stop();
+    let frames = worker_stats.iter().map(|s| s.frames).sum::<u64>();
+    let writes = worker_stats.iter().map(|s| s.writes).sum::<u64>();
+    assert_eq!(frames, (n + budget as usize) as u64);
+    assert!(writes >= 1 && writes <= frames, "writes {writes} vs frames {frames}");
 }
 
 #[test]
