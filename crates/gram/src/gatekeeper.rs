@@ -40,7 +40,10 @@ impl Gatekeeper {
     /// published. A grid-mapfile swap leaves it alone: chain
     /// verification never reads the grid-map, which is consulted fresh
     /// on every request by [`Gatekeeper::authorize_and_map`], and expiry
-    /// is enforced per cache entry by the chain's validity window.
+    /// is enforced per cache entry by the chain's validity window. The
+    /// generation lives only in memory and is not journaled: the
+    /// authentication cache, its one reader, starts empty after every
+    /// restart.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -68,16 +71,6 @@ impl Gatekeeper {
     pub fn trust_mut(&mut self) -> &mut TrustStore {
         self.generation += 1;
         &mut self.trust
-    }
-
-    /// Raises the generation to at least `floor`. Recovery uses this to
-    /// restore the pre-crash generation after replaying administrative
-    /// mutations, so the journaled count never runs backwards across a
-    /// restart.
-    pub fn raise_generation_floor(&mut self, floor: u64) {
-        if self.generation < floor {
-            self.generation = floor;
-        }
     }
 
     /// GSI authentication: validates the presented certificate chain and

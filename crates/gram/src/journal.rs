@@ -15,9 +15,14 @@
 //! | `LeaseRelease`        | a dynamic-account lease returned to the pool |
 //! | `SetGridmap`          | an administrative grid-mapfile swap          |
 //! | `RevokeCredential`    | one CRL entry loaded into the trust store    |
-//! | `PolicyReload`        | an external policy-generation bump           |
-//! | `GatekeeperGeneration`| snapshot-only generation floor               |
 //! | `Audit`               | one audit record (best-effort, non-fatal)    |
+//!
+//! Records carry state only, never cache invalidations: each cache's
+//! owner invalidates it in memory, and every cache starts empty after a
+//! restart. Older journals still recover. Tags 5 and 6 decode their
+//! earlier layout and drop its trailing gatekeeper generation. Tags 7
+//! (policy reload) and 8 (generation floor) decode to `None`, which
+//! recovery skips.
 //!
 //! The snapshot payload is simply a length-prefixed sequence of these
 //! same records re-expressing the server's current state (a *logical*
@@ -97,8 +102,6 @@ pub enum JournalRecord {
     SetGridmap {
         /// Every mapping: subject DN → permitted local accounts.
         entries: Vec<(String, Vec<String>)>,
-        /// The gatekeeper generation after the swap was published.
-        generation: u64,
     },
     /// One CRL entry loaded into the trust store.
     RevokeCredential {
@@ -106,17 +109,6 @@ pub enum JournalRecord {
         issuer: String,
         /// The revoked certificate's serial number.
         serial: u64,
-        /// The gatekeeper generation after the revocation published.
-        generation: u64,
-    },
-    /// An external policy update notification (cache invalidation).
-    PolicyReload,
-    /// Snapshot-only: the gatekeeper generation floor. Replay raises
-    /// the recovered gatekeeper's generation to at least this value so
-    /// the journaled generation never runs backwards across a restart.
-    GatekeeperGeneration {
-        /// The generation at snapshot time.
-        generation: u64,
     },
     /// One audit record, rotated into the journal either on write
     /// (durable audit trail) or on eviction from the bounded in-memory
@@ -149,11 +141,14 @@ const TAG_CANCEL: u8 = 1;
 const TAG_SIGNAL: u8 = 2;
 const TAG_LEASE_GRANT: u8 = 3;
 const TAG_LEASE_RELEASE: u8 = 4;
-const TAG_SET_GRIDMAP: u8 = 5;
-const TAG_REVOKE: u8 = 6;
-const TAG_POLICY_RELOAD: u8 = 7;
-const TAG_GENERATION: u8 = 8;
+// Tags 5-8 are decode-only, for older journals (see the module docs).
+const TAG_LEGACY_SET_GRIDMAP: u8 = 5;
+const TAG_LEGACY_REVOKE: u8 = 6;
+const TAG_LEGACY_POLICY_RELOAD: u8 = 7;
+const TAG_LEGACY_GENERATION: u8 = 8;
 const TAG_AUDIT: u8 = 9;
+const TAG_SET_GRIDMAP: u8 = 10;
+const TAG_REVOKE: u8 = 11;
 
 const SIGNAL_SUSPEND: u8 = 0;
 const SIGNAL_RESUME: u8 = 1;
@@ -213,7 +208,7 @@ impl JournalRecord {
                 w.u8(TAG_LEASE_RELEASE);
                 w.string(subject);
             }
-            JournalRecord::SetGridmap { entries, generation } => {
+            JournalRecord::SetGridmap { entries } => {
                 w.u8(TAG_SET_GRIDMAP);
                 w.u32(u32::try_from(entries.len()).unwrap_or(u32::MAX));
                 for (subject, accounts) in entries {
@@ -223,20 +218,11 @@ impl JournalRecord {
                         w.string(account);
                     }
                 }
-                w.u64(*generation);
             }
-            JournalRecord::RevokeCredential { issuer, serial, generation } => {
+            JournalRecord::RevokeCredential { issuer, serial } => {
                 w.u8(TAG_REVOKE);
                 w.string(issuer);
                 w.u64(*serial);
-                w.u64(*generation);
-            }
-            JournalRecord::PolicyReload => {
-                w.u8(TAG_POLICY_RELOAD);
-            }
-            JournalRecord::GatekeeperGeneration { generation } => {
-                w.u8(TAG_GENERATION);
-                w.u64(*generation);
             }
             JournalRecord::Audit {
                 at_micros,
@@ -265,21 +251,22 @@ impl JournalRecord {
     }
 
     /// Decodes one record from a journal payload, rejecting trailing
-    /// bytes.
+    /// bytes. `None` is a retired record (tags 7 and 8) that carries no
+    /// state and that recovery skips.
     ///
     /// # Errors
     ///
     /// [`CodecError`] on truncation, trailing bytes, or an unknown tag.
-    pub fn decode(bytes: &[u8]) -> Result<JournalRecord, CodecError> {
+    pub fn decode(bytes: &[u8]) -> Result<Option<JournalRecord>, CodecError> {
         let mut r = ByteReader::new(bytes);
         let record = JournalRecord::decode_from(&mut r)?;
         r.finish()?;
         Ok(record)
     }
 
-    fn decode_from(r: &mut ByteReader<'_>) -> Result<JournalRecord, CodecError> {
+    fn decode_from(r: &mut ByteReader<'_>) -> Result<Option<JournalRecord>, CodecError> {
         let tag = r.u8()?;
-        Ok(match tag {
+        Ok(Some(match tag {
             TAG_SUBMIT => JournalRecord::Submit {
                 index: r.u64()?,
                 contact: r.string()?,
@@ -309,7 +296,7 @@ impl JournalRecord {
                 expires_micros: r.u64()?,
             },
             TAG_LEASE_RELEASE => JournalRecord::LeaseRelease { subject: r.string()? },
-            TAG_SET_GRIDMAP => {
+            TAG_SET_GRIDMAP | TAG_LEGACY_SET_GRIDMAP => {
                 let count = r.u32()? as usize;
                 let mut entries = Vec::with_capacity(count.min(1024));
                 for _ in 0..count {
@@ -321,15 +308,24 @@ impl JournalRecord {
                     }
                     entries.push((subject, accounts));
                 }
-                JournalRecord::SetGridmap { entries, generation: r.u64()? }
+                if tag == TAG_LEGACY_SET_GRIDMAP {
+                    r.u64()?;
+                }
+                JournalRecord::SetGridmap { entries }
             }
-            TAG_REVOKE => JournalRecord::RevokeCredential {
-                issuer: r.string()?,
-                serial: r.u64()?,
-                generation: r.u64()?,
-            },
-            TAG_POLICY_RELOAD => JournalRecord::PolicyReload,
-            TAG_GENERATION => JournalRecord::GatekeeperGeneration { generation: r.u64()? },
+            TAG_REVOKE | TAG_LEGACY_REVOKE => {
+                let record =
+                    JournalRecord::RevokeCredential { issuer: r.string()?, serial: r.u64()? };
+                if tag == TAG_LEGACY_REVOKE {
+                    r.u64()?;
+                }
+                record
+            }
+            TAG_LEGACY_POLICY_RELOAD => return Ok(None),
+            TAG_LEGACY_GENERATION => {
+                r.u64()?;
+                return Ok(None);
+            }
             TAG_AUDIT => JournalRecord::Audit {
                 at_micros: r.u64()?,
                 subject: r.string()?,
@@ -342,7 +338,7 @@ impl JournalRecord {
                 note: r.opt_string()?,
             },
             other => return Err(CodecError(format!("unknown record tag {other}"))),
-        })
+        }))
     }
 }
 
@@ -381,7 +377,8 @@ pub fn encode_records(records: &[JournalRecord]) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes a snapshot payload back into its record sequence.
+/// Decodes a snapshot payload back into its record sequence, dropping
+/// retired records.
 ///
 /// # Errors
 ///
@@ -392,8 +389,7 @@ pub fn decode_records(bytes: &[u8]) -> Result<Vec<JournalRecord>, CodecError> {
     let count = r.u32()? as usize;
     let mut records = Vec::with_capacity(count.min(4096));
     for _ in 0..count {
-        let payload = r.bytes()?;
-        records.push(JournalRecord::decode(payload)?);
+        records.extend(JournalRecord::decode(r.bytes()?)?);
     }
     r.finish()?;
     Ok(records)
@@ -482,15 +478,8 @@ mod tests {
             JournalRecord::LeaseRelease { subject: "/O=Grid/CN=Bob".into() },
             JournalRecord::SetGridmap {
                 entries: vec![("/O=Grid/CN=Alice".into(), vec!["alice".into(), "ops".into()])],
-                generation: 3,
             },
-            JournalRecord::RevokeCredential {
-                issuer: "/O=Grid/CN=CA".into(),
-                serial: 11,
-                generation: 4,
-            },
-            JournalRecord::PolicyReload,
-            JournalRecord::GatekeeperGeneration { generation: 4 },
+            JournalRecord::RevokeCredential { issuer: "/O=Grid/CN=CA".into(), serial: 11 },
             JournalRecord::Audit {
                 at_micros: 50,
                 subject: "/O=Grid/CN=Alice".into(),
@@ -509,7 +498,7 @@ mod tests {
     fn every_variant_round_trips() {
         for record in samples() {
             let bytes = record.encode();
-            assert_eq!(JournalRecord::decode(&bytes).unwrap(), record);
+            assert_eq!(JournalRecord::decode(&bytes).unwrap(), Some(record));
         }
     }
 
@@ -529,6 +518,10 @@ mod tests {
         let mut seq = encode_records(&samples());
         seq.truncate(seq.len() - 1);
         assert!(decode_records(&seq).is_err());
+        // The retired records decode just as strictly.
+        assert_eq!(JournalRecord::decode(&[TAG_LEGACY_POLICY_RELOAD]).unwrap(), None);
+        assert!(JournalRecord::decode(&[TAG_LEGACY_POLICY_RELOAD, 0]).is_err());
+        assert!(JournalRecord::decode(&[TAG_LEGACY_GENERATION, 4]).is_err());
     }
 
     #[test]

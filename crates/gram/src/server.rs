@@ -295,8 +295,10 @@ impl GramServerBuilder {
             let record = JournalRecord::decode(&frame.payload).map_err(|e| {
                 durability_error(format!("journal record {} corrupt: {e}", frame.seq))
             })?;
-            server.apply_recovered(&record)?;
-            server.telemetry.record(Stage::Recovery, labels::REPLAY);
+            if let Some(record) = record {
+                server.apply_recovered(&record)?;
+                server.telemetry.record(Stage::Recovery, labels::REPLAY);
+            }
         }
         server.reclaim_orphaned_leases();
         let stats = journal.stats();
@@ -580,10 +582,9 @@ impl GramServer {
 
     /// Administrative access to the gatekeeper's grid-mapfile: a new
     /// gatekeeper is built off-path and published by pointer swap. The
-    /// authorization basis changed, so cached decisions are invalidated
-    /// (every policy callout republishes under a fresh generation).
-    /// Cached chain verifications stay live: the grid-map is applied per
-    /// request, after authentication.
+    /// grid-map is applied per request, after authentication and before
+    /// any policy callout, so cached chain verifications and cached
+    /// decisions both stay live: neither reads the grid-map.
     ///
     /// # Errors
     ///
@@ -595,14 +596,11 @@ impl GramServer {
             let _admin = self.admin.lock();
             let mut gatekeeper = (*self.gatekeeper.load()).clone();
             gatekeeper.set_gridmap(gridmap);
-            let record = JournalRecord::SetGridmap {
-                entries: gridmap_entries(gatekeeper.gridmap()),
-                generation: gatekeeper.generation(),
-            };
+            let record =
+                JournalRecord::SetGridmap { entries: gridmap_entries(gatekeeper.gridmap()) };
             let _publish = self.durability.as_ref().map(|d| d.barrier.read());
             self.journal_append(&record)?;
             self.gatekeeper.store(gatekeeper);
-            self.engine.policy_updated();
         }
         self.maybe_checkpoint();
         Ok(())
@@ -612,8 +610,10 @@ impl GramServer {
     /// certificate with `serial` issued by `issuer` stop authenticating
     /// as soon as the updated gatekeeper is published — in-flight
     /// requests finish against the snapshot they hold; every later
-    /// request sees the revocation. Cached decisions are invalidated
-    /// alongside.
+    /// request sees the revocation. The revocation moves the
+    /// gatekeeper's generation, which strands every cached chain
+    /// verification; cached decisions stay live, because a revoked
+    /// chain is refused at authentication before any callout runs.
     ///
     /// # Errors
     ///
@@ -630,35 +630,10 @@ impl GramServer {
             let _admin = self.admin.lock();
             let mut gatekeeper = (*self.gatekeeper.load()).clone();
             gatekeeper.trust_mut().revoke(issuer, serial);
-            let record = JournalRecord::RevokeCredential {
-                issuer: issuer.to_string(),
-                serial,
-                generation: gatekeeper.generation(),
-            };
+            let record = JournalRecord::RevokeCredential { issuer: issuer.to_string(), serial };
             let _publish = self.durability.as_ref().map(|d| d.barrier.read());
             self.journal_append(&record)?;
             self.gatekeeper.store(gatekeeper);
-            self.engine.policy_updated();
-        }
-        self.maybe_checkpoint();
-        Ok(())
-    }
-
-    /// Notifies the engine that policy changed outside the server's own
-    /// administrative entry points (e.g. a VO pushed a dynamic policy
-    /// update into a shared PDP). Cached decisions made under the
-    /// previous policy stop being served immediately.
-    ///
-    /// # Errors
-    ///
-    /// [`GramError::AuthorizationSystemFailure`] when the generation
-    /// bump cannot be journaled; the policy callouts keep their current
-    /// generation so recovery replays the same decision basis.
-    pub fn policy_updated(&self) -> Result<(), GramError> {
-        {
-            let _publish = self.durability.as_ref().map(|d| d.barrier.read());
-            self.journal_append(&JournalRecord::PolicyReload)?;
-            self.engine.policy_updated();
         }
         self.maybe_checkpoint();
         Ok(())
@@ -1726,10 +1701,7 @@ impl GramServer {
     fn serialize_state(&self) -> Vec<JournalRecord> {
         let mut records = Vec::new();
         let gatekeeper = self.gatekeeper.load();
-        records.push(JournalRecord::SetGridmap {
-            entries: gridmap_entries(gatekeeper.gridmap()),
-            generation: gatekeeper.generation(),
-        });
+        records.push(JournalRecord::SetGridmap { entries: gridmap_entries(gatekeeper.gridmap()) });
         let mut revocations: Vec<(String, u64)> = gatekeeper
             .trust()
             .revocations()
@@ -1737,13 +1709,8 @@ impl GramServer {
             .collect();
         revocations.sort();
         for (issuer, serial) in revocations {
-            records.push(JournalRecord::RevokeCredential {
-                issuer,
-                serial,
-                generation: gatekeeper.generation(),
-            });
+            records.push(JournalRecord::RevokeCredential { issuer, serial });
         }
-        records.push(JournalRecord::GatekeeperGeneration { generation: gatekeeper.generation() });
         if let Accounts::DynamicPool(pool) = &self.accounts {
             let pool = pool.lock();
             let mut leases: Vec<(String, String, u64)> = pool
@@ -1907,7 +1874,7 @@ impl GramServer {
                     pool.lock().release(&subject);
                 }
             }
-            JournalRecord::SetGridmap { entries, generation } => {
+            JournalRecord::SetGridmap { entries } => {
                 let mut file = GridMapFile::new();
                 for (subject, accounts) in entries {
                     let subject: DistinguishedName = subject
@@ -1917,26 +1884,14 @@ impl GramServer {
                 }
                 let mut gatekeeper = (*self.gatekeeper.load()).clone();
                 gatekeeper.set_gridmap(file);
-                gatekeeper.raise_generation_floor(*generation);
                 self.gatekeeper.store(gatekeeper);
-                self.engine.policy_updated();
             }
-            JournalRecord::RevokeCredential { issuer, serial, generation } => {
+            JournalRecord::RevokeCredential { issuer, serial } => {
                 let issuer: DistinguishedName = issuer
                     .parse()
                     .map_err(|e| durability_error(format!("recovered issuer DN: {e}")))?;
                 let mut gatekeeper = (*self.gatekeeper.load()).clone();
                 gatekeeper.trust_mut().revoke(&issuer, *serial);
-                gatekeeper.raise_generation_floor(*generation);
-                self.gatekeeper.store(gatekeeper);
-                self.engine.policy_updated();
-            }
-            JournalRecord::PolicyReload => {
-                self.engine.policy_updated();
-            }
-            JournalRecord::GatekeeperGeneration { generation } => {
-                let mut gatekeeper = (*self.gatekeeper.load()).clone();
-                gatekeeper.raise_generation_floor(*generation);
                 self.gatekeeper.store(gatekeeper);
             }
             JournalRecord::Audit { .. } => {
@@ -2179,19 +2134,8 @@ impl GramServer {
     /// `BAD_REQUEST` errors rather than panics — the network is untrusted.
     pub fn handle_wire(&self, chain: &[Certificate], message: &str) -> String {
         let mut out = String::new();
-        self.handle_wire_into(chain, message, &mut out);
+        self.dispatch_wire(&RequestContext::unbounded(), Caller::Chain(chain), message, &mut out);
         out
-    }
-
-    /// [`GramServer::handle_wire`] against a caller-owned buffer; returns
-    /// the outcome's telemetry label.
-    pub fn handle_wire_into(
-        &self,
-        chain: &[Certificate],
-        message: &str,
-        out: &mut String,
-    ) -> &'static str {
-        self.dispatch_wire(&RequestContext::unbounded(), Caller::Chain(chain), message, out)
     }
 
     /// Decodes one frame body (borrowed, zero-copy) and dispatches it as
@@ -2387,15 +2331,20 @@ mod tests {
             .gridmap(gridmap)
             .cluster(Cluster::uniform(4, 8, 16_384));
         if mode == GramMode::Extended {
-            let vo_source = PolicySource::new(
-                "fusion-vo",
-                PolicyOrigin::VirtualOrganization("fusion".into()),
-                paper::figure3_policy(),
-            );
-            let pdp = CombinedPdp::new(vec![vo_source], Combiner::DenyOverrides);
-            builder = builder.callouts(vec![Arc::new(PdpCallout::new("fig3", pdp))]);
+            builder = builder.callouts(vec![figure3_callout()]);
         }
         Fixture { clock, bo, kate, outsider, server: builder.build() }
+    }
+
+    /// The paper's Figure 3 VO policy as an uncached PDP callout.
+    fn figure3_callout() -> Arc<PdpCallout> {
+        let vo_source = PolicySource::new(
+            "fusion-vo",
+            PolicyOrigin::VirtualOrganization("fusion".into()),
+            paper::figure3_policy(),
+        );
+        let pdp = CombinedPdp::new(vec![vo_source], Combiner::DenyOverrides);
+        Arc::new(PdpCallout::new("fig3", pdp))
     }
 
     const BO_TEST1: &str =
@@ -3018,11 +2967,18 @@ mod tests {
     /// chain.
     #[test]
     fn telemetry_snapshot_refreshes_gauges() {
-        let f = fixture(GramMode::Extended);
-        f.server.submit(f.bo.chain(), BO_TEST1, None, mins(30)).unwrap();
-        f.server.set_gridmap(GridMapFile::new()).unwrap();
+        let Identities { clock, trust, gridmap, bo, .. } = identities();
+        let callout = figure3_callout();
+        let server = GramServerBuilder::new("anl-cluster", &clock)
+            .trust(trust)
+            .gridmap(gridmap)
+            .cluster(Cluster::uniform(4, 8, 16_384))
+            .callouts(vec![callout.clone()])
+            .build();
+        server.submit(bo.chain(), BO_TEST1, None, mins(30)).unwrap();
+        callout.policy_updated();
 
-        let snapshot = f.server.telemetry_snapshot();
+        let snapshot = server.telemetry_snapshot();
         let gauge = |g: Gauge| {
             snapshot
                 .gauges
@@ -3032,7 +2988,7 @@ mod tests {
                 .unwrap_or_else(|| panic!("gauge {g:?} missing"))
         };
         assert_eq!(gauge(Gauge::LiveJobs), 1);
-        assert!(gauge(Gauge::SnapshotGeneration) >= 1, "set_gridmap bumps the generation");
+        assert!(gauge(Gauge::SnapshotGeneration) >= 1, "policy_updated bumps the generation");
         assert!(snapshot.traces_finished >= 1);
     }
 
@@ -3059,7 +3015,7 @@ mod tests {
     /// Satellite of the decision-cache work: N threads hammer the server
     /// with submits and status queries through a *cached* callout while
     /// the policy is reloaded (revoking Kate's grants) and the
-    /// grid-mapfile is re-set (generation bumps). Once a thread has
+    /// grid-mapfile is re-set. Once a thread has
     /// observed the revocation flag, every later decision it sees must
     /// reflect the new policy — a stale cached permit is a failure.
     #[test]
@@ -3113,8 +3069,8 @@ mod tests {
                 });
             }
             scope.spawn(|| {
-                // Generation bumps that change nothing semantically must
-                // not corrupt anything — they only drop cached entries.
+                // Grid-map swaps that change nothing semantically must
+                // not corrupt anything, and they leave the cache warm.
                 for _ in 0..8 {
                     server.set_gridmap(ids.gridmap.clone()).unwrap();
                     std::thread::yield_now();

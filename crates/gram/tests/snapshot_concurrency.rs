@@ -27,7 +27,7 @@ use gridauthz_credential::{
 };
 use gridauthz_gram::{GramError, GramServer, GramServerBuilder};
 use gridauthz_rsl::Conjunction;
-use gridauthz_telemetry::{DecisionTrace, Gauge};
+use gridauthz_telemetry::{labels, DecisionTrace, Gauge, Stage};
 
 use proptest::prelude::*;
 
@@ -244,8 +244,8 @@ fn grid() -> Grid {
 }
 
 /// The served `snapshot-generation` gauge reports the PDP callout's
-/// published generation, whether the publication came through the
-/// server (`set_gridmap`) or straight to the callout (`reload`).
+/// published generation, whether the publication was a new policy
+/// (`reload`) or a republish of the current one (`policy_updated`).
 #[test]
 fn snapshot_generation_gauge_follows_the_pdp_callout() {
     let g = grid();
@@ -259,9 +259,64 @@ fn snapshot_generation_gauge_follows_the_pdp_callout() {
     }
     assert_eq!(g.callout.pdp().generation(), 3);
     assert_eq!(gauge(), 3);
-    g.server.set_gridmap(GridMapFile::new()).unwrap();
+    g.callout.policy_updated();
     assert_eq!(gauge(), g.callout.pdp().generation());
     assert_eq!(gauge(), 4);
+}
+
+/// The PDP callout decides from the policy and the request alone, so a
+/// grid-map swap or a revocation leaves its decision cache warm.
+/// Outcomes stay correct because the gatekeeper enforces both before
+/// any callout runs: an unmapped subject is refused by the grid-map, a
+/// revoked credential at authentication.
+#[test]
+fn decision_cache_stays_warm_across_admin_changes() {
+    let g = grid();
+    let probes = || {
+        let telemetry = g.server.telemetry();
+        (
+            telemetry.counter(Stage::CacheProbe, labels::HIT),
+            telemetry.counter(Stage::CacheProbe, labels::MISS),
+        )
+    };
+    let day = SimDuration::from_hours(24);
+    let bo_job = "&(executable = test1)(directory = /sandbox/test)(jobtag = ADS)(count = 2)";
+    let kate_job = "&(executable = TRANSP)(directory = /sandbox/test)(jobtag = NFC)";
+    let kate_only = || {
+        let mut gridmap = GridMapFile::new();
+        gridmap.insert(GridMapEntry::new(paper::kate_keahey(), vec!["keahey".into()]));
+        gridmap
+    };
+    let mut both = kate_only();
+    both.insert(GridMapEntry::new(paper::bo_liu(), vec!["bliu".into()]));
+    let generation = g.callout.pdp().generation();
+
+    // Warm Bo's decision, then re-set the same grid-map: still a hit.
+    g.server.submit(g.bo.chain(), bo_job, None, day).unwrap();
+    g.server.set_gridmap(both).unwrap();
+    let (hits, misses) = probes();
+    g.server.submit(g.bo.chain(), bo_job, None, day).unwrap();
+    assert_eq!(probes(), (hits + 1, misses), "the grid-map swap flushed the decision cache");
+
+    // Unmapped, Bo is refused by the grid-map before the engine runs.
+    g.server.set_gridmap(kate_only()).unwrap();
+    let outcome = g.server.submit(g.bo.chain(), bo_job, None, day);
+    assert!(matches!(outcome, Err(GramError::GridMapDenied(_))), "{outcome:?}");
+    assert_eq!(probes(), (hits + 1, misses));
+
+    // Revoked, Kate is refused at authentication although her permit
+    // is still cached.
+    g.server.submit(g.kate.chain(), kate_job, None, day).unwrap();
+    let (hits, misses) = probes();
+    g.server.submit(g.kate.chain(), kate_job, None, day).unwrap();
+    assert_eq!(probes(), (hits + 1, misses));
+    g.server
+        .revoke_credential(g.kate.certificate().issuer(), g.kate.certificate().serial())
+        .unwrap();
+    let outcome = g.server.submit(g.kate.chain(), kate_job, None, day);
+    assert!(matches!(outcome, Err(GramError::AuthenticationFailed(_))), "{outcome:?}");
+    assert_eq!(probes(), (hits + 1, misses));
+    assert_eq!(g.callout.pdp().generation(), generation, "admin changes republished the PDP");
 }
 
 #[test]

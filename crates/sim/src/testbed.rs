@@ -275,8 +275,9 @@ impl TestbedBuilder {
             GramMode::Extended => {
                 let pdp = CombinedPdp::new(sources, self.combiner);
                 // Cached: the server hot path reuses decisions for
-                // repeated identical requests; set_gridmap and policy
-                // reloads invalidate via the generation counter.
+                // repeated identical requests; only a policy reload
+                // invalidates, via the generation counter. Grid-map
+                // swaps and revocations leave the cache warm.
                 let mut chain: Vec<Arc<dyn AuthorizationCallout>> =
                     vec![Arc::new(PdpCallout::cached("gram-authorization", pdp))];
                 chain.extend(self.extra_callouts);
