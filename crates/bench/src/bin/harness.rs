@@ -613,192 +613,6 @@ fn t10() {
     }
 }
 
-/// Where the front-end throughput report lands (CI artifact; the T11
-/// entry in EXPERIMENTS.md quotes its table).
-const FRONTEND_REPORT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_frontend.json");
-
-/// Counts every allocation so T11 can report allocations per request on
-/// the front-end's warm path (this is the harness's global allocator).
-#[global_allocator]
-static ALLOCATOR: gridauthz_bench::CountingAllocator = gridauthz_bench::CountingAllocator::new();
-
-/// Reads one `\n\n`-delimited response frame from `stream` into `buf`
-/// (which may already hold the start of it) and drains it.
-fn read_response_frame(stream: &mut std::net::TcpStream, buf: &mut Vec<u8>) -> String {
-    use std::io::Read as _;
-    let mut chunk = [0u8; 1024];
-    loop {
-        if let Some(end) = buf.windows(2).position(|w| w == b"\n\n") {
-            let frame = String::from_utf8(buf[..=end].to_vec()).expect("UTF-8 response");
-            buf.drain(..end + 2);
-            return frame;
-        }
-        let n = stream.read(&mut chunk).expect("response within timeout");
-        assert!(n > 0, "server closed mid-response");
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
-fn t11() {
-    use gridauthz_credential::pem;
-    use gridauthz_gram::{Frontend, FrontendConfig};
-    use std::io::Write as _;
-    use std::net::TcpStream;
-
-    heading("T11 — TCP front-end: closed-loop throughput vs worker-pool size");
-
-    // Wide-area clients think for ~300 µs between requests; a worker
-    // serves one connection until it closes, so W workers overlap W
-    // clients' idle gaps. That — not CPU parallelism; this host may well
-    // be single-core — is where the scaling comes from.
-    const CLIENTS: usize = 16;
-    const REQUESTS_PER_CLIENT: usize = 40;
-    const THINK: Duration = Duration::from_micros(300);
-
-    let tb = extended_testbed(CLIENTS);
-    let members = tb.members;
-    let server = Arc::new(tb.server);
-    const RSL: &str = "&(executable = TRANSP)(jobtag = NFC)(count = 1)";
-    let work = SimDuration::from_hours(4);
-
-    // One live job and one precomputed PEM+STATUS frame per client; every
-    // request of a client re-presents the same chain bytes, as a real
-    // session would, so the warm path is an auth-cache hit.
-    let messages: Vec<String> = members
-        .iter()
-        .map(|member| {
-            let contact = server.submit(member.chain(), RSL, None, work).expect("bench job admits");
-            format!(
-                "{}GRAM/1 STATUS\njob: {}\n\n",
-                pem::encode_chain(member.chain()),
-                contact.as_str()
-            )
-        })
-        .collect();
-
-    println!(
-        "{CLIENTS} clients x {REQUESTS_PER_CLIENT} requests, {}µs think time",
-        THINK.as_micros()
-    );
-    println!("{:<10} {:>10} {:>12} {:>12} {:>12}", "workers", "wall", "ops/sec", "p50", "p99");
-    let mut rows = Vec::new();
-    let mut ops_by_workers = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let frontend = Frontend::bind(
-            Arc::clone(&server),
-            "127.0.0.1:0",
-            FrontendConfig { workers, ..FrontendConfig::default() },
-        )
-        .expect("bind loopback");
-        let addr = frontend.local_addr();
-
-        let start = Instant::now();
-        let mut latencies: Vec<Duration> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..CLIENTS)
-                .map(|i| {
-                    let message = messages[i].as_bytes();
-                    scope.spawn(move || {
-                        let mut stream = TcpStream::connect(addr).expect("connect");
-                        stream
-                            .set_read_timeout(Some(Duration::from_secs(30)))
-                            .expect("set timeout");
-                        let mut buf = Vec::with_capacity(1024);
-                        let mut latencies = Vec::with_capacity(REQUESTS_PER_CLIENT);
-                        for _ in 0..REQUESTS_PER_CLIENT {
-                            let sent = Instant::now();
-                            stream.write_all(message).expect("request writes");
-                            let response = read_response_frame(&mut stream, &mut buf);
-                            latencies.push(sent.elapsed());
-                            assert!(
-                                response.starts_with("GRAM/1 REPORT\n"),
-                                "unexpected response {response}"
-                            );
-                            std::thread::sleep(THINK);
-                        }
-                        latencies
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("client thread")).collect()
-        });
-        let elapsed = start.elapsed();
-        frontend.stop();
-
-        latencies.sort();
-        let ops = (CLIENTS * REQUESTS_PER_CLIENT) as f64;
-        let ops_per_sec = ops / elapsed.as_secs_f64();
-        let p50 = latencies[latencies.len() / 2];
-        let p99 = latencies[latencies.len() * 99 / 100];
-        println!("{workers:<10} {elapsed:>10.2?} {ops_per_sec:>12.0} {p50:>12.2?} {p99:>12.2?}");
-        ops_by_workers.push((workers, ops_per_sec));
-        rows.push(format!(
-            "    {{\"workers\": {workers}, \"wall_micros\": {}, \"ops_per_sec\": {:.1}, \
-             \"p50_micros\": {}, \"p99_micros\": {}}}",
-            elapsed.as_micros(),
-            ops_per_sec,
-            p50.as_micros(),
-            p99.as_micros()
-        ));
-    }
-    let at =
-        |w: usize| ops_by_workers.iter().find(|(n, _)| *n == w).map(|(_, ops)| *ops).unwrap_or(0.0);
-    let scaling = at(4) / at(1);
-    let stats = server.auth_cache_stats();
-    println!("scaling 1 -> 4 workers: {scaling:.2}x (target >= 3x)");
-    println!(
-        "auth cache: {} hits / {} misses ({:.1}% hit rate)",
-        stats.hits,
-        stats.misses,
-        stats.hit_rate() * 100.0
-    );
-
-    // Allocations per request, single-threaded: the naive path re-decodes
-    // and re-verifies the chain and allocates a fresh response; the warm
-    // path runs digest -> cache hit -> borrowed decode into a reused
-    // buffer.
-    const ALLOC_ITERS: u64 = 200;
-    let message = &messages[0];
-    let split = message.find("GRAM/1 ").expect("frame has a body");
-    let (pem_text, body) = message.split_at(split);
-    let body = body.trim_end_matches('\n');
-    let naive_start = ALLOCATOR.allocations();
-    for _ in 0..ALLOC_ITERS {
-        let chain = pem::decode_chain(pem_text).expect("chain decodes");
-        std::hint::black_box(server.handle_wire(&chain, body));
-    }
-    let naive = (ALLOCATOR.allocations() - naive_start) / ALLOC_ITERS;
-    let mut out = String::with_capacity(1024);
-    server.handle_wire_pem_into(message, &mut out); // ensure the entry is warm
-    let warm_start = ALLOCATOR.allocations();
-    for _ in 0..ALLOC_ITERS {
-        out.clear();
-        std::hint::black_box(server.handle_wire_pem_into(message, &mut out));
-    }
-    let warm = (ALLOCATOR.allocations() - warm_start) / ALLOC_ITERS;
-    let alloc_ratio = naive as f64 / warm.max(1) as f64;
-    println!(
-        "allocations/request: naive {naive}, warm {warm} ({alloc_ratio:.1}x fewer; target >= 5x)"
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"t11-frontend-throughput\",\n  \"clients\": {CLIENTS},\n  \
-         \"requests_per_client\": {REQUESTS_PER_CLIENT},\n  \"think_micros\": {},\n  \
-         \"workers\": [\n{}\n  ],\n  \"scaling_1_to_4\": {scaling:.3},\n  \
-         \"auth_cache\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}}},\n  \
-         \"allocations_per_request\": {{\"naive\": {naive}, \"warm\": {warm}, \
-         \"ratio\": {alloc_ratio:.2}}}\n}}\n",
-        THINK.as_micros(),
-        rows.join(",\n"),
-        stats.hits,
-        stats.misses,
-        stats.hit_rate()
-    );
-    match std::fs::write(FRONTEND_REPORT, json) {
-        Ok(()) => println!("wrote {FRONTEND_REPORT}"),
-        Err(e) => println!("could not write {FRONTEND_REPORT}: {e}"),
-    }
-}
-
 /// Where the admission-control report lands (CI artifact; the T12 entry
 /// in EXPERIMENTS.md quotes its table).
 const ADMISSION_REPORT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_admission.json");
@@ -1396,7 +1210,6 @@ fn main() {
         ("t8", t8),
         ("t9", t9),
         ("t10", t10),
-        ("t11", t11),
         ("t12", t12),
         ("t13", t13),
         ("t14", t14),

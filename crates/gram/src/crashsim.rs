@@ -134,9 +134,10 @@ impl CrashWorld {
     /// dies, recording every acknowledged mutation in `oracle`.
     ///
     /// The script covers every journaled mutation class: static and
-    /// dynamic-lease submits, a signal, cancels, a grid-map update and a
-    /// credential revocation — so the crash-point sweep exercises every
-    /// commit barrier the server has.
+    /// dynamic-lease submits, a signal, cancels (single-job and a
+    /// VO-wide tag sweep), a grid-map update and a credential revocation
+    /// — so the crash-point sweep exercises every commit barrier the
+    /// server has.
     fn run_workload(&self, server: &GramServer, oracle: &mut Oracle) {
         let work = SimDuration::from_mins(30);
         // 1. Alice submits J1 under her grid-mapfile account.
@@ -187,7 +188,25 @@ impl CrashWorld {
         }) {
             return;
         }
-        // 10. Alice submits J5, the final acknowledged job.
+        // 10. Alice submits two NFC-tagged jobs and cancels both with
+        // one VO-wide sweep; each swept job commits, and is
+        // acknowledged, on its own.
+        let tagged = format!("{JOB_RSL}(jobtag = nfc)");
+        for _ in 0..2 {
+            if oracle
+                .submit(server.submit(self.alice.chain(), &tagged, None, work), false)
+                .is_none()
+            {
+                return;
+            }
+        }
+        let swept = server.cancel_by_tag(self.alice.chain(), "nfc").expect("alice authenticates");
+        for (contact, outcome) in swept {
+            if !oracle.step(outcome, |o| o.job_mut(&contact).cancelled = true) {
+                return;
+            }
+        }
+        // 11. Alice submits J5, the final acknowledged job.
         oracle.submit(server.submit(self.alice.chain(), JOB_RSL, None, work), false);
     }
 
@@ -528,7 +547,7 @@ mod tests {
         );
         assert!(!outcome.crashed);
         assert_eq!(outcome.violations, Vec::<String>::new());
-        assert_eq!(outcome.acked, 10, "all ten scripted steps acknowledged");
+        assert_eq!(outcome.acked, 14, "every scripted mutation acknowledged");
     }
 
     #[test]

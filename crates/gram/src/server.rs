@@ -303,11 +303,7 @@ impl GramServerBuilder {
         server.reclaim_orphaned_leases();
         let stats = journal.stats();
         server.telemetry.set_gauge(Gauge::JournalBytes, stats.durable_bytes);
-        server.telemetry.record_timed(
-            Stage::Recovery,
-            labels::PERMIT,
-            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        );
+        server.telemetry.record_timed(Stage::Recovery, labels::PERMIT, elapsed_nanos(start));
         server.durability = Some(Durability {
             journal,
             snapshots: Mutex::new(snapshots),
@@ -432,6 +428,11 @@ fn terminal_at(state: &JobState) -> Option<SimTime> {
     }
 }
 
+/// Nanoseconds since `start`, saturating.
+fn elapsed_nanos(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// Runs `body` as one traced pipeline stage: the elapsed time and the
 /// outcome's telemetry label ([`labels::PERMIT`] or the error's
 /// [`error_label`]) become a span in `trace`.
@@ -446,7 +447,7 @@ fn timed_stage<T>(
         Ok(_) => labels::PERMIT,
         Err(e) => error_label(e),
     };
-    trace.record(stage, label, u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    trace.record(stage, label, elapsed_nanos(start));
     result
 }
 
@@ -488,12 +489,21 @@ struct Durability {
     /// Checkpoint after this many appends (0 = manual checkpoints only).
     snapshot_every: u64,
     appends_since_checkpoint: AtomicU64,
-    /// Pairs "journal append + publish to the in-memory maps" into one
-    /// unit the checkpointer cannot split: mutators hold the read side
-    /// across both steps; [`GramServer::checkpoint`] holds the write
-    /// side while it captures the covered sequence number and
-    /// serializes state, so a snapshot covering sequence N observes the
-    /// published effect of every append at or below N.
+    /// Pairs a mutation's in-memory effect with its journal append into
+    /// one unit the checkpointer cannot split. Every mutator holds the
+    /// read side across both steps: a submit across append + publish, a
+    /// cancel or signal (single-job, swept, or a multi-request's
+    /// rollback) across scheduler effect + append, a grid-map swap or
+    /// revocation across append + gatekeeper store, and every audit
+    /// record, supervision riders included, across append + ring
+    /// insert. [`GramServer::checkpoint`] holds the write side while it
+    /// captures the covered sequence number and serializes state, so a
+    /// snapshot covering sequence N observes the effect of every append
+    /// at or below N and of no later one. Lock order is `admin` →
+    /// barrier → audit ring / scheduler, as in the checkpoint. A lease
+    /// grant appends without it (it holds the pool lock, which the
+    /// checkpoint takes under the write side); recovery reconciles
+    /// leases against live jobs instead.
     barrier: RwLock<()>,
     /// Physical syncs already folded into telemetry, so the per-append
     /// fsync counter reports deltas exactly once under group commit.
@@ -592,18 +602,8 @@ impl GramServer {
     /// be journaled (durable servers only) — nothing is published on
     /// failure, so the acknowledged and durable states never diverge.
     pub fn set_gridmap(&self, gridmap: GridMapFile) -> Result<(), GramError> {
-        {
-            let _admin = self.admin.lock();
-            let mut gatekeeper = (*self.gatekeeper.load()).clone();
-            gatekeeper.set_gridmap(gridmap);
-            let record =
-                JournalRecord::SetGridmap { entries: gridmap_entries(gatekeeper.gridmap()) };
-            let _publish = self.durability.as_ref().map(|d| d.barrier.read());
-            self.journal_append(&record)?;
-            self.gatekeeper.store(gatekeeper);
-        }
-        self.maybe_checkpoint();
-        Ok(())
+        let record = JournalRecord::SetGridmap { entries: gridmap_entries(&gridmap) };
+        self.commit_gatekeeper(&record, |gatekeeper| gatekeeper.set_gridmap(gridmap))
     }
 
     /// Loads one CRL entry: credentials whose chain includes the
@@ -626,13 +626,26 @@ impl GramServer {
         issuer: &DistinguishedName,
         serial: u64,
     ) -> Result<(), GramError> {
+        let record = JournalRecord::RevokeCredential { issuer: issuer.to_string(), serial };
+        self.commit_gatekeeper(&record, |gatekeeper| gatekeeper.trust_mut().revoke(issuer, serial))
+    }
+
+    /// The effect of a `SetGridmap` or `RevokeCredential` record, live
+    /// and on replay: clones the published gatekeeper, applies `change`,
+    /// journals `record` and publishes the clone. `admin` serializes the
+    /// clone-modify-publish so two concurrent changes cannot lose each
+    /// other's write; nothing is published when the append fails.
+    fn commit_gatekeeper(
+        &self,
+        record: &JournalRecord,
+        change: impl FnOnce(&mut Gatekeeper),
+    ) -> Result<(), GramError> {
         {
             let _admin = self.admin.lock();
             let mut gatekeeper = (*self.gatekeeper.load()).clone();
-            gatekeeper.trust_mut().revoke(issuer, serial);
-            let record = JournalRecord::RevokeCredential { issuer: issuer.to_string(), serial };
-            let _publish = self.durability.as_ref().map(|d| d.barrier.read());
-            self.journal_append(&record)?;
+            change(&mut gatekeeper);
+            let _publish = self.publish_guard();
+            self.journal_append(record)?;
             self.gatekeeper.store(gatekeeper);
         }
         self.maybe_checkpoint();
@@ -657,17 +670,16 @@ impl GramServer {
         requested_account: Option<&str>,
         work: SimDuration,
     ) -> Result<JobContact, GramError> {
-        let mut trace = self.telemetry.start_trace("submit", self.clock.now());
-        let result = self.submit_inner(
-            &RequestContext::unbounded(),
-            Caller::Chain(chain),
-            rsl_text,
-            requested_account,
-            work,
-            &mut trace,
-        );
-        self.telemetry.finish_trace(trace);
-        result
+        self.traced("submit", |trace| {
+            self.submit_inner(
+                &RequestContext::unbounded(),
+                Caller::Chain(chain),
+                rsl_text,
+                requested_account,
+                work,
+                trace,
+            )
+        })
     }
 
     fn submit_inner(
@@ -755,29 +767,10 @@ impl GramServer {
             })?,
         };
 
-        let jobtag = job
-            .conjunction()
-            .first_value(gridauthz_rsl::attributes::JOBTAG)
-            .and_then(gridauthz_rsl::Value::as_str)
-            .map(str::to_string);
-        let job_spec = job_spec_from_rsl(job.conjunction(), &account, work)?;
-        let local =
-            timed_stage(trace, Stage::Enforce, || Ok(self.scheduler.write().submit(job_spec)?))?;
-        let index = self.next_job.fetch_add(1, Ordering::SeqCst);
-        let contact = JobContact::new(&self.resource_name, index);
-        let sandbox = self.sandboxing.then(|| Sandbox::new(sandbox_profile_for(job.conjunction())));
-        let record = JmiRecord {
-            contact: contact.clone(),
-            owner: subject,
-            jobtag,
-            rsl: job,
-            local,
-            account,
-            sandbox,
-            work,
-            dynamic,
-            index,
-        };
+        let record = timed_stage(trace, Stage::Enforce, || {
+            self.admit(None, subject, job, account, dynamic, work)
+        })?;
+        let contact = record.contact.clone();
         // Commit point: the Submit record must be durable before the
         // job is published (and before the caller sees the contact).
         // The barrier read guard keeps append + publish atomic with
@@ -786,16 +779,69 @@ impl GramServer {
         // visible either.
         let journal_record = self.submit_record(&record, self.clock.now());
         {
-            let _publish = self.durability.as_ref().map(|d| d.barrier.read());
+            let _publish = self.publish_guard();
             if let Err(e) = self.journal_append(&journal_record) {
-                let _ = self.scheduler.write().cancel(local);
+                let _ = self.scheduler.write().cancel(record.local);
                 return Err(e);
             }
-            self.jobs.insert(contact.as_str().to_string(), Arc::new(record));
-            self.locals.insert(local, contact.as_str().to_string());
+            self.publish(record);
         }
         self.maybe_checkpoint();
         Ok(contact)
+    }
+
+    /// The effect of a `Submit` record, live and on replay: admits `job`
+    /// to the scheduler under `account` and builds its Job Manager
+    /// Instance record. A live submit passes no `slot` and draws the
+    /// next contact index only once the scheduler has accepted the job;
+    /// replay passes the journaled index and contact and raises the
+    /// counter past them.
+    fn admit(
+        &self,
+        slot: Option<(u64, JobContact)>,
+        owner: DistinguishedName,
+        job: JobDescription,
+        account: String,
+        dynamic: bool,
+        work: SimDuration,
+    ) -> Result<JmiRecord, GramError> {
+        let job_spec = job_spec_from_rsl(job.conjunction(), &account, work)?;
+        let local = self.scheduler.write().submit(job_spec)?;
+        let (index, contact) = match slot {
+            Some((index, contact)) => {
+                self.next_job.fetch_max(index + 1, Ordering::SeqCst);
+                (index, contact)
+            }
+            None => {
+                let index = self.next_job.fetch_add(1, Ordering::SeqCst);
+                (index, JobContact::new(&self.resource_name, index))
+            }
+        };
+        Ok(JmiRecord {
+            contact,
+            owner,
+            jobtag: job
+                .conjunction()
+                .first_value(gridauthz_rsl::attributes::JOBTAG)
+                .and_then(gridauthz_rsl::Value::as_str)
+                .map(str::to_string),
+            sandbox: self.sandboxing.then(|| Sandbox::new(sandbox_profile_for(job.conjunction()))),
+            rsl: job,
+            local,
+            account,
+            work,
+            dynamic,
+            index,
+        })
+    }
+
+    /// Publishes an admitted job to the job and local-id maps: the last
+    /// step of a submit, after its commit point, and of its replay.
+    fn publish(&self, record: JmiRecord) {
+        let local = record.local;
+        let contact = record.contact.as_str().to_string();
+        self.jobs.insert(contact.clone(), Arc::new(record));
+        self.locals.insert(local, contact);
     }
 
     /// Submits an RSL *multi-request* (`+(&(...))(&(...))`) — GT2's
@@ -833,21 +879,18 @@ impl GramServer {
                 Ok(contact) => contacts.push(contact),
                 Err(e) => {
                     // All-or-nothing: roll back what already started.
-                    // Each rollback is journaled (best-effort) like any
-                    // other cancellation: the sub-jobs' Submit records
-                    // are already durable, so recovery would otherwise
+                    // Each rollback commits (best-effort) like any other
+                    // cancellation: the sub-jobs' Submit records are
+                    // already durable, so recovery would otherwise
                     // resurrect jobs the multi-request never
                     // acknowledged.
-                    for contact in &contacts {
-                        if let Some(local) = self.jobs.with(contact.as_str(), |r| r.local) {
-                            let _ = self.scheduler.write().cancel(local);
-                            let _publish = self.durability.as_ref().map(|d| d.barrier.read());
-                            let _ = self.journal_append(&JournalRecord::Cancel {
-                                contact: contact.as_str().to_string(),
-                                at_micros: self.clock.now().as_micros(),
-                            });
+                    self.traced("cancel", |trace| {
+                        for contact in &contacts {
+                            if let Some(record) = self.jobs.get_cloned(contact.as_str()) {
+                                let _ = self.commit_effect(&record, JobEffect::Cancel, trace);
+                            }
                         }
-                    }
+                    });
                     return Err(e);
                 }
             }
@@ -862,52 +905,11 @@ impl GramServer {
     /// [`GramError`] on authentication, authorization or scheduler
     /// failure.
     pub fn cancel(&self, chain: &[Certificate], contact: &JobContact) -> Result<(), GramError> {
-        let mut trace = self.telemetry.start_trace("cancel", self.clock.now());
-        let result = self.cancel_inner(
-            &RequestContext::unbounded(),
-            Caller::Chain(chain),
-            contact,
-            &mut trace,
-        );
-        self.telemetry.finish_trace(trace);
-        result
-    }
-
-    fn cancel_inner(
-        &self,
-        ctx: &RequestContext,
-        caller: Caller<'_>,
-        contact: &JobContact,
-        trace: &mut DecisionTrace,
-    ) -> Result<(), GramError> {
-        let (identity, record) = self.authenticate_and_find(caller, contact, trace)?;
-        let result = self
-            .authorize_management(ctx, &identity, &record, Action::Cancel, trace)
-            .and_then(|()| {
-                timed_stage(trace, Stage::Enforce, || {
-                    Ok(self.scheduler.write().cancel(record.local)?)
-                })
-            })
-            // Commit point: a cancel is only acknowledged once durable.
-            // A crash before this append recovers the job alive (the
-            // cancel was never acknowledged); a crash after recovers it
-            // cancelled, and recovery refuses to resurrect it.
-            .and_then(|()| {
-                self.journal_append(&JournalRecord::Cancel {
-                    contact: contact.as_str().to_string(),
-                    at_micros: self.clock.now().as_micros(),
-                })
-            });
-        self.record_audit(
-            identity.subject(),
-            Action::Cancel,
-            Some(contact.as_str()),
-            Some(record.account.as_str()),
-            &result,
-            trace,
-        );
-        self.maybe_checkpoint();
-        result
+        self.traced("cancel", |trace| {
+            let ctx = RequestContext::unbounded();
+            self.manage(&ctx, Caller::Chain(chain), contact, Some(JobEffect::Cancel), trace)
+                .map(drop)
+        })
     }
 
     /// Queries job status (`action = information`).
@@ -920,15 +922,9 @@ impl GramServer {
         chain: &[Certificate],
         contact: &JobContact,
     ) -> Result<JobReport, GramError> {
-        let mut trace = self.telemetry.start_trace("status", self.clock.now());
-        let result = self.status_inner(
-            &RequestContext::unbounded(),
-            Caller::Chain(chain),
-            contact,
-            &mut trace,
-        );
-        self.telemetry.finish_trace(trace);
-        result
+        self.traced("status", |trace| {
+            self.status_inner(&RequestContext::unbounded(), Caller::Chain(chain), contact, trace)
+        })
     }
 
     fn status_inner(
@@ -938,17 +934,7 @@ impl GramServer {
         contact: &JobContact,
         trace: &mut DecisionTrace,
     ) -> Result<JobReport, GramError> {
-        let (identity, record) = self.authenticate_and_find(caller, contact, trace)?;
-        let authz = self.authorize_management(ctx, &identity, &record, Action::Information, trace);
-        self.record_audit(
-            identity.subject(),
-            Action::Information,
-            Some(contact.as_str()),
-            Some(record.account.as_str()),
-            &authz,
-            trace,
-        );
-        authz?;
+        let record = self.manage(ctx, caller, contact, None, trace)?;
         timed_stage(trace, Stage::Enforce, || self.report_for(&record))
     }
 
@@ -965,57 +951,104 @@ impl GramServer {
         contact: &JobContact,
         signal: GramSignal,
     ) -> Result<(), GramError> {
-        let mut trace = self.telemetry.start_trace("signal", self.clock.now());
-        let result = self.signal_inner(
-            &RequestContext::unbounded(),
-            Caller::Chain(chain),
-            contact,
-            signal,
-            &mut trace,
-        );
+        self.traced("signal", |trace| {
+            let ctx = RequestContext::unbounded();
+            let effect = Some(JobEffect::Signal(signal));
+            self.manage(&ctx, Caller::Chain(chain), contact, effect, trace).map(drop)
+        })
+    }
+
+    /// Runs `body` under a fresh decision trace named `operation`, then
+    /// finishes the trace into the registry.
+    fn traced<T>(&self, operation: &'static str, body: impl FnOnce(&mut DecisionTrace) -> T) -> T {
+        let mut trace = self.telemetry.start_trace(operation, self.clock.now());
+        let result = body(&mut trace);
         self.telemetry.finish_trace(trace);
         result
     }
 
-    fn signal_inner(
+    /// One management request on one job — the PEP in front of the Job
+    /// Manager's `information`, `cancel` and `signal` actions (Figure 2):
+    /// authenticate, find the job, authorize, then
+    /// [`settle`](Self::settle) `effect` (`None` for a status query).
+    /// Returns the job's record so a status query can build its report
+    /// after the audit.
+    fn manage(
         &self,
         ctx: &RequestContext,
         caller: Caller<'_>,
         contact: &JobContact,
-        signal: GramSignal,
+        effect: Option<JobEffect>,
+        trace: &mut DecisionTrace,
+    ) -> Result<Arc<JmiRecord>, GramError> {
+        let (identity, record) = self.authenticate_and_find(caller, contact, trace)?;
+        let verdict =
+            self.authorize_management(ctx, &identity, &record, requested_action(effect), trace);
+        self.settle(&identity, &record, effect, verdict, trace)?;
+        Ok(record)
+    }
+
+    /// The per-job body of every management request, single-job or
+    /// swept, once its authorization verdict is in: an authorized
+    /// `effect` commits, the outcome is audited, and a request that
+    /// asked for an effect may then checkpoint. A status query commits
+    /// nothing, so its audit records the verdict.
+    fn settle(
+        &self,
+        identity: &VerifiedIdentity,
+        record: &JmiRecord,
+        effect: Option<JobEffect>,
+        verdict: Result<(), GramError>,
         trace: &mut DecisionTrace,
     ) -> Result<(), GramError> {
-        let (identity, record) = self.authenticate_and_find(caller, contact, trace)?;
-        let result = self
-            .authorize_management(ctx, &identity, &record, Action::Signal, trace)
-            .and_then(|()| {
-                timed_stage(trace, Stage::Enforce, || {
-                    let mut scheduler = self.scheduler.write();
-                    match signal {
-                        GramSignal::Suspend => scheduler.suspend(record.local)?,
-                        GramSignal::Resume => scheduler.resume(record.local)?,
-                        GramSignal::Priority(p) => scheduler.set_priority(record.local, p)?,
-                    }
-                    Ok(())
-                })
-            })
-            .and_then(|()| {
-                self.journal_append(&JournalRecord::Signal {
-                    contact: contact.as_str().to_string(),
-                    signal,
-                    at_micros: self.clock.now().as_micros(),
-                })
-            });
+        let result = match effect {
+            Some(effect) => verdict.and_then(|()| self.commit_effect(record, effect, trace)),
+            None => verdict,
+        };
         self.record_audit(
             identity.subject(),
-            Action::Signal,
-            Some(contact.as_str()),
+            requested_action(effect),
+            Some(record.contact.as_str()),
             Some(record.account.as_str()),
             &result,
             trace,
         );
-        self.maybe_checkpoint();
+        if effect.is_some() {
+            self.maybe_checkpoint();
+        }
         result
+    }
+
+    /// Commits `effect` on `record`'s job: the scheduler change as one
+    /// traced enforce stage, then its journal record. This is the commit
+    /// point of every cancel and signal, single-job, swept or a
+    /// multi-request's rollback: a crash before the append recovers the
+    /// job unchanged (the effect was never acknowledged), a crash after
+    /// recovers it changed, and recovery refuses to resurrect a
+    /// cancelled job. The barrier read guard spans both steps, so no
+    /// checkpoint captures the effect without its record.
+    fn commit_effect(
+        &self,
+        record: &JmiRecord,
+        effect: JobEffect,
+        trace: &mut DecisionTrace,
+    ) -> Result<(), GramError> {
+        let _publish = self.publish_guard();
+        timed_stage(trace, Stage::Enforce, || self.apply_effect(record.local, effect))?;
+        self.journal_append(&effect.record(&record.contact, self.clock.now()))
+    }
+
+    /// The scheduler side of a `Cancel` or `Signal` record, live and on
+    /// replay.
+    fn apply_effect(&self, local: JobId, effect: JobEffect) -> Result<(), GramError> {
+        let mut scheduler = self.scheduler.write();
+        match effect {
+            JobEffect::Cancel => scheduler.cancel(local)?,
+            JobEffect::Signal(GramSignal::Suspend) => scheduler.suspend(local)?,
+            JobEffect::Signal(GramSignal::Resume) => scheduler.resume(local)?,
+            JobEffect::Signal(GramSignal::Priority(p)) => scheduler.set_priority(local, p)?,
+        }
+        Ok(())
     }
 
     /// Authenticates `caller`. A raw chain pays for full verification as
@@ -1082,18 +1115,7 @@ impl GramServer {
         trace: &mut DecisionTrace,
     ) -> Result<(), GramError> {
         match self.mode {
-            GramMode::Gt2 => {
-                // §4.2: "the Grid identity of the user making the request
-                // must match the Grid identity of the user who initiated
-                // the job." The owner check *is* GT2's combine stage.
-                timed_stage(trace, Stage::Combine, || {
-                    if identity.subject() == &record.owner {
-                        Ok(())
-                    } else {
-                        Err(GramError::NotAuthorized(DenyReason::NotJobOwner))
-                    }
-                })
-            }
+            GramMode::Gt2 => owner_check(identity, record, trace),
             GramMode::Extended => self
                 .engine
                 .authorize_within(
@@ -1123,15 +1145,7 @@ impl GramServer {
             GramMode::Gt2 => records
                 .iter()
                 .zip(traces.iter_mut())
-                .map(|(record, trace)| {
-                    timed_stage(trace, Stage::Combine, || {
-                        if identity.subject() == &record.owner {
-                            Ok(())
-                        } else {
-                            Err(GramError::NotAuthorized(DenyReason::NotJobOwner))
-                        }
-                    })
-                })
+                .map(|(record, trace)| owner_check(identity, record, trace))
                 .collect(),
             GramMode::Extended => {
                 let requests: Vec<AuthzRequest> = records
@@ -1180,66 +1194,7 @@ impl GramServer {
         chain: &[Certificate],
         tag: &str,
     ) -> Result<SweepOutcomes<()>, GramError> {
-        let mut sweep = self.telemetry.start_trace("cancel-by-tag", self.clock.now());
-        let result = self.cancel_by_tag_inner(chain, tag, &mut sweep);
-        self.telemetry.finish_trace(sweep);
-        result
-    }
-
-    fn cancel_by_tag_inner(
-        &self,
-        chain: &[Certificate],
-        tag: &str,
-        sweep: &mut DecisionTrace,
-    ) -> Result<SweepOutcomes<()>, GramError> {
-        let identity =
-            timed_stage(sweep, Stage::Authenticate, || self.gatekeeper.load().authenticate(chain))?;
-        let targets = self.tagged_records(tag);
-        // One decision trace per swept job (the sweep trace carries only
-        // the shared authentication): each element's authorization and
-        // enforcement are separately attributable and separately audited.
-        let mut traces: Vec<DecisionTrace> = targets
-            .iter()
-            .map(|_| self.telemetry.start_trace("cancel-by-tag", self.clock.now()))
-            .collect();
-        let verdicts = self.authorize_management_batch(
-            &RequestContext::unbounded(),
-            &identity,
-            &targets,
-            Action::Cancel,
-            &mut traces,
-        );
-        let outcomes = targets
-            .into_iter()
-            .zip(verdicts)
-            .zip(traces)
-            .map(|((record, verdict), mut trace)| {
-                let result = verdict
-                    .and_then(|()| {
-                        timed_stage(&mut trace, Stage::Enforce, || {
-                            Ok(self.scheduler.write().cancel(record.local)?)
-                        })
-                    })
-                    .and_then(|()| {
-                        self.journal_append(&JournalRecord::Cancel {
-                            contact: record.contact.as_str().to_string(),
-                            at_micros: self.clock.now().as_micros(),
-                        })
-                    });
-                self.record_audit(
-                    identity.subject(),
-                    Action::Cancel,
-                    Some(record.contact.as_str()),
-                    Some(record.account.as_str()),
-                    &result,
-                    &trace,
-                );
-                self.telemetry.finish_trace(trace);
-                (record.contact.clone(), result)
-            })
-            .collect();
-        self.maybe_checkpoint();
-        Ok(outcomes)
+        self.sweep("cancel-by-tag", chain, tag, Some(JobEffect::Cancel), |_, _| Ok(()))
     }
 
     /// Reports every live job carrying `tag` the caller is authorized to
@@ -1255,52 +1210,53 @@ impl GramServer {
         chain: &[Certificate],
         tag: &str,
     ) -> Result<SweepOutcomes<JobReport>, GramError> {
-        let mut sweep = self.telemetry.start_trace("status-by-tag", self.clock.now());
-        let result = self.status_by_tag_inner(chain, tag, &mut sweep);
-        self.telemetry.finish_trace(sweep);
-        result
+        self.sweep("status-by-tag", chain, tag, None, |record, trace| {
+            timed_stage(trace, Stage::Enforce, || self.report_for(record))
+        })
     }
 
-    fn status_by_tag_inner(
+    /// A VO-wide sweep: one authentication on the sweep's own trace, one
+    /// decision trace per job carrying `tag`, the batch authorized under
+    /// a single policy snapshot, then per job the same
+    /// [`settle`](Self::settle) as a single-job request, followed by
+    /// `answer` for each job it let through.
+    fn sweep<T>(
         &self,
+        operation: &'static str,
         chain: &[Certificate],
         tag: &str,
-        sweep: &mut DecisionTrace,
-    ) -> Result<SweepOutcomes<JobReport>, GramError> {
-        let identity =
-            timed_stage(sweep, Stage::Authenticate, || self.gatekeeper.load().authenticate(chain))?;
-        let targets = self.tagged_records(tag);
-        let mut traces: Vec<DecisionTrace> = targets
-            .iter()
-            .map(|_| self.telemetry.start_trace("status-by-tag", self.clock.now()))
-            .collect();
-        let verdicts = self.authorize_management_batch(
-            &RequestContext::unbounded(),
-            &identity,
-            &targets,
-            Action::Information,
-            &mut traces,
-        );
-        Ok(targets
-            .into_iter()
-            .zip(verdicts)
-            .zip(traces)
-            .map(|((record, verdict), mut trace)| {
-                let result = verdict.and_then(|()| {
-                    timed_stage(&mut trace, Stage::Enforce, || self.report_for(&record))
-                });
-                self.record_audit(
-                    identity.subject(),
-                    Action::Information,
-                    Some(record.contact.as_str()),
-                    Some(record.account.as_str()),
-                    &result,
-                    &trace,
-                );
-                self.telemetry.finish_trace(trace);
-                (record.contact.clone(), result)
-            })
-            .collect())
+        effect: Option<JobEffect>,
+        answer: impl Fn(&JmiRecord, &mut DecisionTrace) -> Result<T, GramError>,
+    ) -> Result<SweepOutcomes<T>, GramError> {
+        self.traced(operation, |sweep| {
+            let identity = timed_stage(sweep, Stage::Authenticate, || {
+                self.gatekeeper.load().authenticate(chain)
+            })?;
+            let targets = self.tagged_records(tag);
+            let mut traces: Vec<DecisionTrace> = targets
+                .iter()
+                .map(|_| self.telemetry.start_trace(operation, self.clock.now()))
+                .collect();
+            let verdicts = self.authorize_management_batch(
+                &RequestContext::unbounded(),
+                &identity,
+                &targets,
+                requested_action(effect),
+                &mut traces,
+            );
+            Ok(targets
+                .into_iter()
+                .zip(verdicts)
+                .zip(traces)
+                .map(|((record, verdict), mut trace)| {
+                    let result = self
+                        .settle(&identity, &record, effect, verdict, &mut trace)
+                        .and_then(|()| answer(&record, &mut trace));
+                    self.telemetry.finish_trace(trace);
+                    (record.contact.clone(), result)
+                })
+                .collect())
+        })
     }
 
     fn report_for(&self, record: &JmiRecord) -> Result<JobReport, GramError> {
@@ -1354,8 +1310,11 @@ impl GramServer {
     /// rotated into the journal here, so eviction only bumps the
     /// [`Gauge::AuditEvicted`] counter instead of silently dropping it.
     fn push_audit(&self, record: AuditRecord) {
-        let _publish = self.durability.as_ref().map(|d| d.barrier.read());
-        self.journal_append_relaxed(&audit_record_to_journal(&record));
+        let _publish = self.publish_guard();
+        if let Some(durability) = &self.durability {
+            let _ = durability.journal.append_relaxed(&audit_record_to_journal(&record).encode());
+            durability.appends_since_checkpoint.fetch_add(1, Ordering::Relaxed);
+        }
         if self.audit.lock().record(record).is_some() {
             self.audit_evicted.fetch_add(1, Ordering::Relaxed);
         }
@@ -1407,7 +1366,10 @@ impl GramServer {
     /// the open state are recorded as refusals (the callout stopped
     /// answering); recoveries (half-open, closed) as permitted records.
     /// Idempotent: each callout's transitions are tracked by their
-    /// monotone sequence number.
+    /// monotone sequence number, and `supervision_seen` stays locked
+    /// across the pushes so concurrent syncs copy each transition once.
+    /// Each record goes through [`GramServer::push_audit`], which takes
+    /// the barrier before the audit lock, as every mutator does.
     fn sync_supervision_audit(&self) {
         let reports = self.engine.supervision_reports();
         if reports.is_empty() {
@@ -1416,7 +1378,6 @@ impl GramServer {
         let subject: DistinguishedName =
             "/CN=gram-supervision".parse().expect("static supervision DN parses");
         let mut seen = self.supervision_seen.lock();
-        let mut audit = self.audit.lock();
         for (name, report) in reports {
             let last = seen.get(&name).copied().unwrap_or(0);
             let mut newest = last;
@@ -1424,7 +1385,7 @@ impl GramServer {
                 newest = newest.max(transition.seq);
                 let note =
                     format!("callout {name}: breaker {} -> {}", transition.from, transition.to);
-                let record = AuditRecord {
+                self.push_audit(AuditRecord {
                     at: transition.at,
                     subject: subject.clone(),
                     action: Action::Information,
@@ -1437,11 +1398,7 @@ impl GramServer {
                     trace_id: None,
                     degraded: transition.to == BreakerState::Open,
                     note: Some(note),
-                };
-                self.journal_append_relaxed(&audit_record_to_journal(&record));
-                if audit.record(record).is_some() {
-                    self.audit_evicted.fetch_add(1, Ordering::Relaxed);
-                }
+                });
             }
             seen.insert(name, newest);
         }
@@ -1597,7 +1554,7 @@ impl GramServer {
         };
         let start = Instant::now();
         let result = durability.journal.append(&record.encode());
-        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let nanos = elapsed_nanos(start);
         match result {
             Ok(_) => {
                 self.telemetry.record_timed(Stage::JournalAppend, labels::PERMIT, nanos);
@@ -1616,16 +1573,11 @@ impl GramServer {
         }
     }
 
-    /// Enqueues a record without waiting for its fsync: it rides the
-    /// next committed batch (or the next flush). Best-effort — used for
-    /// the audit trail, whose durability must never fail or slow the
-    /// audited operation. On memory-only servers this is a no-op.
-    fn journal_append_relaxed(&self, record: &JournalRecord) {
-        let Some(durability) = &self.durability else {
-            return;
-        };
-        let _ = durability.journal.append_relaxed(&record.encode());
-        durability.appends_since_checkpoint.fetch_add(1, Ordering::Relaxed);
+    /// The read side of [`Durability::barrier`], held by a mutator from
+    /// its effect through its append to its publication; `None` on
+    /// memory-only servers.
+    fn publish_guard(&self) -> Option<parking_lot::RwLockReadGuard<'_, ()>> {
+        self.durability.as_ref().map(|durability| durability.barrier.read())
     }
 
     /// Checkpoints when the configured append budget is spent. Called
@@ -1745,17 +1697,11 @@ impl GramServer {
                 if let Some(JobState::Suspended { .. }) =
                     status.as_ref().map(|status| &status.state)
                 {
-                    records.push(JournalRecord::Signal {
-                        contact: record.contact.as_str().to_string(),
-                        signal: GramSignal::Suspend,
-                        at_micros: submitted.as_micros(),
-                    });
+                    let suspend = JobEffect::Signal(GramSignal::Suspend);
+                    records.push(suspend.record(&record.contact, submitted));
                 }
                 if let Some(at) = status.and_then(|status| terminal_at(&status.state)) {
-                    records.push(JournalRecord::Cancel {
-                        contact: record.contact.as_str().to_string(),
-                        at_micros: at.as_micros(),
-                    });
+                    records.push(JobEffect::Cancel.record(&record.contact, at));
                 }
             }
         }
@@ -1779,9 +1725,11 @@ impl GramServer {
         }
     }
 
-    /// Re-applies one recovered record. Replay is idempotent: a record
-    /// the snapshot already expressed (the benign snapshot/tail
-    /// overlap) is skipped or re-applies harmlessly.
+    /// Re-applies one recovered record through the same effect functions
+    /// the live path calls. Recovery attaches the journal only after
+    /// replay, so those functions journal nothing here. Replay is
+    /// idempotent: a record the snapshot already expressed (the benign
+    /// snapshot/tail overlap) is skipped or re-applies harmlessly.
     fn apply_recovered(&self, record: &JournalRecord) -> Result<(), GramError> {
         match record {
             JournalRecord::Submit {
@@ -1806,50 +1754,19 @@ impl GramServer {
                     .as_conjunction()
                     .ok_or_else(|| durability_error("recovered RSL is not a conjunction".into()))?;
                 let job = JobDescription::new(crate::jobspec::normalize_job(conj));
+                let slot = Some((*index, JobContact::from_wire(contact)));
                 let work = SimDuration::from_micros(*work_micros);
-                let job_spec = job_spec_from_rsl(job.conjunction(), account, work)?;
-                let local = self.scheduler.write().submit(job_spec).map_err(|e| {
-                    durability_error(format!("recovered job {contact} rejected: {e}"))
-                })?;
-                self.next_job.fetch_max(index + 1, Ordering::SeqCst);
-                let jobtag = job
-                    .conjunction()
-                    .first_value(gridauthz_rsl::attributes::JOBTAG)
-                    .and_then(gridauthz_rsl::Value::as_str)
-                    .map(str::to_string);
-                let sandbox =
-                    self.sandboxing.then(|| Sandbox::new(sandbox_profile_for(job.conjunction())));
-                let record = JmiRecord {
-                    contact: JobContact::from_wire(contact),
-                    owner,
-                    jobtag,
-                    rsl: job,
-                    local,
-                    account: account.clone(),
-                    sandbox,
-                    work,
-                    dynamic: *dynamic,
-                    index: *index,
-                };
-                self.jobs.insert(contact.clone(), Arc::new(record));
-                self.locals.insert(local, contact.clone());
+                let admitted =
+                    self.admit(slot, owner, job, account.clone(), *dynamic, work).map_err(|e| {
+                        durability_error(format!("recovered job {contact} rejected: {e}"))
+                    })?;
+                self.publish(admitted);
             }
             JournalRecord::Cancel { contact, at_micros: _ } => {
-                // Ignore scheduler refusals: the job may already be
-                // terminal (idempotent replay).
-                if let Some(local) = self.jobs.with(contact.as_str(), |record| record.local) {
-                    let _ = self.scheduler.write().cancel(local);
-                }
+                self.replay_effect(contact, JobEffect::Cancel);
             }
             JournalRecord::Signal { contact, signal, at_micros: _ } => {
-                if let Some(local) = self.jobs.with(contact.as_str(), |record| record.local) {
-                    let mut scheduler = self.scheduler.write();
-                    let _ = match signal {
-                        GramSignal::Suspend => scheduler.suspend(local),
-                        GramSignal::Resume => scheduler.resume(local),
-                        GramSignal::Priority(p) => scheduler.set_priority(local, *p),
-                    };
-                }
+                self.replay_effect(contact, JobEffect::Signal(*signal));
             }
             JournalRecord::LeaseGrant { subject, account, expires_micros } => {
                 if let Accounts::DynamicPool(pool) = &self.accounts {
@@ -1882,27 +1799,27 @@ impl GramServer {
                         .map_err(|e| durability_error(format!("recovered gridmap DN: {e}")))?;
                     file.insert(gridauthz_credential::GridMapEntry::new(subject, accounts.clone()));
                 }
-                let mut gatekeeper = (*self.gatekeeper.load()).clone();
-                gatekeeper.set_gridmap(file);
-                self.gatekeeper.store(gatekeeper);
+                self.commit_gatekeeper(record, |gatekeeper| gatekeeper.set_gridmap(file))?;
             }
             JournalRecord::RevokeCredential { issuer, serial } => {
                 let issuer: DistinguishedName = issuer
                     .parse()
                     .map_err(|e| durability_error(format!("recovered issuer DN: {e}")))?;
-                let mut gatekeeper = (*self.gatekeeper.load()).clone();
-                gatekeeper.trust_mut().revoke(&issuer, *serial);
-                self.gatekeeper.store(gatekeeper);
+                self.commit_gatekeeper(record, |gatekeeper| {
+                    gatekeeper.trust_mut().revoke(&issuer, *serial);
+                })?;
             }
-            JournalRecord::Audit { .. } => {
-                let record = journal_to_audit(record)?;
-                // Already durable — replay refills the ring only.
-                if self.audit.lock().record(record).is_some() {
-                    self.audit_evicted.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            JournalRecord::Audit { .. } => self.push_audit(journal_to_audit(record)?),
         }
         Ok(())
+    }
+
+    /// Replays a `Cancel` or `Signal` record. Scheduler refusals are
+    /// ignored: the job may already be terminal (idempotent replay).
+    fn replay_effect(&self, contact: &str, effect: JobEffect) {
+        if let Some(local) = self.jobs.with(contact, |record| record.local) {
+            let _ = self.apply_effect(local, effect);
+        }
     }
 
     /// Releases every dynamic-account lease backing no live
@@ -2011,11 +1928,7 @@ impl GramServer {
         let generation = gatekeeper.generation();
         let now = self.clock.now();
         if let Some(entry) = self.auth_cache.lookup(pem_text, generation, now) {
-            self.telemetry.record_timed(
-                Stage::Authenticate,
-                labels::HIT,
-                u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
+            self.telemetry.record_timed(Stage::Authenticate, labels::HIT, elapsed_nanos(start));
             return Ok(entry);
         }
         let verified = gridauthz_credential::pem::decode_chain(pem_text)
@@ -2024,25 +1937,15 @@ impl GramServer {
                 let identity = gatekeeper.authenticate(&chain)?;
                 Ok(Arc::new(AuthEntry::new(generation, pem_text, &chain, identity)))
             });
-        match verified {
+        let label = match &verified {
             Ok(entry) => {
-                self.auth_cache.insert(Arc::clone(&entry), now);
-                self.telemetry.record_timed(
-                    Stage::Authenticate,
-                    labels::MISS,
-                    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                );
-                Ok(entry)
+                self.auth_cache.insert(Arc::clone(entry), now);
+                labels::MISS
             }
-            Err(e) => {
-                self.telemetry.record_timed(
-                    Stage::Authenticate,
-                    error_label(&e),
-                    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                );
-                Err(e)
-            }
-        }
+            Err(e) => error_label(e),
+        };
+        self.telemetry.record_timed(Stage::Authenticate, label, elapsed_nanos(start));
+        verified
     }
 
     /// Hit/miss counters of the authentication cache.
@@ -2157,11 +2060,7 @@ impl GramServer {
             Ok(_) => labels::PERMIT,
             Err(e) => crate::wire::decode_error_label(e),
         };
-        self.telemetry.record_timed(
-            Stage::FrameDecode,
-            decode_label,
-            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        );
+        self.telemetry.record_timed(Stage::FrameDecode, decode_label, elapsed_nanos(start));
         let request = match decoded {
             Ok(request) => request,
             Err(e) => {
@@ -2191,20 +2090,26 @@ impl GramServer {
                 .submit_inner(ctx, caller, rsl, account, work, &mut trace)
                 .map(EncodableResponse::Submitted),
             WireRequestRef::Cancel { contact } => self
-                .cancel_inner(ctx, caller, &crate::wire::contact_from_wire(contact), &mut trace)
-                .map(|()| EncodableResponse::Done),
+                .manage(
+                    ctx,
+                    caller,
+                    &crate::wire::contact_from_wire(contact),
+                    Some(JobEffect::Cancel),
+                    &mut trace,
+                )
+                .map(|_| EncodableResponse::Done),
             WireRequestRef::Status { contact } => self
                 .status_inner(ctx, caller, &crate::wire::contact_from_wire(contact), &mut trace)
                 .map(EncodableResponse::Report),
             WireRequestRef::Signal { contact, signal } => self
-                .signal_inner(
+                .manage(
                     ctx,
                     caller,
                     &crate::wire::contact_from_wire(contact),
-                    signal,
+                    Some(JobEffect::Signal(signal)),
                     &mut trace,
                 )
-                .map(|()| EncodableResponse::Done),
+                .map(|_| EncodableResponse::Done),
         };
         self.telemetry.finish_trace(trace);
         match result {
@@ -2267,6 +2172,54 @@ fn encode_error_into(error: &GramError, out: &mut String) {
 /// A context's queue wait as span nanoseconds (saturating).
 fn queue_wait_nanos(ctx: &RequestContext) -> u64 {
     ctx.queue_wait().as_micros().saturating_mul(1_000)
+}
+
+/// A journaled change to one job's scheduler state: what the `cancel`
+/// and `signal` actions commit and what `Cancel` and `Signal` records
+/// replay.
+#[derive(Debug, Clone, Copy)]
+enum JobEffect {
+    Cancel,
+    Signal(GramSignal),
+}
+
+impl JobEffect {
+    /// The journal record that makes the effect on `contact` durable.
+    fn record(self, contact: &JobContact, at: SimTime) -> JournalRecord {
+        let contact = contact.as_str().to_string();
+        let at_micros = at.as_micros();
+        match self {
+            JobEffect::Cancel => JournalRecord::Cancel { contact, at_micros },
+            JobEffect::Signal(signal) => JournalRecord::Signal { contact, signal, at_micros },
+        }
+    }
+}
+
+/// The policy action a management request asks for: `information` when
+/// it changes nothing.
+fn requested_action(effect: Option<JobEffect>) -> Action {
+    match effect {
+        None => Action::Information,
+        Some(JobEffect::Cancel) => Action::Cancel,
+        Some(JobEffect::Signal(_)) => Action::Signal,
+    }
+}
+
+/// GT2 management authorization (§4.2): "the Grid identity of the user
+/// making the request must match the Grid identity of the user who
+/// initiated the job." The owner check *is* GT2's combine stage.
+fn owner_check(
+    identity: &VerifiedIdentity,
+    record: &JmiRecord,
+    trace: &mut DecisionTrace,
+) -> Result<(), GramError> {
+    timed_stage(trace, Stage::Combine, || {
+        if identity.subject() == &record.owner {
+            Ok(())
+        } else {
+            Err(GramError::NotAuthorized(DenyReason::NotJobOwner))
+        }
+    })
 }
 
 fn restriction_values(identity: &VerifiedIdentity) -> Vec<String> {

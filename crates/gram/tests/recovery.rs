@@ -368,6 +368,234 @@ fn crash_matrix_smoke_holds_all_invariants() {
 }
 
 // ---------------------------------------------------------------------
+// A recovered server equals the live one, for every mutation kind.
+// ---------------------------------------------------------------------
+
+/// Where a recovery-equivalence run checkpoints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Checkpoint {
+    Never,
+    MidRun,
+    AtEnd,
+}
+
+/// The cast of the recovery-equivalence test: Alice is grid-mapped, Bob
+/// is unmapped (a dynamic account, later revoked) and Carol is mapped
+/// only by the script's grid-map swap.
+struct MutationWorld {
+    clock: SimClock,
+    ca_certificate: Certificate,
+    alice: Credential,
+    bob: Credential,
+    carol: Credential,
+}
+
+/// Contacts the script issues (1–7) plus the next one (8).
+const ISSUED: u64 = 8;
+
+impl MutationWorld {
+    fn new() -> MutationWorld {
+        let clock = SimClock::new();
+        let ca = CertificateAuthority::new_root("/O=Grid/CN=Equivalence CA", &clock).unwrap();
+        let day = SimDuration::from_hours(24);
+        let [alice, bob, carol] =
+            ["Alice", "Bob", "Carol"].map(|n| ca.issue_identity(&format!("/O=Grid/CN={n}"), day));
+        MutationWorld {
+            clock,
+            ca_certificate: ca.certificate().clone(),
+            alice: alice.unwrap(),
+            bob: bob.unwrap(),
+            carol: carol.unwrap(),
+        }
+    }
+
+    fn gridmap(&self, mapped: &[(&Credential, &str)]) -> GridMapFile {
+        let mut gridmap = GridMapFile::new();
+        for (credential, account) in mapped {
+            gridmap.insert(GridMapEntry::new(
+                credential.certificate().subject().clone(),
+                vec![account.to_string()],
+            ));
+        }
+        gridmap
+    }
+
+    /// A durable server over `storage` and `snapshots`, with automatic
+    /// checkpoints off so each run checkpoints exactly where it says.
+    fn durable(
+        &self,
+        storage: &MemStorage,
+        snapshots: &MemSnapshotStore,
+    ) -> gridauthz_gram::GramServer {
+        let mut trust = TrustStore::new();
+        trust.add_anchor(self.ca_certificate.clone());
+        GramServerBuilder::new("equivalence-site", &self.clock)
+            .trust(trust)
+            .gridmap(self.gridmap(&[(&self.alice, "alice")]))
+            .dynamic_accounts(DynamicAccountPool::new(
+                "grid",
+                2,
+                60_000,
+                SimDuration::from_hours(8),
+            ))
+            .recover(
+                DurabilityConfig::in_memory(storage.clone(), snapshots.clone()).snapshot_every(0),
+            )
+            .unwrap()
+    }
+
+    /// Every journaled mutation kind plus refused requests, issuing
+    /// contacts 1–7: a static (1) and a dynamic (2) submit, a
+    /// multi-request whose second part no cluster can hold (3 is
+    /// admitted, then rolled back), suspend/resume/priority/suspend on 1,
+    /// a cancel (4), a tag sweep over 5 and 6, refused management by
+    /// Bob, a grid-map swap that maps Carol, Carol's submit (7), and
+    /// Bob's revocation.
+    fn drive(&self, server: &gridauthz_gram::GramServer, checkpoint: Checkpoint) {
+        let alice = self.alice.chain();
+        let j1 = server.submit(alice, RSL, None, mins(30)).unwrap();
+        server.submit(self.bob.chain(), RSL, None, mins(30)).unwrap();
+        let multi = format!("+({RSL})(&(executable = transp)(count = 4096))");
+        assert!(server.submit_multi(alice, &multi, &[mins(30), mins(30)]).is_err());
+        for signal in
+            [GramSignal::Suspend, GramSignal::Resume, GramSignal::Priority(7), GramSignal::Suspend]
+        {
+            server.signal(alice, &j1, signal).unwrap();
+        }
+        let j4 = server.submit(alice, RSL, None, mins(30)).unwrap();
+        server.cancel(alice, &j4).unwrap();
+        let tagged = format!("{RSL}(jobtag = nfc)");
+        for _ in 0..2 {
+            server.submit(alice, &tagged, None, mins(30)).unwrap();
+        }
+        let swept = server.cancel_by_tag(alice, "nfc").unwrap();
+        assert_eq!(swept.len(), 2);
+        assert!(swept.iter().all(|(_, outcome)| outcome.is_ok()), "{swept:?}");
+        if checkpoint == Checkpoint::MidRun {
+            server.checkpoint().unwrap();
+        }
+        assert!(server.cancel(self.bob.chain(), &j1).is_err());
+        assert!(server.signal(self.bob.chain(), &j1, GramSignal::Resume).is_err());
+        server
+            .set_gridmap(self.gridmap(&[(&self.alice, "alice"), (&self.carol, "carol")]))
+            .unwrap();
+        server.submit(self.carol.chain(), RSL, None, mins(30)).unwrap();
+        server
+            .revoke_credential(self.bob.certificate().issuer(), self.bob.certificate().serial())
+            .unwrap();
+        if checkpoint == Checkpoint::AtEnd {
+            server.checkpoint().unwrap();
+        }
+    }
+
+    /// What the test compares. The audit trail is read first, because
+    /// the status probes add to it; the next submit comes last.
+    fn observe(&self, server: &gridauthz_gram::GramServer) -> Observed {
+        let audit = server.audit_snapshot();
+        let contacts: Vec<gridauthz_gram::JobContact> = (1..=ISSUED)
+            .map(|i| {
+                gridauthz_gram::JobContact::from_wire(&format!("gram://equivalence-site/jobs/{i}"))
+            })
+            .collect();
+        let states = contacts
+            .iter()
+            .map(|contact| {
+                let class = match server.job_state(contact) {
+                    None => "missing",
+                    Some(JobState::Suspended { .. }) => "suspended",
+                    Some(state) if state.is_terminal() => "terminal",
+                    Some(_) => "live",
+                };
+                (server.job_exists(contact), class)
+            })
+            .collect();
+        let reports = contacts
+            .iter()
+            .flat_map(|contact| {
+                [&self.alice, &self.bob, &self.carol].map(|caller| {
+                    server
+                        .status(caller.chain(), contact)
+                        .map(|report| (report.owner.to_string(), report.jobtag, report.account))
+                        .map_err(|e| e.to_string())
+                })
+            })
+            .collect();
+        let jobs = server.job_count();
+        let leases = server.active_lease_count();
+        let next = server.submit(self.carol.chain(), RSL, None, mins(30)).unwrap();
+        let account = server.status(self.carol.chain(), &next).unwrap().account;
+        Observed { audit, jobs, states, leases, reports, next: (next.as_str().into(), account) }
+    }
+}
+
+/// A status report's owner, jobtag and account, or the refusal.
+type Report = Result<(String, Option<String>, String), String>;
+
+/// One server's observable state, as [`MutationWorld::observe`] reads it.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    audit: Vec<gridauthz_gram::AuditRecord>,
+    jobs: usize,
+    /// Per contact: whether the server holds the job, and its state class.
+    states: Vec<(bool, &'static str)>,
+    leases: Option<usize>,
+    /// Per contact and per caller (Alice, Bob, Carol).
+    reports: Vec<Report>,
+    /// Carol's next submit: its contact and the account it mapped to.
+    next: (String, String),
+}
+
+/// A recovered server equals the live one after every mutation kind —
+/// submits, a multi-request rollback, signals, a cancel, a tag sweep,
+/// grid-map swap, revocation and refused requests — whether it recovers
+/// from the journal alone, from a mid-run checkpoint plus tail, or from
+/// a final checkpoint. The script is deterministic (the clock never
+/// moves and trace ids count from 1 per server), so one run is observed
+/// live and identical runs are recovered.
+#[test]
+fn recovered_server_equals_the_live_one_for_every_mutation_kind() {
+    let world = MutationWorld::new();
+    let live = world.durable(&MemStorage::new(), &MemSnapshotStore::new());
+    world.drive(&live, Checkpoint::Never);
+    let expected = world.observe(&live);
+    assert_eq!(
+        expected.states,
+        [
+            (true, "suspended"),
+            (true, "live"),
+            (true, "terminal"),
+            (true, "terminal"),
+            (true, "terminal"),
+            (true, "terminal"),
+            (true, "live"),
+            (false, "missing"),
+        ]
+    );
+    assert_eq!(expected.jobs, 7);
+    assert_eq!(expected.leases, Some(1));
+    assert_eq!(expected.next, ("gram://equivalence-site/jobs/8".into(), "carol".into()));
+    assert!(expected
+        .reports
+        .iter()
+        .skip(1)
+        .step_by(3)
+        .all(|bob| bob.as_ref().is_err_and(|e| e.starts_with("authentication failed"))));
+    assert!(expected.audit.iter().any(|record| !record.outcome.is_permitted()));
+
+    for checkpoint in [Checkpoint::Never, Checkpoint::MidRun, Checkpoint::AtEnd] {
+        let storage = MemStorage::new();
+        let snapshots = MemSnapshotStore::new();
+        let server = world.durable(&storage, &snapshots);
+        world.drive(&server, checkpoint);
+        assert_eq!(server.audit_snapshot(), expected.audit, "{checkpoint:?} run diverged");
+        drop(server);
+        assert_eq!(snapshots.has_snapshot(), checkpoint != Checkpoint::Never);
+        let recovered = world.durable(&storage, &snapshots);
+        assert_eq!(world.observe(&recovered), expected, "recovered after {checkpoint:?}");
+    }
+}
+
+// ---------------------------------------------------------------------
 // Property: WAL replay returns exactly the longest checksummed prefix.
 // ---------------------------------------------------------------------
 

@@ -22,9 +22,6 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> harness t10 (callout resilience phase tables)"
 cargo run -p gridauthz-bench --bin harness --release -- t10
 
-echo "==> harness t11 (TCP front-end scaling, auth cache, allocations)"
-cargo run -p gridauthz-bench --bin harness --release -- t11
-
 echo "==> harness t12 (admission control: overload sweep, shed rate, p99)"
 cargo run -p gridauthz-bench --bin harness --release -- t12
 
