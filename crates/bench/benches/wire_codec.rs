@@ -1,22 +1,22 @@
 //! Wire-codec microbenchmarks backing the T11 front-end work: the
-//! borrowed (zero-copy) decode against the owned decode, and encoding
-//! into a reused buffer against allocating a fresh `String` per
-//! response — the two codec-level savings the serving layer's warm path
-//! is built on — plus the warm authentication every PEM request pays
-//! before decode: an authentication-cache hit on a repeat client's chain.
+//! borrowed (zero-copy) request decode, and encoding into a reused
+//! buffer against allocating a fresh `String` per response — the
+//! codec-level saving the serving layer's warm path is built on — plus
+//! the warm authentication every PEM request pays before decode: an
+//! authentication-cache hit on a repeat client's chain.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gridauthz_clock::SimDuration;
 use gridauthz_credential::pem;
-use gridauthz_gram::wire::{WireRequest, WireRequestRef, WireResponse};
+use gridauthz_gram::wire::{WireRequestRef, WireResponse};
 
 fn bench_wire_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("t11_wire_codec");
 
     // The widest real request: SUBMIT with an RSL and an account.
-    let request = WireRequest::Submit {
-        rsl: "&(executable = TRANSP)(directory = /sandbox/test)(jobtag = NFC)(count = 4)".into(),
-        account: Some("fusion".into()),
+    let request = WireRequestRef::Submit {
+        rsl: "&(executable = TRANSP)(directory = /sandbox/test)(jobtag = NFC)(count = 4)",
+        account: Some("fusion"),
         work: SimDuration::from_mins(30),
     };
     let text = request.encode().expect("fixture encodes");
@@ -24,12 +24,6 @@ fn bench_wire_codec(c: &mut Criterion) {
     group.bench_function("decode-borrowed", |b| {
         b.iter(|| {
             std::hint::black_box(WireRequestRef::decode(std::hint::black_box(&text)))
-                .expect("fixture decodes")
-        });
-    });
-    group.bench_function("decode-owned", |b| {
-        b.iter(|| {
-            std::hint::black_box(WireRequest::decode(std::hint::black_box(&text)))
                 .expect("fixture decodes")
         });
     });

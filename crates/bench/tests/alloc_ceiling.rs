@@ -23,9 +23,9 @@ use gridauthz_sim::{Testbed, TestbedBuilder};
 static ALLOCATOR: CountingAllocator = CountingAllocator::new();
 
 /// Allocations of one warm `STATUS` poll of the caller's own job.
-const STATUS_CEILING: u64 = 18;
+const STATUS_CEILING: u64 = 12;
 /// Median allocations of one warm, permitted `SUBMIT`.
-const SUBMIT_CEILING: u64 = 107;
+const SUBMIT_CEILING: u64 = 101;
 
 /// Simulated work of every submitted job: long enough that none
 /// completes while the test runs.

@@ -61,9 +61,8 @@ pub const MAX_CLIENT_BUDGET: SimDuration = SimDuration::from_mins(5);
 
 /// Clamps a client-supplied budget to [`MAX_CLIENT_BUDGET`].
 ///
-/// Both the front-end (`frame_context`) and the wire helper
-/// (`admission_from_frame`) run every `budget-micros` header through
-/// this before stamping a deadline.
+/// The one frame parse in `gram::wire` runs every `budget-micros`
+/// header through this before the front-end stamps a deadline.
 #[must_use]
 pub fn clamp_client_budget(budget: SimDuration) -> SimDuration {
     budget.min(MAX_CLIENT_BUDGET)
@@ -234,11 +233,6 @@ impl RequestContext {
     pub fn with_trace_id(mut self, trace_id: u64) -> RequestContext {
         self.trace_id = trace_id;
         self
-    }
-
-    /// Assigns the end-to-end trace id.
-    pub fn set_trace_id(&mut self, trace_id: u64) {
-        self.trace_id = trace_id;
     }
 
     /// The end-to-end trace id (0 = unassigned).

@@ -29,11 +29,15 @@
 //!   [`FrameAssembler`] accepts whatever fragments the socket delivers
 //!   and yields complete frames — several per read, or one frame spread
 //!   over many reads — decoded against the connection buffer in place.
-//! * **Request lifecycle.** Each frame gets a [`RequestContext`] built
-//!   at assembly time: admission class and deadline from the frame's
-//!   `class:` / `budget-micros:` headers (defaulting to the
-//!   connection's lane and admission deadline), the measured queue wait,
-//!   and a telemetry-allocated trace id that the decision trace and the
+//! * **Request lifecycle.** Each frame is parsed once, at assembly
+//!   time, into its PEM credential text, its request and its admission
+//!   headers; a malformed frame (including a malformed `class:` or
+//!   `budget-micros:` header) is refused with its typed error before any
+//!   authentication. A parsed frame gets a [`RequestContext`]: admission
+//!   class from its `class:` header (the connection's lane otherwise),
+//!   a deadline from its `budget-micros:` header (the class default
+//!   budget otherwise), the measured queue wait (first frame only), and
+//!   a telemetry-allocated trace id that the decision trace and the
 //!   audit record reuse — one id joins the front-end, engine, callout
 //!   and audit views of a request.
 //! * **Per-worker reusable buffers.** The read buffer, the assembler's
@@ -85,9 +89,9 @@ use gridauthz_clock::{SimDuration, SimTime, TimeSource, WallClock};
 use gridauthz_core::{AdmissionClass, RequestContext, ShedReason};
 use gridauthz_telemetry::{labels, Gauge, Stage, TelemetryRegistry};
 
-use crate::server::GramServer;
+use crate::server::{queue_wait_nanos, GramServer};
 use crate::wire::{
-    decode_error_label, request_line_offset, FrameAssembler, WireDecodeError, WireFrame,
+    answer_error, answer_refusal, decode_error_label, encode_busy, FrameAssembler, WireDecodeError,
     MAX_FRAME_BYTES,
 };
 
@@ -403,6 +407,11 @@ impl Frontend {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
+        // A worker holds the queue lock from its stop check until its
+        // wait releases it. Taking the lock here means every worker has
+        // either seen the flag or is already waiting, so none misses the
+        // wakeup and leaves the join below hanging.
+        drop(self.shared.queue.lock().unwrap_or_else(|e| e.into_inner()));
         self.shared.available.notify_all();
         let stats: Vec<WorkerStats> =
             self.workers.drain(..).map(|worker| worker.join().unwrap_or_default()).collect();
@@ -425,13 +434,8 @@ impl Frontend {
     }
 }
 
-/// The nanoseconds a refused request spent queued (its Admission span).
-fn queue_wait_nanos(ctx: &RequestContext) -> u64 {
-    ctx.queue_wait().as_micros().saturating_mul(1_000)
-}
-
-/// Answers a connection that will never be served: one preformatted
-/// `BUSY` frame carrying a retry hint, then close. The refusal is
+/// Answers a connection that will never be served: one `BUSY` frame
+/// carrying a retry hint, then close. The refusal is
 /// recorded under [`Stage::Admission`] with the shed reason's label.
 fn answer_unserved(
     shared: &Shared,
@@ -454,7 +458,9 @@ fn answer_unserved(
         }
     });
     let _ = stream.set_nodelay(true);
-    let answer = format!("GRAM/1 BUSY\nretry-after-micros: {}\n\n", retry_after.as_micros());
+    let mut answer = String::new();
+    encode_busy(&mut answer, retry_after.as_micros());
+    answer.push('\n');
     let _ = stream.write_all(answer.as_bytes());
     // Consume whatever request bytes the peer already sent: closing a
     // socket with unread data turns the close into a reset that can
@@ -567,44 +573,6 @@ fn worker_loop(shared: &Shared, index: usize) -> WorkerStats {
     }
 }
 
-/// The lifecycle context for one frame, created at frame-assembly time:
-/// admission class from the frame's `class:` header (the connection's
-/// lane otherwise), a deadline from its `budget-micros:` header (the
-/// class default budget otherwise), the connection's measured admission
-/// wait attributed to the first frame, and a fresh telemetry trace id
-/// that the decision trace and audit record will reuse.
-fn frame_context(
-    shared: &Shared,
-    conn: &RequestContext,
-    queue_wait: SimDuration,
-    frame: &str,
-) -> RequestContext {
-    let mut class = conn.class();
-    let mut budget = None;
-    // Anchor on the request line's *line start* — a PEM blob or header
-    // value containing the text `GRAM/1 ` must not mis-anchor the parse.
-    if let Some(split) = request_line_offset(frame) {
-        if let Ok(parsed) = WireFrame::decode(&frame[split..]) {
-            if let Some(value) =
-                parsed.header("class").and_then(|v| AdmissionClass::parse(v.trim()))
-            {
-                class = value;
-            }
-            if let Some(micros) =
-                parsed.header("budget-micros").and_then(|v| v.trim().parse::<u64>().ok())
-            {
-                // Clamped: a client cannot mint an unbounded deadline.
-                budget =
-                    Some(gridauthz_core::clamp_client_budget(SimDuration::from_micros(micros)));
-            }
-        }
-    }
-    let budget = budget.unwrap_or_else(|| class.default_budget());
-    let mut ctx = RequestContext::with_budget(Arc::clone(&shared.clock), class, budget);
-    ctx.note_queue_wait(queue_wait);
-    ctx.with_trace_id(shared.telemetry().allocate_trace_id())
-}
-
 /// Serves one connection until the peer closes, errors, goes silent past
 /// the idle timeout, exhausts its error budget, or the connection's
 /// admission deadline passes, counting answered frames and flushed
@@ -710,22 +678,17 @@ fn serve_connection(
 /// under [`Stage::Admission`] / deadline-expired; the caller flushes it
 /// behind any answers already buffered, then closes.
 fn expire_connection(shared: &Shared, ctx: &RequestContext, response: &mut String) {
-    use std::fmt::Write as _;
     shared.telemetry().record(Stage::Admission, labels::EXPIRED);
     let retry_after = shared.retry_hint(shared.config.lane_budget(ctx.class()));
-    let _ = write!(response, "GRAM/1 BUSY\nretry-after-micros: {}\n\n", retry_after.as_micros());
+    encode_busy(response, retry_after.as_micros());
+    response.push('\n');
 }
 
-/// Appends one `GRAM/1 ERROR` frame to the response buffer. The encoder
-/// validates before it writes, so a refused value leaves nothing
-/// partial behind the answers already buffered — only the static
-/// fallback frame.
+/// Appends one `ERROR` frame to the response buffer. A refused value
+/// leaves nothing partial behind the answers already buffered — only
+/// the static fallback frame.
 fn push_error_frame(response: &mut String, code: &str, message: &str) {
-    let answer =
-        crate::wire::WireResponse::Error { code: code.to_string(), message: message.to_string() };
-    if answer.encode_into(response).is_err() {
-        response.push_str(crate::wire::WireResponse::FALLBACK);
-    }
+    answer_error(response, code, message);
     response.push('\n');
 }
 
@@ -747,13 +710,16 @@ fn flush<W: Write>(out: &mut W, response: &mut String, stats: &mut WorkerStats) 
 /// (write failure, its error budget is exhausted, or its admission
 /// deadline has passed).
 ///
-/// Refused frames — malformed, oversized, duplicate-header — are
-/// answered in-stream with a typed error frame and the connection keeps
-/// being served: the assembler's error contract guarantees the offending
-/// bytes were consumed, so the stream position is trustworthy. Each
-/// refusal spends one unit of the connection's error budget; exhausting
-/// it closes the connection (a peer producing nothing but garbage does
-/// not get to hold a worker).
+/// Each frame is parsed once; a parsed frame gets its own
+/// [`RequestContext`] and is served. Refused frames — malformed,
+/// oversized, duplicate-header, or carrying malformed admission
+/// headers — are answered in-stream with a typed error frame, without
+/// authentication, and the connection keeps being served: the
+/// assembler's error contract guarantees the offending bytes were
+/// consumed, so the stream position is trustworthy. Each refusal spends
+/// one unit of the connection's error budget; exhausting it closes the
+/// connection (a peer producing nothing but garbage does not get to hold
+/// a worker).
 ///
 /// The connection deadline is checked here, after every read, because a
 /// trickling (slowloris) client never reaches the idle path. Whatever
@@ -771,39 +737,50 @@ fn drain_frames<W: Write>(
     errors: &mut u32,
 ) -> bool {
     let mut open = loop {
-        let wait = std::mem::replace(queue_wait, SimDuration::ZERO);
-        let outcome = assembler.next_frame(|frame| {
-            let ctx = frame_context(shared, conn, wait, frame);
+        let outcome = assembler.next_frame(|text| {
+            // The admission wait belongs to the connection's first frame.
+            let wait = std::mem::take(queue_wait);
             let start = shared.clock.now();
-            let label = shared.server.handle_wire_pem_within(&ctx, frame, response);
+            // A frame the protocol layer refused (unparseable request,
+            // header injection, malformed admission header, or a request
+            // the service rejects as malformed) spends error budget even
+            // though it was valid UTF-8 and well-delimited — otherwise a
+            // garbage-spewing client could hold its worker for the whole
+            // connection budget. Service-level denials (authentication,
+            // authorization, unknown job) are honest protocol use and
+            // spend nothing.
+            let (label, refused) = match shared.server.parse_frame(text) {
+                Ok(frame) => {
+                    let class = frame.class.unwrap_or(conn.class());
+                    let budget = frame.budget.unwrap_or_else(|| class.default_budget());
+                    let mut ctx =
+                        RequestContext::with_budget(Arc::clone(&shared.clock), class, budget);
+                    ctx.note_queue_wait(wait);
+                    let ctx = ctx.with_trace_id(shared.telemetry().allocate_trace_id());
+                    let label = shared.server.serve_frame(&ctx, &frame, response);
+                    (label, label == labels::BAD_REQUEST)
+                }
+                Err(e) => (answer_refusal(response, &e), true),
+            };
             let micros = shared.clock.now().as_micros().saturating_sub(start.as_micros());
             shared.telemetry().record_timed(Stage::Service, label, micros.saturating_mul(1000));
-            label
+            refused
         });
         let refused = match outcome {
-            Ok(Some(label)) => {
-                // One extra '\n' turns the response into a frame of its
-                // own, so clients can pipeline with the same assembler.
-                response.push('\n');
-                // A frame the protocol layer refused (unparseable request
-                // or header injection) spends error budget even though it
-                // was valid UTF-8 and well-delimited — otherwise a
-                // garbage-spewing client could hold its worker for the
-                // whole connection budget. Service-level denials
-                // (authentication, authorization, unknown job) are honest
-                // protocol use and spend nothing.
-                label == labels::BAD_REQUEST || label == labels::DUPLICATE_HEADER
-            }
+            Ok(Some(refused)) => refused,
             Ok(None) => break true,
             Err(e) => {
                 // Answer with the typed protocol error and count the
                 // shape; the assembler consumed the offending frame, so
                 // keep serving until the error budget runs out.
-                shared.telemetry().record(Stage::FrameDecode, decode_error_label(&e));
-                push_error_frame(response, e.code(), &e.to_string());
+                let label = answer_refusal(response, &e);
+                shared.telemetry().record(Stage::FrameDecode, label);
                 true
             }
         };
+        // One extra '\n' turns the answer into a frame of its own, so
+        // clients can pipeline with the same assembler.
+        response.push('\n');
         stats.frames += 1;
         if refused {
             *errors += 1;

@@ -12,8 +12,7 @@ use parking_lot::{Mutex, RwLock};
 use gridauthz_clock::{SimClock, SimDuration, SimTime};
 use gridauthz_core::{
     Action, AdmissionClass, AuthorizationCallout, AuthzEngine, AuthzFailure, AuthzRequest,
-    BreakerState, DenyReason, JobDescription, RequestContext, ShedReason, SnapshotCell,
-    SupervisionReport,
+    BreakerState, DenyReason, JobDescription, RequestContext, SnapshotCell, SupervisionReport,
 };
 use gridauthz_credential::{
     Certificate, DistinguishedName, GridMapFile, TrustStore, VerifiedIdentity,
@@ -25,7 +24,7 @@ use gridauthz_telemetry::{
     labels, DecisionTrace, Gauge, RegistrySnapshot, Stage, TelemetryRegistry,
 };
 
-use gridauthz_enforcement::{DynamicAccountPool, PoolStats, Sandbox};
+use gridauthz_enforcement::{DynamicAccountPool, Sandbox};
 
 use crate::audit::{AuditLog, AuditOutcome, AuditRecord};
 use crate::authcache::{AuthCache, AuthCacheStats, AuthEntry};
@@ -37,6 +36,7 @@ use crate::journal::{
 use crate::protocol::{error_label, GramError, GramSignal, JobContact, JobReport};
 use crate::provisioning::{request_groups, sandbox_profile_for, AccountStrategy, JobOperation};
 use crate::shard::ShardedMap;
+use crate::wire::{self, ParsedFrame, WireDecodeError, WireRequestRef};
 
 /// Which GRAM the server behaves as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -313,20 +313,6 @@ impl GramServerBuilder {
             fsyncs_seen: AtomicU64::new(stats.fsyncs),
         });
         Ok(server)
-    }
-
-    /// [`GramServerBuilder::recover`] against the file-backed layout
-    /// under `dir` (`journal.wal` + `state.snapshot`, created when
-    /// absent).
-    ///
-    /// # Errors
-    ///
-    /// As [`GramServerBuilder::recover`], plus directory-creation
-    /// failures.
-    pub fn recover_at(self, dir: impl AsRef<std::path::Path>) -> Result<GramServer, GramError> {
-        let config = DurabilityConfig::at_dir(dir)
-            .map_err(|e| durability_error(format!("journal directory: {e}")))?;
-        self.recover(config)
     }
 }
 
@@ -1870,15 +1856,6 @@ impl GramServer {
         self.scheduler.read().status(local).ok().map(|status| status.state)
     }
 
-    /// Occupancy counters of the dynamic-account pool, when one is
-    /// configured (operator-local).
-    pub fn dynamic_pool_stats(&self) -> Option<PoolStats> {
-        match &self.accounts {
-            Accounts::GridMapOnly => None,
-            Accounts::DynamicPool(pool) => Some(pool.lock().stats()),
-        }
-    }
-
     /// Live dynamic-account leases, when a pool is configured
     /// (operator-local).
     pub fn active_lease_count(&self) -> Option<usize> {
@@ -1982,36 +1959,42 @@ impl GramServer {
     }
 
     /// [`GramServer::handle_wire_pem_into`] under a request lifecycle
-    /// context: the context's deadline is enforced before authentication
-    /// and again before dispatch (an expired request is answered with a
-    /// fast `BUSY` frame, never evaluated), its queue wait becomes the
-    /// decision trace's [`Stage::Admission`] span, and its trace id (when
-    /// assigned) becomes the decision trace's id — one id joins the
-    /// front-end, engine, callout and audit views of the request.
+    /// context: the frame is parsed, then served as the TCP front-end
+    /// serves it. The context's deadline is enforced before
+    /// authentication and again before dispatch (an expired request is
+    /// answered with a fast `BUSY` frame, never evaluated), its queue
+    /// wait becomes the decision trace's [`Stage::Admission`] span, and
+    /// its trace id (when assigned) becomes the decision trace's id — one
+    /// id joins the front-end, engine, callout and audit views of the
+    /// request. A malformed frame is answered with its typed decode error
+    /// before any authentication.
     pub fn handle_wire_pem_within(
         &self,
         ctx: &RequestContext,
         message: &str,
         out: &mut String,
     ) -> &'static str {
-        if ctx.expired() {
-            return self.refuse_expired(ctx, out);
+        match self.parse_frame(message) {
+            Ok(frame) => self.serve_frame(ctx, &frame, out),
+            Err(e) => wire::answer_refusal(out, &e),
         }
-        // Line-start anchoring: a PEM blob containing the literal text
-        // `GRAM/1 ` must not mis-split credential from request.
-        let Some(split) = crate::wire::request_line_offset(message) else {
-            let error = GramError::BadRequest("message has no GRAM/1 request".into());
-            encode_error_into(&error, out);
-            return error_label(&error);
+    }
+
+    /// Parses one frame (see [`crate::wire`]), timed as the frame's one
+    /// [`Stage::FrameDecode`] sample; a failure is classified under its
+    /// decode label ([`wire::decode_error_label`]).
+    pub(crate) fn parse_frame<'a>(
+        &self,
+        message: &'a str,
+    ) -> Result<ParsedFrame<'a>, WireDecodeError> {
+        let start = Instant::now();
+        let parsed = wire::parse_frame(message);
+        let label = match &parsed {
+            Ok(_) => labels::PERMIT,
+            Err(e) => wire::decode_error_label(e),
         };
-        let (pem, body) = message.split_at(split);
-        match self.authenticate_pem(pem) {
-            Ok(entry) => self.dispatch_wire(ctx, Caller::Verified(entry.identity()), body, out),
-            Err(e) => {
-                encode_error_into(&e, out);
-                error_label(&e)
-            }
-        }
+        self.telemetry.record_timed(Stage::FrameDecode, label, elapsed_nanos(start));
+        parsed
     }
 
     /// Answers an expired request with the fast `BUSY` frame, recording
@@ -2022,57 +2005,29 @@ impl GramServer {
             self.telemetry.start_trace_with_id(ctx.trace_id(), "expired", self.clock.now());
         trace.record(Stage::Admission, labels::EXPIRED, queue_wait_nanos(ctx));
         self.telemetry.finish_trace(trace);
-        encode_error_into(
-            &GramError::Overloaded {
-                reason: ShedReason::DeadlineExpired,
-                retry_after: ctx.class().default_budget(),
-            },
-            out,
-        );
+        wire::encode_busy(out, ctx.class().default_budget().as_micros());
         labels::EXPIRED
     }
 
-    /// Serves one wire-encoded request (see [`crate::wire`]) and returns
-    /// the wire-encoded response. Malformed messages come back as
-    /// `BAD_REQUEST` errors rather than panics — the network is untrusted.
-    pub fn handle_wire(&self, chain: &[Certificate], message: &str) -> String {
-        let mut out = String::new();
-        self.dispatch_wire(&RequestContext::unbounded(), Caller::Chain(chain), message, &mut out);
-        out
-    }
-
-    /// Decodes one frame body (borrowed, zero-copy) and dispatches it as
-    /// the typed API would, appending the response to `out`. The decode
-    /// is timed as a [`Stage::FrameDecode`] sample; decode failures are
-    /// classified ([`crate::wire::decode_error_label`]) and answered as
-    /// `BAD_REQUEST` protocol errors.
-    fn dispatch_wire(
+    /// Serves one parsed frame under `ctx` as the typed API would:
+    /// authenticates its PEM chain through the authentication cache,
+    /// dispatches the request and appends the answer to `out`. Returns
+    /// the outcome's telemetry label.
+    pub(crate) fn serve_frame(
         &self,
         ctx: &RequestContext,
-        caller: Caller<'_>,
-        body: &str,
+        frame: &ParsedFrame<'_>,
         out: &mut String,
     ) -> &'static str {
-        use crate::wire::WireRequestRef;
-        let start = Instant::now();
-        let decoded = WireRequestRef::decode(body);
-        let decode_label = match &decoded {
-            Ok(_) => labels::PERMIT,
-            Err(e) => crate::wire::decode_error_label(e),
-        };
-        self.telemetry.record_timed(Stage::FrameDecode, decode_label, elapsed_nanos(start));
-        let request = match decoded {
-            Ok(request) => request,
+        if ctx.expired() {
+            return self.refuse_expired(ctx, out);
+        }
+        let entry = match self.authenticate_pem(frame.pem) {
+            Ok(entry) => entry,
             Err(e) => {
-                encode_error_into(&GramError::BadRequest(e.to_string()), out);
-                return decode_label;
+                wire::answer_failure(out, &e);
+                return error_label(&e);
             }
-        };
-        let operation = match request {
-            WireRequestRef::Submit { .. } => "submit",
-            WireRequestRef::Cancel { .. } => "cancel",
-            WireRequestRef::Status { .. } => "status",
-            WireRequestRef::Signal { .. } => "signal",
         };
         // Authentication may have consumed the rest of the budget: check
         // once more on the way into the engine, so an expired request is
@@ -2080,97 +2035,63 @@ impl GramServer {
         if ctx.expired() {
             return self.refuse_expired(ctx, out);
         }
+        let caller = Caller::Verified(entry.identity());
+        let operation = match frame.request {
+            WireRequestRef::Submit { .. } => "submit",
+            WireRequestRef::Cancel { .. } => "cancel",
+            WireRequestRef::Status { .. } => "status",
+            WireRequestRef::Signal { .. } => "signal",
+        };
         let mut trace =
             self.telemetry.start_trace_with_id(ctx.trace_id(), operation, self.clock.now());
         if ctx.queue_wait() > SimDuration::ZERO {
             trace.record(Stage::Admission, labels::PERMIT, queue_wait_nanos(ctx));
         }
-        let result = match request {
+        let written = match frame.request {
             WireRequestRef::Submit { rsl, account, work } => self
                 .submit_inner(ctx, caller, rsl, account, work, &mut trace)
-                .map(EncodableResponse::Submitted),
-            WireRequestRef::Cancel { contact } => self
-                .manage(
-                    ctx,
-                    caller,
-                    &crate::wire::contact_from_wire(contact),
-                    Some(JobEffect::Cancel),
-                    &mut trace,
-                )
-                .map(|_| EncodableResponse::Done),
-            WireRequestRef::Status { contact } => self
-                .status_inner(ctx, caller, &crate::wire::contact_from_wire(contact), &mut trace)
-                .map(EncodableResponse::Report),
-            WireRequestRef::Signal { contact, signal } => self
-                .manage(
-                    ctx,
-                    caller,
-                    &crate::wire::contact_from_wire(contact),
-                    Some(JobEffect::Signal(signal)),
-                    &mut trace,
-                )
-                .map(|_| EncodableResponse::Done),
+                .map(|contact| wire::encode_submitted(out, contact.as_str())),
+            WireRequestRef::Cancel { contact } => {
+                let contact = JobContact::from_wire(contact);
+                self.manage(ctx, caller, &contact, Some(JobEffect::Cancel), &mut trace)
+                    .map(|_| wire::encode_done(out))
+            }
+            WireRequestRef::Status { contact } => {
+                let contact = JobContact::from_wire(contact);
+                self.status_inner(ctx, caller, &contact, &mut trace).map(|report| {
+                    wire::encode_report(
+                        out,
+                        report.contact.as_str(),
+                        &report.owner,
+                        &report.account,
+                        report.state.label(),
+                        report.executed.as_micros(),
+                        report.jobtag.as_deref(),
+                    )
+                })
+            }
+            WireRequestRef::Signal { contact, signal } => {
+                let contact = JobContact::from_wire(contact);
+                self.manage(ctx, caller, &contact, Some(JobEffect::Signal(signal)), &mut trace)
+                    .map(|_| wire::encode_done(out))
+            }
         };
         self.telemetry.finish_trace(trace);
-        match result {
-            Ok(response) => {
-                response.encode_into(out);
+        match written {
+            Ok(written) => {
+                wire::or_fallback(out, written);
                 labels::PERMIT
             }
             Err(e) => {
-                encode_error_into(&e, out);
+                wire::answer_failure(out, &e);
                 error_label(&e)
             }
         }
     }
 }
 
-/// A successful wire response that encodes straight into the pooled
-/// buffer without first materialising an owned [`WireResponse`]: the
-/// warm-path answers (`DONE`, `REPORT`, `SUBMITTED`) never allocate
-/// response structs of their own.
-enum EncodableResponse {
-    Submitted(JobContact),
-    Report(JobReport),
-    Done,
-}
-
-impl EncodableResponse {
-    fn encode_into(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let result = match self {
-            // Contacts are server-generated and never carry line breaks,
-            // but the checked path is kept for the report's user-supplied
-            // fields (jobtag) — a forged value must hit the fallback.
-            EncodableResponse::Submitted(contact) => {
-                let _ = writeln!(out, "GRAM/1 SUBMITTED\njob: {}", contact.as_str());
-                Ok(())
-            }
-            EncodableResponse::Report(report) => crate::wire::encode_report_into(report, out),
-            EncodableResponse::Done => {
-                out.push_str("GRAM/1 DONE\n");
-                Ok(())
-            }
-        };
-        if result.is_err() {
-            out.push_str(crate::wire::WireResponse::FALLBACK);
-        }
-    }
-}
-
-/// Appends the wire encoding of an error response to `out`, falling back
-/// to the static `INTERNAL_ENCODING_FAILURE` text when the response
-/// itself cannot be framed (a value carried a line break) — the server
-/// must always answer with well-formed protocol text.
-fn encode_error_into(error: &GramError, out: &mut String) {
-    let response = crate::wire::WireResponse::from_error(error);
-    if response.encode_into(out).is_err() {
-        out.push_str(crate::wire::WireResponse::FALLBACK);
-    }
-}
-
 /// A context's queue wait as span nanoseconds (saturating).
-fn queue_wait_nanos(ctx: &RequestContext) -> u64 {
+pub(crate) fn queue_wait_nanos(ctx: &RequestContext) -> u64 {
     ctx.queue_wait().as_micros().saturating_mul(1_000)
 }
 
@@ -2956,9 +2877,9 @@ mod tests {
             message: "oops\ncode: FORGED".into(),
         };
         assert!(forged.encode().is_err());
-        let fallback = WireResponse::encode_failure_fallback();
         // The fallback itself is well-formed protocol text.
-        let decoded: Result<WireResponse, WireDecodeError> = WireResponse::decode(&fallback);
+        let decoded: Result<WireResponse, WireDecodeError> =
+            WireResponse::decode(WireResponse::FALLBACK);
         assert!(matches!(
             decoded.unwrap(),
             WireResponse::Error { code, .. } if code == "INTERNAL_ENCODING_FAILURE"

@@ -2,8 +2,9 @@
 //!
 //! GT2's GRAM spoke an HTTP-framed message protocol between client and
 //! Gatekeeper/Job Manager. This module provides the equivalent seam for
-//! the simulation: requests and responses serialize to a line-oriented
-//! format, and [`GramServer::handle_wire`](crate::GramServer::handle_wire)
+//! the simulation, and it is the only module that knows the text:
+//! requests and responses serialize to a line-oriented format, and
+//! [`GramServer::handle_wire_pem`](crate::GramServer::handle_wire_pem)
 //! dispatches a decoded request exactly as the typed API would. Having a
 //! real encode/decode boundary keeps client and server honestly
 //! decoupled (nothing can sneak across except what the protocol carries)
@@ -23,14 +24,17 @@
 //!   encoder writes after `:` is stripped, so significant leading or
 //!   trailing whitespace in a value survives the round trip.
 //!
-//! Two decode paths share one parser. [`WireFrame`] borrows the verb and
-//! header slices straight out of the input text — the front-end's hot
-//! path, no allocation — and the owned [`WireRequest`]/[`WireResponse`]
-//! `decode` constructors are thin conversions on top of it for the typed
-//! API. On the stream side, [`FrameAssembler`] reassembles `\n\n`-
-//! delimited frames from arbitrarily fragmented reads (the PEM armor and
-//! GRAM header lines are never blank, so a blank line unambiguously ends
-//! a frame).
+//! One parser, [`WireFrame`], borrows the verb and header slices straight
+//! out of the input text; [`WireRequestRef`], the one request type, and
+//! [`WireResponse::decode`] read their fields from it. A served frame
+//! (PEM credential text, then the request) is parsed once, admission
+//! headers included, before the server authenticates it. Each message
+//! verb is written by one function here, which the server and the
+//! front-end call; header values go through `Display`, so the served
+//! path writes a report's owner DN without building a string. On the
+//! stream side, [`FrameAssembler`] reassembles `\n\n`-delimited frames
+//! from arbitrarily fragmented reads (the PEM armor and GRAM header lines
+//! are never blank, so a blank line unambiguously ends a frame).
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -40,7 +44,7 @@ use gridauthz_clock::SimDuration;
 use gridauthz_core::AdmissionClass;
 use gridauthz_telemetry::labels;
 
-use crate::protocol::{GramError, GramSignal, JobContact, JobReport};
+use crate::protocol::{GramError, GramSignal};
 
 /// Largest frame a peer may send: generous for a PEM chain plus headers,
 /// small enough that a hostile client cannot balloon a worker's buffer.
@@ -50,41 +54,9 @@ pub const MAX_FRAME_BYTES: usize = 64 * 1024;
 /// uses six).
 pub const MAX_HEADERS: usize = 8;
 
-/// A decoded GRAM wire request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireRequest {
-    /// Start a job.
-    Submit {
-        /// The RSL job description.
-        rsl: String,
-        /// Requested grid-mapfile account, if any.
-        account: Option<String>,
-        /// Simulated true computation time.
-        work: SimDuration,
-    },
-    /// Cancel a job.
-    Cancel {
-        /// The target job.
-        contact: String,
-    },
-    /// Query job status.
-    Status {
-        /// The target job.
-        contact: String,
-    },
-    /// Deliver a management signal.
-    Signal {
-        /// The target job.
-        contact: String,
-        /// The signal.
-        signal: GramSignal,
-    },
-}
-
-/// A [`WireRequest`] whose string fields borrow from the decoded text —
-/// the zero-copy request the front-end dispatches without touching the
-/// heap. [`WireRequestRef::into_owned`] converts to the owned form for
-/// callers that need to keep the request past the buffer's lifetime.
+/// A decoded GRAM wire request. Its string fields borrow from the
+/// decoded text, so the front-end dispatches it without touching the
+/// heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireRequestRef<'a> {
     /// Start a job.
@@ -278,18 +250,43 @@ fn malformed(msg: impl Into<Box<str>>) -> WireDecodeError {
     WireDecodeError::Malformed(msg.into())
 }
 
-/// Refuses values that would break line framing on the wire.
-fn clean(header: &'static str, value: &str) -> Result<(), WireEncodeError> {
-    if value.contains(['\n', '\r']) {
-        Err(WireEncodeError { header })
-    } else {
-        Ok(())
+/// Appends one `key: value` header line, writing `value` through
+/// `Display`. A value whose text holds a line break is refused: it would
+/// smuggle extra headers (or a second message) into the framing.
+fn header(
+    out: &mut String,
+    key: &'static str,
+    value: impl fmt::Display,
+) -> Result<(), WireEncodeError> {
+    out.push_str(key);
+    out.push_str(": ");
+    let start = out.len();
+    let _ = write!(out, "{value}");
+    if out.as_bytes()[start..].iter().any(|&b| b == b'\n' || b == b'\r') {
+        return Err(WireEncodeError { header: key });
     }
+    out.push('\n');
+    Ok(())
+}
+
+/// Appends one message: the `GRAM/1 <verb>` line, then the headers
+/// `headers` writes. A refused header truncates `out` back to where the
+/// message began, so nothing is written unless every value passes.
+fn message(
+    out: &mut String,
+    verb: &str,
+    headers: impl FnOnce(&mut String) -> Result<(), WireEncodeError>,
+) -> Result<(), WireEncodeError> {
+    let start = out.len();
+    out.push_str("GRAM/1 ");
+    out.push_str(verb);
+    out.push('\n');
+    headers(out).inspect_err(|_| out.truncate(start))
 }
 
 /// One decoded frame, borrowing verb and header slices from the input
-/// text. This is the allocation-free core both `decode` constructors and
-/// the front-end share; headers live in a fixed inline array.
+/// text. This is the allocation-free parser under every decode in this
+/// module; headers live in a fixed inline array.
 #[derive(Debug, Clone, Copy)]
 pub struct WireFrame<'a> {
     verb: &'a str,
@@ -384,11 +381,27 @@ pub fn request_line_offset(message: &str) -> Option<usize> {
     message.match_indices("GRAM/1 ").find(|&(i, _)| i > 0 && bytes[i - 1] == b'\n').map(|(i, _)| i)
 }
 
-/// Admission metadata an incoming request frame may carry: an optional
-/// `class:` header naming the admission lane (`interactive` or `batch`)
-/// and an optional `budget-micros:` header stating how long the client
-/// is willing to wait end-to-end. Absent headers mean the interactive
-/// lane with no explicit budget (the server applies the class default).
+/// One request frame as the server receives it, parsed once: the PEM
+/// credential text ahead of the request line, the request, and the
+/// admission metadata the frame may carry.
+#[derive(Debug)]
+pub(crate) struct ParsedFrame<'a> {
+    /// The PEM-armored credential chain (everything before the request
+    /// line).
+    pub(crate) pem: &'a str,
+    /// The request.
+    pub(crate) request: WireRequestRef<'a>,
+    /// The `class:` header naming the admission lane (`interactive` or
+    /// `batch`); `None` keeps the connection's lane.
+    pub(crate) class: Option<AdmissionClass>,
+    /// The `budget-micros:` header: how long the client is willing to
+    /// wait end-to-end; `None` leaves the class default.
+    pub(crate) budget: Option<SimDuration>,
+}
+
+/// Parses one served frame: splits the PEM credential text from the
+/// request at the request line, decodes the request, and reads its
+/// admission headers.
 ///
 /// The budget is clamped to
 /// [`MAX_CLIENT_BUDGET`](gridauthz_core::MAX_CLIENT_BUDGET): a client
@@ -398,38 +411,33 @@ pub fn request_line_offset(message: &str) -> Option<usize> {
 ///
 /// # Errors
 ///
-/// [`WireDecodeError::Malformed`] for an unknown class name or a
-/// non-integer budget.
-pub fn admission_from_frame(
-    frame: &WireFrame<'_>,
-) -> Result<(AdmissionClass, Option<SimDuration>), WireDecodeError> {
-    let class = match frame.header("class") {
-        None => AdmissionClass::Interactive,
-        Some(text) => AdmissionClass::parse(text.trim())
-            .ok_or_else(|| malformed(format!("unknown admission class {text:?}")))?,
-    };
-    let budget = match frame.header("budget-micros") {
-        None => None,
-        Some(text) => Some(gridauthz_core::clamp_client_budget(SimDuration::from_micros(
-            text.trim().parse().map_err(|_| malformed("budget-micros must be an integer"))?,
-        ))),
-    };
-    Ok((class, budget))
-}
-
-/// Appends the admission headers [`admission_from_frame`] reads onto an
-/// already-encoded request (every encoded request ends in `\n`, so more
-/// `key: value` lines extend the same frame). `None` for the budget
-/// leaves the server to apply the class default.
-pub fn append_admission_headers(
-    out: &mut String,
-    class: AdmissionClass,
-    budget: Option<SimDuration>,
-) {
-    let _ = writeln!(out, "class: {}", class.as_str());
-    if let Some(budget) = budget {
-        let _ = writeln!(out, "budget-micros: {}", budget.as_micros());
-    }
+/// [`WireDecodeError`] for a frame without a request line, bad framing,
+/// an unknown verb, missing or malformed request headers, an unknown
+/// admission class or a non-integer budget. Malformed admission metadata
+/// is refused, never silently defaulted.
+pub(crate) fn parse_frame(text: &str) -> Result<ParsedFrame<'_>, WireDecodeError> {
+    // Anchor on the request line's *line start*: a PEM blob or header
+    // value containing the text `GRAM/1 ` must not mis-split credential
+    // from request.
+    let split = request_line_offset(text).ok_or_else(|| malformed("no GRAM/1 request line"))?;
+    let (pem, body) = text.split_at(split);
+    let frame = WireFrame::decode(body)?;
+    let class = frame
+        .header("class")
+        .map(|v| {
+            AdmissionClass::parse(v.trim())
+                .ok_or_else(|| malformed(format!("unknown admission class {v:?}")))
+        })
+        .transpose()?;
+    let budget = frame
+        .header("budget-micros")
+        .map(|v| {
+            let micros =
+                v.trim().parse().map_err(|_| malformed("budget-micros must be an integer"));
+            micros.map(|m| gridauthz_core::clamp_client_budget(SimDuration::from_micros(m)))
+        })
+        .transpose()?;
+    Ok(ParsedFrame { pem, request: WireRequestRef::from_frame(&frame)?, class, budget })
 }
 
 impl<'a> WireRequestRef<'a> {
@@ -485,29 +493,6 @@ impl<'a> WireRequestRef<'a> {
         }
     }
 
-    /// Copies the borrowed fields into an owned [`WireRequest`].
-    #[must_use]
-    pub fn into_owned(self) -> WireRequest {
-        match self {
-            WireRequestRef::Submit { rsl, account, work } => WireRequest::Submit {
-                rsl: rsl.to_string(),
-                account: account.map(str::to_string),
-                work,
-            },
-            WireRequestRef::Cancel { contact } => {
-                WireRequest::Cancel { contact: contact.to_string() }
-            }
-            WireRequestRef::Status { contact } => {
-                WireRequest::Status { contact: contact.to_string() }
-            }
-            WireRequestRef::Signal { contact, signal } => {
-                WireRequest::Signal { contact: contact.to_string(), signal }
-            }
-        }
-    }
-}
-
-impl WireRequest {
     /// Encodes to the wire format.
     ///
     /// # Errors
@@ -528,123 +513,118 @@ impl WireRequest {
     /// [`WireEncodeError`] when a value contains a line break and would
     /// corrupt the framing.
     pub fn encode_into(&self, out: &mut String) -> Result<(), WireEncodeError> {
-        match self {
-            WireRequest::Submit { rsl, account, work } => {
-                clean("rsl", rsl)?;
-                if let Some(account) = account {
-                    clean("account", account)?;
-                }
-                let _ =
-                    writeln!(out, "GRAM/1 SUBMIT\nrsl: {rsl}\nwork-micros: {}", work.as_micros());
-                if let Some(account) = account {
-                    let _ = writeln!(out, "account: {account}");
-                }
+        match *self {
+            WireRequestRef::Submit { rsl, account, work } => message(out, "SUBMIT", |out| {
+                header(out, "rsl", rsl)?;
+                header(out, "work-micros", work.as_micros())?;
+                account.map_or(Ok(()), |account| header(out, "account", account))
+            }),
+            WireRequestRef::Cancel { contact } => {
+                message(out, "CANCEL", |out| header(out, "job", contact))
             }
-            WireRequest::Cancel { contact } => {
-                clean("job", contact)?;
-                let _ = writeln!(out, "GRAM/1 CANCEL\njob: {contact}");
+            WireRequestRef::Status { contact } => {
+                message(out, "STATUS", |out| header(out, "job", contact))
             }
-            WireRequest::Status { contact } => {
-                clean("job", contact)?;
-                let _ = writeln!(out, "GRAM/1 STATUS\njob: {contact}");
-            }
-            WireRequest::Signal { contact, signal } => {
-                clean("job", contact)?;
-                let _ = write!(out, "GRAM/1 SIGNAL\njob: {contact}\nsignal: ");
+            WireRequestRef::Signal { contact, signal } => message(out, "SIGNAL", |out| {
+                header(out, "job", contact)?;
                 match signal {
-                    GramSignal::Suspend => out.push_str("suspend"),
-                    GramSignal::Resume => out.push_str("resume"),
-                    GramSignal::Priority(p) => {
-                        let _ = write!(out, "priority {p}");
-                    }
+                    GramSignal::Suspend => header(out, "signal", "suspend"),
+                    GramSignal::Resume => header(out, "signal", "resume"),
+                    GramSignal::Priority(p) => header(out, "signal", format_args!("priority {p}")),
                 }
-                out.push('\n');
-            }
+            }),
         }
-        Ok(())
-    }
-
-    /// Decodes from the wire format.
-    ///
-    /// # Errors
-    ///
-    /// [`WireDecodeError`] for bad framing (including carriage returns
-    /// and duplicate headers), unknown verbs, or missing / malformed
-    /// headers.
-    pub fn decode(text: &str) -> Result<WireRequest, WireDecodeError> {
-        WireRequestRef::decode(text).map(WireRequestRef::into_owned)
     }
 }
 
-/// Appends a `REPORT` response for `report` straight to `out`, without
-/// materialising an owned [`WireResponse`] — the serving layer's warm
-/// path for status polls. Validation matches
-/// [`WireResponse::encode_into`]: no value may carry a line break. The
-/// owner DN is checked component-wise and written through its `Display`
-/// impl, so no interim string is built.
-///
-/// # Errors
-///
-/// [`WireEncodeError`] when a value contains a line break and would
-/// corrupt the framing.
-pub fn encode_report_into(report: &JobReport, out: &mut String) -> Result<(), WireEncodeError> {
-    clean("job", report.contact.as_str())?;
-    for (_, value) in report.owner.components() {
-        clean("owner", value)?;
+/// Appends a `SUBMITTED` answer.
+pub(crate) fn encode_submitted(out: &mut String, contact: &str) -> Result<(), WireEncodeError> {
+    message(out, "SUBMITTED", |out| header(out, "job", contact))
+}
+
+/// Appends a `REPORT` answer. `owner` is written through `Display`, so
+/// the served path writes a job's owner DN without building a string.
+pub(crate) fn encode_report(
+    out: &mut String,
+    contact: &str,
+    owner: impl fmt::Display,
+    account: &str,
+    state: &str,
+    executed_micros: u64,
+    jobtag: Option<&str>,
+) -> Result<(), WireEncodeError> {
+    message(out, "REPORT", |out| {
+        header(out, "job", contact)?;
+        header(out, "owner", owner)?;
+        header(out, "account", account)?;
+        header(out, "state", state)?;
+        header(out, "executed-micros", executed_micros)?;
+        jobtag.map_or(Ok(()), |tag| header(out, "jobtag", tag))
+    })
+}
+
+/// Appends a `DONE` answer (it has no values, so it never fails).
+pub(crate) fn encode_done(out: &mut String) -> Result<(), WireEncodeError> {
+    message(out, "DONE", |_| Ok(()))
+}
+
+/// Appends a `BUSY` answer: the request was refused without service and
+/// may be retried after `retry_after_micros`.
+pub(crate) fn encode_busy(out: &mut String, retry_after_micros: u64) {
+    let _ = message(out, "BUSY", |out| header(out, "retry-after-micros", retry_after_micros));
+}
+
+/// Appends an `ERROR` answer.
+fn encode_error(
+    out: &mut String,
+    code: &str,
+    text: impl fmt::Display,
+) -> Result<(), WireEncodeError> {
+    message(out, "ERROR", |out| {
+        header(out, "code", code)?;
+        header(out, "message", text)
+    })
+}
+
+/// Appends [`WireResponse::FALLBACK`] in place of an answer that
+/// `written` refused, so the server always answers with well-formed
+/// protocol text.
+pub(crate) fn or_fallback(out: &mut String, written: Result<(), WireEncodeError>) {
+    if written.is_err() {
+        out.push_str(WireResponse::FALLBACK);
     }
-    clean("account", &report.account)?;
-    if let Some(tag) = &report.jobtag {
-        clean("jobtag", tag)?;
+}
+
+/// Appends an `ERROR` answer, or the fallback when `code` or `text`
+/// holds a line break.
+pub(crate) fn answer_error(out: &mut String, code: &str, text: impl fmt::Display) {
+    let written = encode_error(out, code, text);
+    or_fallback(out, written);
+}
+
+/// Appends the answer to a failed request. Admission refusals become the
+/// dedicated `BUSY` answer, carrying a machine-readable retry hint,
+/// rather than a generic `ERROR`.
+pub(crate) fn answer_failure(out: &mut String, error: &GramError) {
+    match error {
+        GramError::Overloaded { retry_after, .. } => encode_busy(out, retry_after.as_micros()),
+        _ => answer_error(out, error_code(error), error),
     }
-    let _ = writeln!(
-        out,
-        "GRAM/1 REPORT\njob: {}\nowner: {}\naccount: {}\nstate: {}\nexecuted-micros: {}",
-        report.contact.as_str(),
-        report.owner,
-        report.account,
-        report.state.label(),
-        report.executed.as_micros()
-    );
-    if let Some(tag) = &report.jobtag {
-        let _ = writeln!(out, "jobtag: {tag}");
-    }
-    Ok(())
+}
+
+/// Appends the typed `ERROR` answer to a refused frame (its code is
+/// [`WireDecodeError::code`]) and returns the refusal's telemetry label.
+pub(crate) fn answer_refusal(out: &mut String, error: &WireDecodeError) -> &'static str {
+    answer_error(out, error.code(), error);
+    decode_error_label(error)
 }
 
 impl WireResponse {
-    /// Builds the response for a completed server call.
-    pub fn from_report(report: &JobReport) -> WireResponse {
-        WireResponse::Report {
-            contact: report.contact.as_str().to_string(),
-            owner: report.owner.to_string(),
-            jobtag: report.jobtag.clone(),
-            account: report.account.clone(),
-            state: report.state.label().to_string(),
-            executed_micros: report.executed.as_micros(),
-        }
-    }
-
-    /// Builds the error response for a failed server call. Admission
-    /// refusals become the dedicated [`WireResponse::Busy`] answer
-    /// (carrying a machine-readable retry hint) rather than a generic
-    /// `ERROR` frame.
-    pub fn from_error(error: &GramError) -> WireResponse {
-        if let GramError::Overloaded { retry_after, .. } = error {
-            return WireResponse::Busy { retry_after_micros: retry_after.as_micros() };
-        }
-        WireResponse::Error { code: error_code(error).to_string(), message: error.to_string() }
-    }
-
     /// The last-resort response text served when a response itself
     /// cannot be encoded (a header value carried a line break). Built
     /// from static text only, so it can never fail in turn.
     pub const FALLBACK: &'static str =
         "GRAM/1 ERROR\ncode: INTERNAL_ENCODING_FAILURE\nmessage: response could not be encoded\n";
-
-    /// [`WireResponse::FALLBACK`] as an owned string (legacy shape).
-    pub fn encode_failure_fallback() -> String {
-        WireResponse::FALLBACK.to_string()
-    }
 
     /// Encodes to the wire format.
     ///
@@ -667,37 +647,25 @@ impl WireResponse {
     /// corrupt the framing.
     pub fn encode_into(&self, out: &mut String) -> Result<(), WireEncodeError> {
         match self {
-            WireResponse::Submitted { contact } => {
-                clean("job", contact)?;
-                let _ = writeln!(out, "GRAM/1 SUBMITTED\njob: {contact}");
-            }
+            WireResponse::Submitted { contact } => encode_submitted(out, contact),
             WireResponse::Report { contact, owner, jobtag, account, state, executed_micros } => {
-                clean("job", contact)?;
-                clean("owner", owner)?;
-                clean("account", account)?;
-                clean("state", state)?;
-                if let Some(tag) = jobtag {
-                    clean("jobtag", tag)?;
-                }
-                let _ = writeln!(
+                encode_report(
                     out,
-                    "GRAM/1 REPORT\njob: {contact}\nowner: {owner}\naccount: {account}\nstate: {state}\nexecuted-micros: {executed_micros}"
-                );
-                if let Some(tag) = jobtag {
-                    let _ = writeln!(out, "jobtag: {tag}");
-                }
+                    contact,
+                    owner,
+                    account,
+                    state,
+                    *executed_micros,
+                    jobtag.as_deref(),
+                )
             }
-            WireResponse::Done => out.push_str("GRAM/1 DONE\n"),
+            WireResponse::Done => encode_done(out),
             WireResponse::Busy { retry_after_micros } => {
-                let _ = writeln!(out, "GRAM/1 BUSY\nretry-after-micros: {retry_after_micros}");
+                encode_busy(out, *retry_after_micros);
+                Ok(())
             }
-            WireResponse::Error { code, message } => {
-                clean("code", code)?;
-                clean("message", message)?;
-                let _ = writeln!(out, "GRAM/1 ERROR\ncode: {code}\nmessage: {message}");
-            }
+            WireResponse::Error { code, message } => encode_error(out, code, message),
         }
-        Ok(())
     }
 
     /// Decodes from the wire format.
@@ -789,7 +757,11 @@ pub struct FrameAssembler {
 /// first.
 fn find_terminator(buf: &[u8]) -> Option<(usize, usize)> {
     let lf = buf.windows(2).position(|w| w == b"\n\n");
-    let crlf = buf.windows(4).position(|w| w == b"\r\n\r\n");
+    // Only a CRLF terminator that starts before the first `\n\n` can win,
+    // so the search stops there instead of rescanning every pipelined
+    // frame behind it.
+    let scan = lf.map_or(buf, |a| &buf[..(a + 3).min(buf.len())]);
+    let crlf = scan.windows(4).position(|w| w == b"\r\n\r\n");
     match (lf, crlf) {
         (Some(a), Some(b)) if b < a => Some((b + 2, b + 4)),
         (Some(a), _) => Some((a + 1, a + 2)),
@@ -930,11 +902,6 @@ impl FrameAssembler {
     }
 }
 
-/// Re-export for contact parsing at the wire boundary.
-pub(crate) fn contact_from_wire(contact: &str) -> JobContact {
-    JobContact::from_wire(contact)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -942,39 +909,33 @@ mod tests {
 
     #[test]
     fn submit_roundtrip() {
-        let req = WireRequest::Submit {
-            rsl: "&(executable = TRANSP)(jobtag = NFC)(count = 2)".into(),
-            account: Some("fusion".into()),
+        let req = WireRequestRef::Submit {
+            rsl: "&(executable = TRANSP)(jobtag = NFC)(count = 2)",
+            account: Some("fusion"),
             work: SimDuration::from_mins(30),
         };
-        assert_eq!(WireRequest::decode(&req.encode().unwrap()).unwrap(), req);
+        assert_eq!(WireRequestRef::decode(&req.encode().unwrap()).unwrap(), req);
     }
 
     #[test]
     fn all_request_variants_roundtrip() {
         let requests = [
-            WireRequest::Submit {
-                rsl: "&(executable = a)".into(),
+            WireRequestRef::Submit {
+                rsl: "&(executable = a)",
                 account: None,
                 work: SimDuration::from_secs(1),
             },
-            WireRequest::Cancel { contact: "gram://site/jobs/1".into() },
-            WireRequest::Status { contact: "gram://site/jobs/2".into() },
-            WireRequest::Signal {
-                contact: "gram://site/jobs/3".into(),
-                signal: GramSignal::Suspend,
-            },
-            WireRequest::Signal {
-                contact: "gram://site/jobs/3".into(),
-                signal: GramSignal::Resume,
-            },
-            WireRequest::Signal {
-                contact: "gram://site/jobs/3".into(),
+            WireRequestRef::Cancel { contact: "gram://site/jobs/1" },
+            WireRequestRef::Status { contact: "gram://site/jobs/2" },
+            WireRequestRef::Signal { contact: "gram://site/jobs/3", signal: GramSignal::Suspend },
+            WireRequestRef::Signal { contact: "gram://site/jobs/3", signal: GramSignal::Resume },
+            WireRequestRef::Signal {
+                contact: "gram://site/jobs/3",
                 signal: GramSignal::Priority(-7),
             },
         ];
         for req in requests {
-            assert_eq!(WireRequest::decode(&req.encode().unwrap()).unwrap(), req, "{req:?}");
+            assert_eq!(WireRequestRef::decode(&req.encode().unwrap()).unwrap(), req, "{req:?}");
         }
     }
 
@@ -1008,15 +969,15 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_decode_matches_owned_decode() {
-        let req = WireRequest::Submit {
-            rsl: "&(executable = a)(count = 4)".into(),
-            account: Some("fusion".into()),
+    fn decoded_fields_borrow_from_the_text() {
+        let req = WireRequestRef::Submit {
+            rsl: "&(executable = a)(count = 4)",
+            account: Some("fusion"),
             work: SimDuration::from_secs(2),
         };
         let encoded = req.encode().unwrap();
         let borrowed = WireRequestRef::decode(&encoded).unwrap();
-        assert_eq!(borrowed.into_owned(), req);
+        assert_eq!(borrowed, req);
         match borrowed {
             WireRequestRef::Submit { rsl, account, .. } => {
                 // The borrowed fields point into the encoded text.
@@ -1048,12 +1009,12 @@ mod tests {
         // Values with leading, trailing, interior, and tab whitespace —
         // and the empty string — must come back byte-for-byte.
         for value in ["  two leading", "trailing  ", "\ttabbed\t", " ", "", "a  b"] {
-            let req = WireRequest::Submit {
-                rsl: value.into(),
-                account: Some(value.into()),
+            let req = WireRequestRef::Submit {
+                rsl: value,
+                account: Some(value),
                 work: SimDuration::from_secs(1),
             };
-            assert_eq!(WireRequest::decode(&req.encode().unwrap()).unwrap(), req, "{value:?}");
+            assert_eq!(WireRequestRef::decode(&req.encode().unwrap()).unwrap(), req, "{value:?}");
             let resp = WireResponse::Error { code: "BAD_REQUEST".into(), message: value.into() };
             assert_eq!(WireResponse::decode(&resp.encode().unwrap()).unwrap(), resp, "{value:?}");
         }
@@ -1062,29 +1023,26 @@ mod tests {
     #[test]
     fn encode_rejects_line_breaks_in_every_request_field() {
         for smuggled in ["evil\naccount: root", "evil\r\naccount: root", "\n", "\r"] {
-            let cases: Vec<(WireRequest, &str)> = vec![
+            let cases: Vec<(WireRequestRef, &str)> = vec![
                 (
-                    WireRequest::Submit {
-                        rsl: smuggled.into(),
+                    WireRequestRef::Submit {
+                        rsl: smuggled,
                         account: None,
                         work: SimDuration::from_secs(1),
                     },
                     "rsl",
                 ),
                 (
-                    WireRequest::Submit {
-                        rsl: "&(executable = a)".into(),
-                        account: Some(smuggled.into()),
+                    WireRequestRef::Submit {
+                        rsl: "&(executable = a)",
+                        account: Some(smuggled),
                         work: SimDuration::from_secs(1),
                     },
                     "account",
                 ),
-                (WireRequest::Cancel { contact: smuggled.into() }, "job"),
-                (WireRequest::Status { contact: smuggled.into() }, "job"),
-                (
-                    WireRequest::Signal { contact: smuggled.into(), signal: GramSignal::Resume },
-                    "job",
-                ),
+                (WireRequestRef::Cancel { contact: smuggled }, "job"),
+                (WireRequestRef::Status { contact: smuggled }, "job"),
+                (WireRequestRef::Signal { contact: smuggled, signal: GramSignal::Resume }, "job"),
             ];
             for (req, header) in cases {
                 let e = req.encode().expect_err("line break must be rejected");
@@ -1166,14 +1124,14 @@ mod tests {
     #[test]
     fn decode_rejects_duplicate_headers() {
         let forged = "GRAM/1 SUBMIT\nrsl: &(executable = a)\nwork-micros: 1\naccount: guest\naccount: root\n";
-        let e = WireRequest::decode(forged).expect_err("duplicate header must be rejected");
+        let e = WireRequestRef::decode(forged).expect_err("duplicate header must be rejected");
         assert!(e.to_string().contains("duplicate header"), "{e}");
         assert!(
             matches!(e, WireDecodeError::DuplicateHeader { ref header } if &**header == "account")
         );
         // Case-insensitive: Account vs account is still a duplicate.
         let forged = "GRAM/1 CANCEL\njob: x\nJOB: y\n";
-        assert!(WireRequest::decode(forged).is_err());
+        assert!(WireRequestRef::decode(forged).is_err());
         let forged = "GRAM/1 ERROR\ncode: A\ncode: B\nmessage: m\n";
         assert!(WireResponse::decode(forged).is_err());
     }
@@ -1181,7 +1139,7 @@ mod tests {
     #[test]
     fn decode_rejects_carriage_returns() {
         let crlf = "GRAM/1 CANCEL\r\njob: x\r\n";
-        let e = WireRequest::decode(crlf).expect_err("CR must be rejected");
+        let e = WireRequestRef::decode(crlf).expect_err("CR must be rejected");
         assert!(e.to_string().contains("carriage return"), "{e}");
         assert!(WireResponse::decode("GRAM/1 DONE\r\n").is_err());
     }
@@ -1189,7 +1147,7 @@ mod tests {
     #[test]
     fn decode_rejects_oversized_and_overfull_messages() {
         let huge = format!("GRAM/1 STATUS\njob: {}\n", "x".repeat(MAX_FRAME_BYTES));
-        match WireRequest::decode(&huge) {
+        match WireRequestRef::decode(&huge) {
             Err(WireDecodeError::Oversized { size, limit }) => {
                 assert_eq!(size, huge.len());
                 assert_eq!(limit, MAX_FRAME_BYTES);
@@ -1200,7 +1158,7 @@ mod tests {
         for i in 0..MAX_HEADERS {
             overfull.push_str(&format!("extra-{i}: y\n"));
         }
-        assert!(WireRequest::decode(&overfull).is_err());
+        assert!(WireRequestRef::decode(&overfull).is_err());
     }
 
     #[test]
@@ -1214,7 +1172,7 @@ mod tests {
             "GRAM/1 SIGNAL\njob: x\nsignal: reboot\n",
             "GRAM/1 CANCEL\nno-colon-here\n",
         ] {
-            assert!(WireRequest::decode(bad).is_err(), "should reject {bad:?}");
+            assert!(WireRequestRef::decode(bad).is_err(), "should reject {bad:?}");
         }
         assert!(WireResponse::decode("GRAM/1 REPORT\n").is_err());
     }
@@ -1359,6 +1317,12 @@ mod tests {
             Some("GRAM/1 DONE\n")
         );
         assert_eq!(assembler.residue(), 0);
+        // And a CRLF frame pipelined behind an LF frame is found next.
+        assembler.push(b"GRAM/1 DONE\n\nGRAM/1 STATUS\r\njob: y\r\n\r\n");
+        let frames: Vec<String> =
+            std::iter::from_fn(|| assembler.next_frame(|t| t.to_string()).unwrap()).collect();
+        assert_eq!(frames, ["GRAM/1 DONE\n", "GRAM/1 STATUS\r\njob: y\r\n"]);
+        assert_eq!(assembler.residue(), 0);
     }
 
     #[test]
@@ -1415,12 +1379,10 @@ mod tests {
     fn client_budget_header_is_clamped() {
         use gridauthz_core::MAX_CLIENT_BUDGET;
         let text = format!("GRAM/1 STATUS\njob: x\nbudget-micros: {}\n", u64::MAX);
-        let frame = WireFrame::decode(&text).unwrap();
-        let (_, budget) = admission_from_frame(&frame).unwrap();
+        let budget = parse_frame(&text).unwrap().budget;
         assert_eq!(budget, Some(MAX_CLIENT_BUDGET), "unbounded budgets are clamped");
         let text = "GRAM/1 STATUS\njob: x\nbudget-micros: 750\n";
-        let frame = WireFrame::decode(text).unwrap();
-        let (_, budget) = admission_from_frame(&frame).unwrap();
+        let budget = parse_frame(text).unwrap().budget;
         assert_eq!(budget, Some(SimDuration::from_micros(750)), "sane budgets pass through");
     }
 
@@ -1442,10 +1404,11 @@ mod tests {
             retry_after: SimDuration::from_millis(3),
         };
         assert_eq!(error_code(&error), "BUSY");
-        let resp = WireResponse::from_error(&error);
-        assert_eq!(resp, WireResponse::Busy { retry_after_micros: 3_000 });
-        let encoded = resp.encode().unwrap();
+        let mut encoded = String::new();
+        answer_failure(&mut encoded, &error);
         assert_eq!(encoded, "GRAM/1 BUSY\nretry-after-micros: 3000\n");
+        let resp = WireResponse::Busy { retry_after_micros: 3_000 };
+        assert_eq!(resp.encode().unwrap(), encoded);
         assert_eq!(WireResponse::decode(&encoded).unwrap(), resp);
         // A BUSY frame without the retry hint is malformed.
         assert!(WireResponse::decode("GRAM/1 BUSY\n").is_err());
@@ -1453,29 +1416,38 @@ mod tests {
 
     #[test]
     fn admission_headers_roundtrip_and_default() {
-        let req = WireRequest::Status { contact: "gram://site/jobs/4".into() };
-        let mut text = req.encode().unwrap();
-        append_admission_headers(
-            &mut text,
-            AdmissionClass::Batch,
-            Some(SimDuration::from_micros(750)),
-        );
-        let frame = WireFrame::decode(&text).unwrap();
+        let req = WireRequestRef::Status { contact: "gram://site/jobs/4" };
+        let text = format!("{}class: batch\nbudget-micros: 750\n", req.encode().unwrap());
+        let parsed = parse_frame(&text).unwrap();
         // The extra headers don't disturb request decoding.
-        assert_eq!(WireRequestRef::from_frame(&frame).unwrap().into_owned(), req);
-        let (class, budget) = admission_from_frame(&frame).unwrap();
-        assert_eq!(class, AdmissionClass::Batch);
-        assert_eq!(budget, Some(SimDuration::from_micros(750)));
+        assert_eq!(parsed.request, req);
+        assert_eq!(parsed.class, Some(AdmissionClass::Batch));
+        assert_eq!(parsed.budget, Some(SimDuration::from_micros(750)));
 
-        // Absent headers: interactive, server-chosen budget.
-        let frame = WireFrame::decode("GRAM/1 STATUS\njob: x\n").unwrap();
-        assert_eq!(admission_from_frame(&frame).unwrap(), (AdmissionClass::Interactive, None));
+        // Absent headers: the connection's lane, server-chosen budget.
+        let parsed = parse_frame("GRAM/1 STATUS\njob: x\n").unwrap();
+        assert_eq!((parsed.class, parsed.budget), (None, None));
 
         // Malformed metadata is rejected, not silently defaulted.
-        let frame = WireFrame::decode("GRAM/1 STATUS\njob: x\nclass: realtime\n").unwrap();
-        assert!(admission_from_frame(&frame).is_err());
-        let frame = WireFrame::decode("GRAM/1 STATUS\njob: x\nbudget-micros: soon\n").unwrap();
-        assert!(admission_from_frame(&frame).is_err());
+        for bad in ["class: realtime", "budget-micros: soon"] {
+            let text = format!("GRAM/1 STATUS\njob: x\n{bad}\n");
+            let e = parse_frame(&text).expect_err("malformed admission header");
+            assert_eq!(e.code(), "BAD_REQUEST", "{bad}: {e}");
+        }
+    }
+
+    #[test]
+    fn parse_frame_splits_the_credential_from_the_request() {
+        let pem = "-----BEGIN X509-----\nxxGRAM/1 SUBMIT yy\n-----END X509-----\n";
+        let text = format!("{pem}GRAM/1 CANCEL\njob: gram://site/jobs/5\n");
+        let parsed = parse_frame(&text).unwrap();
+        assert_eq!(parsed.pem, pem);
+        assert_eq!(parsed.request, WireRequestRef::Cancel { contact: "gram://site/jobs/5" });
+        // No request line, or a repeated header: typed refusals.
+        let e = parse_frame(pem).expect_err("no request line");
+        assert_eq!(e.code(), "BAD_REQUEST");
+        let e = parse_frame(&format!("{pem}GRAM/1 CANCEL\njob: a\njob: b\n")).unwrap_err();
+        assert_eq!(e.code(), "DUPLICATE_HEADER");
     }
 
     /// A header value: arbitrary text with no line breaks, including
@@ -1490,25 +1462,31 @@ mod tests {
         .prop_map(|chars| chars.into_iter().collect())
     }
 
-    fn request_strategy() -> impl Strategy<Value = WireRequest> {
+    /// The owned parts of an arbitrary request; [`request_of`] borrows
+    /// a request from them.
+    type RequestParts = (u8, String, Option<String>, u64, GramSignal);
+
+    fn request_strategy() -> impl Strategy<Value = RequestParts> {
         let signal = prop_oneof![
             Just(GramSignal::Suspend),
             Just(GramSignal::Resume),
             (-100i64..100).prop_map(GramSignal::Priority),
         ];
-        prop_oneof![
-            (value_strategy(), prop::option::of(value_strategy()), 0u64..1_000_000).prop_map(
-                |(rsl, account, micros)| WireRequest::Submit {
-                    rsl,
-                    account,
-                    work: SimDuration::from_micros(micros),
-                }
-            ),
-            value_strategy().prop_map(|contact| WireRequest::Cancel { contact }),
-            value_strategy().prop_map(|contact| WireRequest::Status { contact }),
-            (value_strategy(), signal)
-                .prop_map(|(contact, signal)| WireRequest::Signal { contact, signal }),
-        ]
+        (0u8..4, value_strategy(), prop::option::of(value_strategy()), 0u64..1_000_000, signal)
+    }
+
+    fn request_of(parts: &RequestParts) -> WireRequestRef<'_> {
+        let (verb, text, account, micros, signal) = parts;
+        match verb {
+            0 => WireRequestRef::Submit {
+                rsl: text,
+                account: account.as_deref(),
+                work: SimDuration::from_micros(*micros),
+            },
+            1 => WireRequestRef::Cancel { contact: text },
+            2 => WireRequestRef::Status { contact: text },
+            _ => WireRequestRef::Signal { contact: text, signal: *signal },
+        }
     }
 
     fn response_strategy() -> impl Strategy<Value = WireResponse> {
@@ -1544,9 +1522,10 @@ mod tests {
 
     proptest! {
         #[test]
-        fn request_encode_decode_roundtrip(req in request_strategy()) {
+        fn request_encode_decode_roundtrip(parts in request_strategy()) {
+            let req = request_of(&parts);
             let encoded = req.encode().expect("line-break-free values must encode");
-            prop_assert_eq!(WireRequest::decode(&encoded).unwrap(), req);
+            prop_assert_eq!(WireRequestRef::decode(&encoded).unwrap(), req);
         }
 
         #[test]

@@ -4,25 +4,26 @@
 //! in order, each decoding identically to the one-shot decoder.
 
 use gridauthz_clock::SimDuration;
-use gridauthz_gram::wire::{FrameAssembler, WireRequest, MAX_FRAME_BYTES};
+use gridauthz_gram::wire::{FrameAssembler, WireRequestRef, MAX_FRAME_BYTES};
 use gridauthz_gram::GramSignal;
 
 use proptest::prelude::*;
 
-/// One arbitrary well-formed request (values kept line-break-free, as
-/// the encoder enforces).
-fn arb_request() -> impl Strategy<Value = WireRequest> {
+/// One arbitrary well-formed request, encoded (values kept
+/// line-break-free, as the encoder enforces).
+fn arb_request() -> impl Strategy<Value = String> {
     let text = "[a-zA-Z0-9 =()&/_.-]{1,40}";
+    let encode = |request: WireRequestRef<'_>| request.encode().expect("line-break-free values");
     prop_oneof![
         (text, proptest::option::of("[a-z]{1,12}"), 0u64..1_000_000).prop_map(
-            |(rsl, account, micros)| WireRequest::Submit {
-                rsl,
-                account,
+            move |(rsl, account, micros)| encode(WireRequestRef::Submit {
+                rsl: &rsl,
+                account: account.as_deref(),
                 work: SimDuration::from_micros(micros),
-            }
+            })
         ),
-        text.prop_map(|contact| WireRequest::Cancel { contact }),
-        text.prop_map(|contact| WireRequest::Status { contact }),
+        text.prop_map(move |contact| encode(WireRequestRef::Cancel { contact: &contact })),
+        text.prop_map(move |contact| encode(WireRequestRef::Status { contact: &contact })),
         (
             text,
             prop_oneof![
@@ -31,24 +32,34 @@ fn arb_request() -> impl Strategy<Value = WireRequest> {
                 (0i64..10).prop_map(GramSignal::Priority),
             ]
         )
-            .prop_map(|(contact, signal)| WireRequest::Signal { contact, signal }),
+            .prop_map(move |(contact, signal)| encode(WireRequestRef::Signal {
+                contact: &contact,
+                signal
+            })),
     ]
 }
 
-/// Encodes `requests` as a pipelined stream: each frame is the encoded
-/// message (which ends in `\n`) plus the one extra `\n` delimiter.
-fn stream_of(requests: &[WireRequest]) -> Vec<u8> {
+/// Joins encoded `requests` into a pipelined stream: each frame is the
+/// encoded message (which ends in `\n`) plus the one extra `\n`
+/// delimiter.
+fn stream_of(requests: &[String]) -> Vec<u8> {
     let mut stream = String::new();
     for request in requests {
-        request.encode_into(&mut stream).expect("generated values are line-break-free");
+        stream.push_str(request);
         stream.push('\n');
     }
     stream.into_bytes()
 }
 
+/// Decodes one reassembled frame and returns its text.
+fn checked_frame(frame: &str) -> String {
+    WireRequestRef::decode(frame).expect("round trip");
+    frame.to_string()
+}
+
 /// Feeds `stream` to an assembler in the given chunk sizes and returns
 /// every decoded frame.
-fn reassemble(stream: &[u8], chunks: impl Iterator<Item = usize>) -> Vec<WireRequest> {
+fn reassemble(stream: &[u8], chunks: impl Iterator<Item = usize>) -> Vec<String> {
     let mut assembler = FrameAssembler::new(MAX_FRAME_BYTES);
     let mut decoded = Vec::new();
     let mut offset = 0;
@@ -56,9 +67,8 @@ fn reassemble(stream: &[u8], chunks: impl Iterator<Item = usize>) -> Vec<WireReq
         let end = (offset + chunk.max(1)).min(stream.len());
         assembler.push(&stream[offset..end]);
         offset = end;
-        while let Some(request) = assembler
-            .next_frame(|frame| WireRequest::decode(frame).expect("round trip"))
-            .expect("stream of valid frames")
+        while let Some(request) =
+            assembler.next_frame(checked_frame).expect("stream of valid frames")
         {
             decoded.push(request);
         }
@@ -98,9 +108,11 @@ proptest! {
         prop_assert_eq!(&trickle, &requests);
 
         // One-shot: each frame's text decodes to the same request.
-        for request in &requests {
-            let frame = request.encode().unwrap();
-            prop_assert_eq!(&WireRequest::decode(&frame).unwrap(), request);
+        for (frame, request) in burst.iter().zip(&requests) {
+            prop_assert_eq!(
+                WireRequestRef::decode(frame).unwrap(),
+                WireRequestRef::decode(request).unwrap()
+            );
         }
     }
 
@@ -113,7 +125,7 @@ proptest! {
     ) {
         let mut stream = String::new();
         for (i, request) in requests.iter().enumerate() {
-            request.encode_into(&mut stream).unwrap();
+            stream.push_str(request);
             stream.push('\n');
             for _ in 0..extra[i % extra.len()] {
                 stream.push('\n');
@@ -169,7 +181,7 @@ proptest! {
         assembler.push(&stream);
         let mut decoded = Vec::new();
         while let Some(request) = assembler
-            .next_frame(|frame| WireRequest::decode(frame).expect("round trip"))
+            .next_frame(checked_frame)
             .expect("stream of valid frames")
         {
             decoded.push(request);
@@ -206,7 +218,7 @@ proptest! {
         }
         prop_assert_eq!(frames.len(), 1, "the CRLF terminator must end the frame");
         prop_assert!(frames[0].contains('\r'));
-        let error = WireRequest::decode(&frames[0]).expect_err("CRLF text must not decode");
+        let error = WireRequestRef::decode(&frames[0]).expect_err("CRLF text must not decode");
         prop_assert!(error.to_string().contains("carriage return"), "{}", error);
         prop_assert_eq!(assembler.residue(), 0);
     }

@@ -273,3 +273,130 @@ fn stop_joins_all_threads_and_drains_cleanly() {
         Frontend::bind(Arc::clone(&server), "127.0.0.1:0", FrontendConfig::default()).unwrap();
     assert!(frontend.stop().iter().all(|s| *s == Default::default()));
 }
+
+/// Reads answers until the server closes the connection, failing if any
+/// bytes arrive after the last expected frame.
+fn assert_closed(reader: &mut FrameReader) {
+    let mut rest = Vec::new();
+    let n = reader.stream.read_to_end(&mut rest).unwrap();
+    assert_eq!(n, 0, "connection must close; got {:?}", String::from_utf8_lossy(&rest));
+}
+
+#[test]
+fn malformed_admission_headers_are_refused_and_spend_the_error_budget() {
+    let (bo, server) = grid();
+    let frontend = Frontend::bind(
+        Arc::clone(&server),
+        "127.0.0.1:0",
+        FrontendConfig { workers: 1, error_budget: 2, ..FrontendConfig::default() },
+    )
+    .unwrap();
+    let bo_pem = pem::encode_chain(bo.chain());
+    let contact = server
+        .submit(bo.chain(), "&(executable = test1)(count = 1)", None, SimDuration::from_mins(5))
+        .unwrap();
+
+    let stream = TcpStream::connect(frontend.local_addr()).unwrap();
+    let mut reader = FrameReader::new(stream);
+    for header in ["class: realtime", "budget-micros: soon"] {
+        let frame = format!("{bo_pem}GRAM/1 STATUS\njob: {}\n{header}\n\n", contact.as_str());
+        reader.stream.write_all(frame.as_bytes()).unwrap();
+        let response = reader.read_frame();
+        assert_eq!(error_code_of(&response), Some("BAD_REQUEST"), "{header}: {response}");
+    }
+    // Both refusals spent the budget of two: the connection is closed.
+    assert_closed(&mut reader);
+    assert_eq!(server.telemetry().counter(Stage::Admission, labels::ERROR_BUDGET), 1);
+    assert_eq!(server.telemetry().counter(Stage::FrameDecode, labels::BAD_REQUEST), 2);
+    frontend.stop();
+}
+
+#[test]
+fn a_zero_client_budget_is_answered_busy_and_the_same_frame_without_it_is_served() {
+    let (bo, server) = grid();
+    // A simulated front-end clock that never moves: only a zero budget
+    // can expire.
+    let frontend = Frontend::bind_with_clock(
+        Arc::clone(&server),
+        "127.0.0.1:0",
+        FrontendConfig { workers: 1, ..FrontendConfig::default() },
+        Arc::new(SimClock::new()),
+    )
+    .unwrap();
+    let bo_pem = pem::encode_chain(bo.chain());
+    let contact = server
+        .submit(bo.chain(), "&(executable = test1)(count = 1)", None, SimDuration::from_mins(5))
+        .unwrap();
+    let status = format!("{bo_pem}GRAM/1 STATUS\njob: {}\n", contact.as_str());
+
+    let stream = TcpStream::connect(frontend.local_addr()).unwrap();
+    let mut reader = FrameReader::new(stream);
+    reader.stream.write_all(format!("{status}budget-micros: 0\n\n").as_bytes()).unwrap();
+    let response = reader.read_frame();
+    assert!(response.starts_with("GRAM/1 BUSY\nretry-after-micros: "), "{response}");
+    assert_eq!(server.telemetry().counter(Stage::Admission, labels::EXPIRED), 1);
+
+    // The connection stays open, and the same frame without the header
+    // is served on it.
+    reader.stream.write_all(format!("{status}\n").as_bytes()).unwrap();
+    let response = reader.read_frame();
+    assert!(response.starts_with("GRAM/1 REPORT\n"), "{response}");
+    assert!(response.contains(contact.as_str()), "{response}");
+    assert_eq!(server.telemetry().counter(Stage::Admission, labels::EXPIRED), 1);
+
+    drop(reader);
+    frontend.stop();
+}
+
+#[test]
+fn a_repeated_header_is_answered_with_its_own_code() {
+    let (bo, server) = grid();
+    let frontend =
+        Frontend::bind(Arc::clone(&server), "127.0.0.1:0", FrontendConfig::default()).unwrap();
+    let bo_pem = pem::encode_chain(bo.chain());
+
+    let stream = TcpStream::connect(frontend.local_addr()).unwrap();
+    let mut reader = FrameReader::new(stream);
+    let frame = format!("{bo_pem}GRAM/1 CANCEL\njob: gram://a/jobs/1\njob: gram://a/jobs/2\n\n");
+    reader.stream.write_all(frame.as_bytes()).unwrap();
+    let response = reader.read_frame();
+    assert_eq!(error_code_of(&response), Some("DUPLICATE_HEADER"), "{response}");
+    assert!(response.contains("duplicate header"), "{response}");
+    assert_eq!(server.telemetry().counter(Stage::FrameDecode, labels::DUPLICATE_HEADER), 1);
+
+    drop(reader);
+    frontend.stop();
+}
+
+#[test]
+fn an_untrusted_chain_with_an_unknown_verb_is_refused_before_authentication() {
+    let (_bo, server) = grid();
+    // A chain from a CA the server does not trust.
+    let clock = SimClock::new();
+    let rogue_ca = CertificateAuthority::new_root("/O=Rogue/CN=CA", &clock).unwrap();
+    let mallory =
+        rogue_ca.issue_identity("/O=Rogue/CN=Mallory", SimDuration::from_hours(1)).unwrap();
+    let frame = format!("{}GRAM/1 NOPE\njob: x\n\n", pem::encode_chain(mallory.chain()));
+
+    let budget = 3;
+    let frontend = Frontend::bind(
+        Arc::clone(&server),
+        "127.0.0.1:0",
+        FrontendConfig { workers: 1, error_budget: budget, ..FrontendConfig::default() },
+    )
+    .unwrap();
+    let stream = TcpStream::connect(frontend.local_addr()).unwrap();
+    let mut reader = FrameReader::new(stream);
+    reader.stream.write_all(frame.repeat(budget as usize).as_bytes()).unwrap();
+    for i in 0..budget {
+        let response = reader.read_frame();
+        assert_eq!(error_code_of(&response), Some("BAD_REQUEST"), "refusal {i}: {response}");
+        assert!(response.contains("unknown verb"), "refusal {i}: {response}");
+    }
+    assert_closed(&mut reader);
+    assert_eq!(server.telemetry().counter(Stage::Admission, labels::ERROR_BUDGET), 1);
+    // Parsing refused every frame, so no chain was ever checked.
+    assert_eq!(server.telemetry().counter(Stage::Authenticate, labels::AUTHENTICATION), 0);
+    assert_eq!(server.auth_cache_stats().misses, 0);
+    frontend.stop();
+}

@@ -358,11 +358,6 @@ impl Journal {
         self.state.lock().expect("journal state poisoned").committed_seq
     }
 
-    /// True once a batch has failed and the journal refuses appends.
-    pub fn is_dead(&self) -> bool {
-        self.state.lock().expect("journal state poisoned").dead.is_some()
-    }
-
     /// Counters for telemetry.
     pub fn stats(&self) -> JournalStats {
         JournalStats {

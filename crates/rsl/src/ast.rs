@@ -235,19 +235,6 @@ impl Relation {
         Relation { attribute, op, values }
     }
 
-    /// Builds a single-valued relation from string parts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RslError`] if `attribute` is not a valid attribute name.
-    pub fn parse_parts(
-        attribute: &str,
-        op: RelOp,
-        value: impl Into<Value>,
-    ) -> Result<Relation, RslError> {
-        Ok(Relation::new(Attribute::new(attribute)?, op, vec![value.into()]))
-    }
-
     /// The relation's attribute name.
     pub fn attribute(&self) -> &Attribute {
         &self.attribute

@@ -215,12 +215,6 @@ impl FrozenInterner {
     pub fn name_count(&self) -> u32 {
         self.inner.name_count()
     }
-
-    /// Reopens the table for interning (clones the maps). Used when a
-    /// policy is recompiled starting from an existing symbol universe.
-    pub fn thaw(&self) -> Interner {
-        self.inner.clone()
-    }
 }
 
 #[cfg(test)]

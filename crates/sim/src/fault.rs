@@ -107,11 +107,6 @@ impl FlakyCallout {
         self
     }
 
-    /// Adds a fault window after construction (running scenarios).
-    pub fn inject(&self, window: FaultWindow) {
-        self.windows.write().unwrap_or_else(|e| e.into_inner()).push(window);
-    }
-
     /// Total calls observed.
     pub fn calls(&self) -> u64 {
         self.calls.load(Ordering::Relaxed)

@@ -8,7 +8,7 @@ use gridauthz_core::{
     PolicyOrigin, PolicySource, RequestContext,
 };
 use gridauthz_credential::{
-    CertificateAuthority, Credential, DistinguishedName, GridMapEntry, GridMapFile, TrustStore,
+    CertificateAuthority, Credential, GridMapEntry, GridMapFile, TrustStore,
 };
 use gridauthz_gram::{DurabilityConfig, GramClient, GramMode, GramServer, GramServerBuilder};
 use gridauthz_scheduler::Cluster;
@@ -52,11 +52,6 @@ impl Testbed {
         GramClient::new(self.members[i].clone())
     }
 
-    /// The member DNs, in order.
-    pub fn member_dns(&self) -> Vec<DistinguishedName> {
-        self.members.iter().map(Credential::identity).collect()
-    }
-
     /// A request lifecycle context on the testbed's simulated clock:
     /// `class`'s default deadline budget plus a freshly minted trace id
     /// — the deterministic counterpart of the context the TCP front-end
@@ -76,7 +71,6 @@ pub struct TestbedBuilder {
     nodes: usize,
     cpus_per_node: u32,
     combiner: Combiner,
-    extra_sources: Vec<PolicySource>,
     extra_callouts: Vec<Arc<dyn AuthorizationCallout>>,
     telemetry: Option<Arc<TelemetryRegistry>>,
     clock: Option<SimClock>,
@@ -91,7 +85,6 @@ impl Default for TestbedBuilder {
             nodes: 8,
             cpus_per_node: 8,
             combiner: Combiner::DenyOverrides,
-            extra_sources: Vec::new(),
             extra_callouts: Vec::new(),
             telemetry: None,
             clock: None,
@@ -133,13 +126,6 @@ impl TestbedBuilder {
     #[must_use]
     pub fn combiner(mut self, combiner: Combiner) -> Self {
         self.combiner = combiner;
-        self
-    }
-
-    /// Adds an additional policy source to the combined PDP (T3 sweeps).
-    #[must_use]
-    pub fn extra_source(mut self, source: PolicySource) -> Self {
-        self.extra_sources.push(source);
         self
     }
 
@@ -253,7 +239,7 @@ impl TestbedBuilder {
         let vo_policy = Policy::from_statements(vo_statements);
 
         let local_policy: Policy = LOCAL_POLICY.parse().expect("fixture policy parses");
-        let mut sources = vec![
+        let sources = vec![
             PolicySource::new("local", PolicyOrigin::ResourceOwner, local_policy),
             PolicySource::new(
                 "fusion-vo",
@@ -261,7 +247,6 @@ impl TestbedBuilder {
                 vo_policy,
             ),
         ];
-        sources.extend(self.extra_sources);
 
         let mut builder = GramServerBuilder::new("anl-cluster", &clock)
             .trust(trust)

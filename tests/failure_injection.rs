@@ -97,7 +97,8 @@ impl AuthorizationCallout for ForgingCallout {
 
 #[test]
 fn newline_bearing_failure_messages_cannot_forge_wire_headers() {
-    use gridauthz::gram::wire::{WireRequest, WireResponse};
+    use gridauthz::credential::pem::encode_chain;
+    use gridauthz::gram::wire::{WireRequestRef, WireResponse};
     use gridauthz::telemetry::{labels, Stage};
 
     let clock = SimClock::new();
@@ -114,12 +115,16 @@ fn newline_bearing_failure_messages_cannot_forge_wire_headers() {
         .callouts(vec![Arc::new(ForgingCallout)])
         .build();
 
-    let request = WireRequest::Submit {
-        rsl: "&(executable = a)(count = 1)".into(),
+    let request = WireRequestRef::Submit {
+        rsl: "&(executable = a)(count = 1)",
         account: None,
         work: mins(1),
     };
-    let text = server.handle_wire(user.chain(), &request.encode().unwrap());
+    let text = server.handle_wire_pem(&format!(
+        "{}{}",
+        encode_chain(user.chain()),
+        request.encode().unwrap()
+    ));
     // The poisoned message cannot be encoded; the server answers with
     // the static fallback instead of leaking a forged `code:` header.
     let response = WireResponse::decode(&text).unwrap();

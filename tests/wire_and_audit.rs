@@ -1,12 +1,18 @@
 //! Integration tests for the wire protocol boundary and the audit trail.
 
 use gridauthz::clock::SimDuration;
-use gridauthz::gram::wire::{WireRequest, WireResponse};
-use gridauthz::gram::{AuditOutcome, GramSignal};
+use gridauthz::credential::{pem::encode_chain, Certificate};
+use gridauthz::gram::wire::{WireRequestRef, WireResponse};
+use gridauthz::gram::{AuditOutcome, GramServer, GramSignal};
 use gridauthz::sim::TestbedBuilder;
 
 fn mins(m: u64) -> SimDuration {
     SimDuration::from_mins(m)
+}
+
+/// Sends `body` behind `chain`'s PEM armor and returns the answer text.
+fn serve_pem(server: &GramServer, chain: &[Certificate], body: &str) -> String {
+    server.handle_wire_pem(&format!("{}{body}", encode_chain(chain)))
 }
 
 #[test]
@@ -15,21 +21,21 @@ fn full_job_lifecycle_over_the_wire() {
     let chain = tb.members[0].chain();
 
     // Submit.
-    let submit = WireRequest::Submit {
-        rsl: "&(executable = TRANSP)(jobtag = NFC)(count = 2)".into(),
+    let submit = WireRequestRef::Submit {
+        rsl: "&(executable = TRANSP)(jobtag = NFC)(count = 2)",
         account: None,
         work: mins(30),
     };
     let response =
-        WireResponse::decode(&tb.server.handle_wire(chain, &submit.encode().unwrap())).unwrap();
+        WireResponse::decode(&serve_pem(&tb.server, chain, &submit.encode().unwrap())).unwrap();
     let WireResponse::Submitted { contact } = response else {
         panic!("expected Submitted, got {response:?}");
     };
 
     // Status.
-    let status = WireRequest::Status { contact: contact.clone() };
+    let status = WireRequestRef::Status { contact: &contact };
     let response =
-        WireResponse::decode(&tb.server.handle_wire(chain, &status.encode().unwrap())).unwrap();
+        WireResponse::decode(&serve_pem(&tb.server, chain, &status.encode().unwrap())).unwrap();
     let WireResponse::Report { state, jobtag, owner, .. } = response else {
         panic!("expected Report, got {response:?}");
     };
@@ -38,13 +44,13 @@ fn full_job_lifecycle_over_the_wire() {
     assert_eq!(owner, tb.members[0].identity().to_string());
 
     // Suspend via signal, then cancel.
-    let signal = WireRequest::Signal { contact: contact.clone(), signal: GramSignal::Suspend };
+    let signal = WireRequestRef::Signal { contact: &contact, signal: GramSignal::Suspend };
     let response =
-        WireResponse::decode(&tb.server.handle_wire(chain, &signal.encode().unwrap())).unwrap();
+        WireResponse::decode(&serve_pem(&tb.server, chain, &signal.encode().unwrap())).unwrap();
     assert_eq!(response, WireResponse::Done);
-    let cancel = WireRequest::Cancel { contact };
+    let cancel = WireRequestRef::Cancel { contact: &contact };
     let response =
-        WireResponse::decode(&tb.server.handle_wire(chain, &cancel.encode().unwrap())).unwrap();
+        WireResponse::decode(&serve_pem(&tb.server, chain, &cancel.encode().unwrap())).unwrap();
     assert_eq!(response, WireResponse::Done);
 }
 
@@ -53,13 +59,13 @@ fn wire_denials_carry_protocol_error_codes() {
     let tb = TestbedBuilder::new().members(1).build();
     let chain = tb.members[0].chain();
 
-    let rogue = WireRequest::Submit {
-        rsl: "&(executable = rogue)(jobtag = NFC)(count = 1)".into(),
+    let rogue = WireRequestRef::Submit {
+        rsl: "&(executable = rogue)(jobtag = NFC)(count = 1)",
         account: None,
         work: mins(1),
     };
     let response =
-        WireResponse::decode(&tb.server.handle_wire(chain, &rogue.encode().unwrap())).unwrap();
+        WireResponse::decode(&serve_pem(&tb.server, chain, &rogue.encode().unwrap())).unwrap();
     let WireResponse::Error { code, message } = response else {
         panic!("expected Error, got {response:?}");
     };
@@ -67,16 +73,16 @@ fn wire_denials_carry_protocol_error_codes() {
     assert!(message.contains("fusion-vo"));
 
     // Garbage framing comes back as BAD_REQUEST, never a panic.
-    let response = WireResponse::decode(&tb.server.handle_wire(chain, "EHLO mail")).unwrap();
+    let response = WireResponse::decode(&serve_pem(&tb.server, chain, "EHLO mail")).unwrap();
     let WireResponse::Error { code, .. } = response else {
         panic!("expected Error");
     };
     assert_eq!(code, "BAD_REQUEST");
 
     // Unknown contacts are UNKNOWN_JOB.
-    let cancel = WireRequest::Cancel { contact: "gram://nowhere/jobs/99".into() };
+    let cancel = WireRequestRef::Cancel { contact: "gram://nowhere/jobs/99" };
     let response =
-        WireResponse::decode(&tb.server.handle_wire(chain, &cancel.encode().unwrap())).unwrap();
+        WireResponse::decode(&serve_pem(&tb.server, chain, &cancel.encode().unwrap())).unwrap();
     let WireResponse::Error { code, .. } = response else {
         panic!("expected Error");
     };
@@ -134,22 +140,23 @@ fn header_injection_is_rejected_at_both_codec_boundaries() {
 
     // Encode side: a jobtag (or any header value) carrying a newline
     // would smuggle a forged header into the message; encode refuses.
-    let smuggle = WireRequest::Submit {
-        rsl: "&(executable = TRANSP)(jobtag = NFC)(count = 1)\nowner: /O=Grid/CN=Forged".into(),
+    let smuggle = WireRequestRef::Submit {
+        rsl: "&(executable = TRANSP)(jobtag = NFC)(count = 1)\nowner: /O=Grid/CN=Forged",
         account: None,
         work: mins(1),
     };
     assert!(smuggle.encode().is_err());
 
     // Decode side: hand-built wire text with a duplicate header (the
-    // result of a successful injection) is refused before dispatch.
+    // result of a successful injection) is refused before dispatch, with
+    // its own protocol code.
     let forged = "GRAM/1 SUBMIT\nrsl: &(executable = TRANSP)(jobtag = NFC)(count = 1)\n\
                   work-micros: 60000000\nwork-micros: 1\n";
-    let response = WireResponse::decode(&tb.server.handle_wire(chain, forged)).unwrap();
+    let response = WireResponse::decode(&serve_pem(&tb.server, chain, forged)).unwrap();
     let WireResponse::Error { code, message } = response else {
         panic!("expected Error");
     };
-    assert_eq!(code, "BAD_REQUEST");
+    assert_eq!(code, "DUPLICATE_HEADER");
     assert!(message.contains("duplicate header"), "{message}");
 
     // Nothing reached the authorization pipeline or the audit log.
@@ -190,11 +197,9 @@ fn audit_survives_shared_dynamic_accounts() {
 
 #[test]
 fn self_contained_pem_wire_messages_work_end_to_end() {
-    use gridauthz::credential::pem::encode_chain;
-
     let tb = TestbedBuilder::new().members(1).build();
-    let request = WireRequest::Submit {
-        rsl: "&(executable = TRANSP)(jobtag = NFC)(count = 2)".into(),
+    let request = WireRequestRef::Submit {
+        rsl: "&(executable = TRANSP)(jobtag = NFC)(count = 2)",
         account: None,
         work: mins(10),
     };
