@@ -4,22 +4,28 @@
 //! and checked against an oracle of exactly which operations were
 //! acknowledged before the lights went out.
 //!
-//! The four recovery invariants, checked after every crash point:
+//! The five recovery invariants, checked after every crash point:
 //!
 //! 1. **No acknowledged mutation is lost.** Every submit whose contact
-//!    was returned is present after recovery; every acknowledged cancel
-//!    and signal is still in effect; an acknowledged grid-map update
-//!    still maps the identities it added.
+//!    was returned and that was not cancelled is present after
+//!    recovery; every acknowledged cancel and signal is still in
+//!    effect; an acknowledged grid-map update still maps the identities
+//!    it added.
 //! 2. **No unacknowledged mutation is visible.** The recovered server
-//!    holds exactly the acknowledged jobs — a submit that died inside
-//!    the commit barrier must not leave a phantom job (or a torn frame
-//!    that replays into one).
+//!    holds exactly the acknowledged live jobs (a cancel retires its
+//!    job) — a submit that died inside the commit barrier must not
+//!    leave a phantom job (or a torn frame that replays into one).
 //! 3. **No cancelled job is resurrected.** An acknowledged cancel stays
-//!    terminal across the crash, whatever the journal's tail looked
-//!    like.
+//!    in effect across the crash, whatever the journal's tail looked
+//!    like: the job is absent (retired) or at most cancelled, never
+//!    live.
 //! 4. **No stale identity is honored.** After an acknowledged
 //!    revocation, the revoked chain fails authentication on the
 //!    recovered server — recovery may not roll the trust store back.
+//! 5. **No contact is reissued.** A submit on the recovered server gets
+//!    a contact index above every index issued before the crash, also
+//!    when the job that held the highest one was cancelled, retired
+//!    and checkpointed away.
 //!
 //! Plus the lease-table reconciliation rule (§4.3 dynamic accounts): the
 //! recovered pool holds a lease exactly for each live dynamic-account
@@ -137,7 +143,8 @@ impl CrashWorld {
     /// dynamic-lease submits, a signal, cancels (single-job and a
     /// VO-wide tag sweep), a grid-map update and a credential revocation
     /// — so the crash-point sweep exercises every commit barrier the
-    /// server has.
+    /// server has — plus a checkpoint right after the newest job was
+    /// cancelled and retired.
     fn run_workload(&self, server: &GramServer, oracle: &mut Oracle) {
         let work = SimDuration::from_mins(30);
         // 1. Alice submits J1 under her grid-mapfile account.
@@ -206,7 +213,24 @@ impl CrashWorld {
                 return;
             }
         }
-        // 11. Alice submits J5, the final acknowledged job.
+        // 11. Alice submits J5, the highest contact issued so far.
+        let Some(j5) = oracle.submit(server.submit(self.alice.chain(), JOB_RSL, None, work), false)
+        else {
+            return;
+        };
+        // 12. Alice cancels J5 and the operator checkpoints: no record
+        // names J5 any more, so only the snapshot's next-contact index
+        // keeps recovery from reissuing its contact.
+        if !oracle.step(server.cancel(self.alice.chain(), &j5), |o| {
+            o.job_mut(&j5).cancelled = true;
+        }) {
+            return;
+        }
+        if let Err(e) = server.checkpoint() {
+            assert_durability_failure(&e);
+            return;
+        }
+        // 13. Alice submits J6, the final acknowledged job.
         oracle.submit(server.submit(self.alice.chain(), JOB_RSL, None, work), false);
     }
 
@@ -216,29 +240,26 @@ impl CrashWorld {
         let mut violations = Vec::new();
         for job in &oracle.jobs {
             let contact = JobContact::from_wire(&job.contact);
-            match server.job_state(&contact) {
-                // Invariant 1: acknowledged jobs survive.
-                None => violations.push(format!("acknowledged job {} lost", job.contact)),
-                Some(state) => {
-                    // Invariant 3: acknowledged cancels stay terminal.
-                    if job.cancelled && !matches!(state, JobState::Cancelled { .. }) {
-                        violations.push(format!(
-                            "cancelled job {} resurrected as {}",
-                            job.contact,
-                            state.label()
-                        ));
-                    }
-                    if !job.cancelled
-                        && job.suspended
-                        && !matches!(state, JobState::Suspended { .. })
-                    {
+            match (server.job_state(&contact), job.cancelled) {
+                // Invariant 3: an acknowledged cancel retired the job;
+                // it may read as cancelled, never as live.
+                (None | Some(JobState::Cancelled { .. }), true) => {}
+                (Some(state), true) => violations.push(format!(
+                    "cancelled job {} resurrected as {}",
+                    job.contact,
+                    state.label()
+                )),
+                // Invariant 1: acknowledged live jobs survive.
+                (None, false) => violations.push(format!("acknowledged job {} lost", job.contact)),
+                (Some(state), false) => {
+                    if job.suspended && !matches!(state, JobState::Suspended { .. }) {
                         violations.push(format!(
                             "acknowledged suspend of {} lost (state {})",
                             job.contact,
                             state.label()
                         ));
                     }
-                    if !job.cancelled && !job.suspended && state.is_terminal() {
+                    if !job.suspended && state.is_terminal() {
                         violations.push(format!(
                             "live job {} recovered terminal ({})",
                             job.contact,
@@ -248,13 +269,11 @@ impl CrashWorld {
                 }
             }
         }
-        // Invariant 2: exactly the acknowledged jobs, no phantoms.
-        if server.job_count() != oracle.jobs.len() {
-            violations.push(format!(
-                "recovered {} jobs, {} were acknowledged",
-                server.job_count(),
-                oracle.jobs.len()
-            ));
+        // Invariant 2: exactly the acknowledged live jobs, no phantoms.
+        let live = oracle.jobs.iter().filter(|j| !j.cancelled).count();
+        if server.job_count() != live {
+            violations
+                .push(format!("recovered {} jobs, {live} acknowledged live", server.job_count()));
         }
         // Lease reconciliation: one live lease per live dynamic job.
         let expected_leases = oracle.jobs.iter().filter(|j| j.dynamic && !j.cancelled).count();
@@ -294,6 +313,17 @@ impl CrashWorld {
                 Err(e) => violations
                     .push(format!("acknowledged grid-map update lost: carol refused ({e})")),
             }
+        }
+        // Invariant 5: the next contact is above every issued one.
+        let issued =
+            oracle.jobs.iter().filter_map(|j| JobContact::from_wire(&j.contact).index()).max();
+        match server.submit(self.alice.chain(), JOB_RSL, None, SimDuration::from_mins(30)) {
+            Ok(next) if next.index() > issued => {}
+            Ok(next) => violations.push(format!(
+                "contact {next} reissued after recovery (highest issued before the crash: \
+                 {issued:?})"
+            )),
+            Err(e) => violations.push(format!("post-recovery submit refused: {e}")),
         }
         violations
     }
@@ -547,7 +577,7 @@ mod tests {
         );
         assert!(!outcome.crashed);
         assert_eq!(outcome.violations, Vec::<String>::new());
-        assert_eq!(outcome.acked, 14, "every scripted mutation acknowledged");
+        assert_eq!(outcome.acked, 16, "every scripted mutation acknowledged");
     }
 
     #[test]

@@ -9,13 +9,20 @@
 //! | record                | mutation it makes durable                    |
 //! |-----------------------|----------------------------------------------|
 //! | `Submit`              | a job admitted by the local scheduler        |
-//! | `Cancel`              | a job cancelled (single or by-tag sweep)     |
+//! | `Cancel`              | a job cancelled and retired                  |
 //! | `Signal`              | suspend / resume / priority change           |
 //! | `LeaseGrant`          | a dynamic account leased to a subject (§7)   |
 //! | `LeaseRelease`        | a dynamic-account lease returned to the pool |
 //! | `SetGridmap`          | an administrative grid-mapfile swap          |
 //! | `RevokeCredential`    | one CRL entry loaded into the trust store    |
 //! | `Audit`               | one audit record (best-effort, non-fatal)    |
+//! | `NextContact`         | snapshot only: the next contact index        |
+//!
+//! A `Cancel` also retires its job: replay drops it, as the live server
+//! did. So a snapshot holds only live jobs, and its `NextContact` keeps
+//! recovery from reissuing the contact of a job no record names any
+//! more. Snapshots written before `NextContact` existed recover without
+//! it.
 //!
 //! Records carry state only, never cache invalidations: each cache's
 //! owner invalidates it in memory, and every cache starts empty after a
@@ -134,6 +141,12 @@ pub enum JournalRecord {
         /// Free-form administrative annotation.
         note: Option<String>,
     },
+    /// Snapshot only: the server's next contact index when the snapshot
+    /// was taken. Replay raises the counter to at least `index`.
+    NextContact {
+        /// The next contact index to issue.
+        index: u64,
+    },
 }
 
 const TAG_SUBMIT: u8 = 0;
@@ -149,6 +162,7 @@ const TAG_LEGACY_GENERATION: u8 = 8;
 const TAG_AUDIT: u8 = 9;
 const TAG_SET_GRIDMAP: u8 = 10;
 const TAG_REVOKE: u8 = 11;
+const TAG_NEXT_CONTACT: u8 = 12;
 
 const SIGNAL_SUSPEND: u8 = 0;
 const SIGNAL_RESUME: u8 = 1;
@@ -246,6 +260,10 @@ impl JournalRecord {
                 w.bool(*degraded);
                 w.opt_string(note.as_deref());
             }
+            JournalRecord::NextContact { index } => {
+                w.u8(TAG_NEXT_CONTACT);
+                w.u64(*index);
+            }
         }
         w.into_bytes()
     }
@@ -337,6 +355,7 @@ impl JournalRecord {
                 degraded: r.bool()?,
                 note: r.opt_string()?,
             },
+            TAG_NEXT_CONTACT => JournalRecord::NextContact { index: r.u64()? },
             other => return Err(CodecError(format!("unknown record tag {other}"))),
         }))
     }
@@ -491,6 +510,7 @@ mod tests {
                 degraded: true,
                 note: None,
             },
+            JournalRecord::NextContact { index: 12 },
         ]
     }
 

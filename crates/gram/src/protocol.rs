@@ -31,6 +31,12 @@ impl JobContact {
         &self.0
     }
 
+    /// The server-side job index the contact URL ends with; `None` for a
+    /// contact this server did not issue in that form.
+    pub fn index(&self) -> Option<u64> {
+        self.0.rsplit('/').next()?.parse().ok()
+    }
+
     /// Reconstructs a contact received over the wire. No validation is
     /// performed: an unknown or malformed contact simply fails job lookup
     /// with [`GramError::UnknownJob`].
@@ -218,6 +224,8 @@ mod tests {
         let c = JobContact::new("anl-cluster", 7);
         assert_eq!(c.as_str(), "gram://anl-cluster/jobs/7");
         assert_eq!(c.to_string(), c.as_str());
+        assert_eq!(c.index(), Some(7));
+        assert_eq!(JobContact::from_wire("gram://anl-cluster/jobs/x").index(), None);
     }
 
     #[test]

@@ -234,6 +234,7 @@ impl GramServerBuilder {
             mode,
             jobs: ShardedMap::new(),
             locals: ShardedMap::new(),
+            retired: Mutex::new(Vec::new()),
             scheduler: RwLock::new(scheduler),
             accounts: Accounts::from(self.accounts),
             sandboxing: self.sandboxing,
@@ -259,11 +260,16 @@ impl GramServerBuilder {
     ///
     /// Recovery restores the *control-plane* record of every
     /// acknowledged mutation, not temporal position: recovered jobs are
-    /// re-admitted from zero executed work (restart semantics), and
-    /// jobs that had reached a terminal state recover as cancelled.
-    /// Dynamic-account leases backing no live job after replay are
-    /// released (a crash between lease grant and job submit must not
-    /// leak the account).
+    /// re-admitted from zero executed work (restart semantics). A
+    /// replayed `Cancel` retires its job, as the live cancel did, so a
+    /// cancelled job does not come back; nor does a job that had ended
+    /// inside the scheduler before the snapshot, which the snapshot
+    /// leaves out (an older snapshot expresses it as `Submit` then
+    /// `Cancel`, and replay retires it). The snapshot's `NextContact`
+    /// record raises the contact counter past every contact issued
+    /// before the snapshot, so no contact is reissued. Dynamic-account
+    /// leases backing no live job after replay are released (a crash
+    /// between lease grant and job submit must not leak the account).
     ///
     /// # Errors
     ///
@@ -404,16 +410,6 @@ fn journal_to_audit(record: &JournalRecord) -> Result<AuditRecord, GramError> {
     })
 }
 
-/// When a terminal job reached its terminal state, `None` for live jobs.
-fn terminal_at(state: &JobState) -> Option<SimTime> {
-    match state {
-        JobState::Completed { at } | JobState::Cancelled { at } | JobState::TimedOut { at } => {
-            Some(*at)
-        }
-        _ => None,
-    }
-}
-
 /// Nanoseconds since `start`, saturating.
 fn elapsed_nanos(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -515,6 +511,11 @@ pub struct GramServer {
     /// clone of the record's strings and job description.
     jobs: ShardedMap<String, Arc<JmiRecord>>,
     locals: ShardedMap<JobId, String>,
+    /// Contacts of the jobs retired since the last
+    /// [`poll_events`](GramServer::poll_events), whose final events the
+    /// next poll still has to map. Pushed and taken under the scheduler
+    /// write lock, so a poll maps every event it drains.
+    retired: Mutex<Vec<(JobId, JobContact)>>,
     /// Deliberately still a lock: the discrete-event scheduler mutates
     /// shared queue/placement state on nearly every call (even status
     /// polls race against `catch_up`), so swap-on-update would copy the
@@ -756,18 +757,24 @@ impl GramServer {
         let record = timed_stage(trace, Stage::Enforce, || {
             self.admit(None, subject, job, account, dynamic, work)
         })?;
+        self.commit_submit(record)
+    }
+
+    /// The commit point of a live submit: the `Submit` record must be
+    /// durable before the job is published (and before the caller sees
+    /// the contact). The barrier read guard keeps append + publish
+    /// atomic with respect to a concurrent checkpoint; on append failure
+    /// the admission is rolled back so the unacknowledged job is not
+    /// visible either. A checkpoint may land between
+    /// [`admit`](Self::admit), which drew the contact index, and this
+    /// append: its `NextContact` record already covers the index.
+    fn commit_submit(&self, record: JmiRecord) -> Result<JobContact, GramError> {
         let contact = record.contact.clone();
-        // Commit point: the Submit record must be durable before the
-        // job is published (and before the caller sees the contact).
-        // The barrier read guard keeps append + publish atomic with
-        // respect to a concurrent checkpoint; on append failure the
-        // admission is rolled back so the unacknowledged job is not
-        // visible either.
         let journal_record = self.submit_record(&record, self.clock.now());
         {
             let _publish = self.publish_guard();
             if let Err(e) = self.journal_append(&journal_record) {
-                let _ = self.scheduler.write().cancel(record.local);
+                let _ = self.apply_effect(&record, JobEffect::Cancel);
                 return Err(e);
             }
             self.publish(record);
@@ -884,12 +891,16 @@ impl GramServer {
         Ok(contacts)
     }
 
-    /// Cancels a job (`action = cancel`).
+    /// Cancels a job (`action = cancel`) and retires it: GT2's Job
+    /// Manager Instance exits once its job ends, so every later request
+    /// on `contact` answers [`GramError::UnknownJob`]. The contact is
+    /// never reissued.
     ///
     /// # Errors
     ///
     /// [`GramError`] on authentication, authorization or scheduler
-    /// failure.
+    /// failure; [`GramError::UnknownJob`] for a contact the server does
+    /// not hold, including a job already cancelled.
     pub fn cancel(&self, chain: &[Certificate], contact: &JobContact) -> Result<(), GramError> {
         self.traced("cancel", |trace| {
             let ctx = RequestContext::unbounded();
@@ -898,7 +909,9 @@ impl GramServer {
         })
     }
 
-    /// Queries job status (`action = information`).
+    /// Queries job status (`action = information`). A job that ended
+    /// inside the scheduler reports its terminal state; a cancelled job
+    /// was retired and answers [`GramError::UnknownJob`].
     ///
     /// # Errors
     ///
@@ -1010,9 +1023,9 @@ impl GramServer {
     /// point of every cancel and signal, single-job, swept or a
     /// multi-request's rollback: a crash before the append recovers the
     /// job unchanged (the effect was never acknowledged), a crash after
-    /// recovers it changed, and recovery refuses to resurrect a
-    /// cancelled job. The barrier read guard spans both steps, so no
-    /// checkpoint captures the effect without its record.
+    /// recovers it changed, and a cancelled job stays retired. The
+    /// barrier read guard spans both steps, so no checkpoint captures the
+    /// effect without its record.
     fn commit_effect(
         &self,
         record: &JmiRecord,
@@ -1020,16 +1033,30 @@ impl GramServer {
         trace: &mut DecisionTrace,
     ) -> Result<(), GramError> {
         let _publish = self.publish_guard();
-        timed_stage(trace, Stage::Enforce, || self.apply_effect(record.local, effect))?;
+        timed_stage(trace, Stage::Enforce, || self.apply_effect(record, effect))?;
         self.journal_append(&effect.record(&record.contact, self.clock.now()))
     }
 
-    /// The scheduler side of a `Cancel` or `Signal` record, live and on
-    /// replay.
-    fn apply_effect(&self, local: JobId, effect: JobEffect) -> Result<(), GramError> {
+    /// The effect of a `Cancel` or `Signal` record on `record`'s job,
+    /// live and on replay. A cancel also retires the job, as GT2's Job
+    /// Manager Instance exits once its job ends: it leaves the job map,
+    /// the local-id map and the scheduler, and later requests on its
+    /// contact answer [`GramError::UnknownJob`]. Its contact moves to
+    /// `retired` under the same scheduler lock, so
+    /// [`poll_events`](Self::poll_events) still delivers the job's final
+    /// event.
+    fn apply_effect(&self, record: &JmiRecord, effect: JobEffect) -> Result<(), GramError> {
+        let local = record.local;
         let mut scheduler = self.scheduler.write();
         match effect {
-            JobEffect::Cancel => scheduler.cancel(local)?,
+            JobEffect::Cancel => {
+                scheduler.cancel(local)?;
+                scheduler.retire(local)?;
+                self.jobs.remove(record.contact.as_str());
+                if self.locals.remove(&local).is_some() {
+                    self.retired.lock().push((local, record.contact.clone()));
+                }
+            }
             JobEffect::Signal(GramSignal::Suspend) => scheduler.suspend(local)?,
             JobEffect::Signal(GramSignal::Resume) => scheduler.resume(local)?,
             JobEffect::Signal(GramSignal::Priority(p)) => scheduler.set_priority(local, p)?,
@@ -1497,15 +1524,23 @@ impl GramServer {
 
     /// Drains job lifecycle transitions since the last poll, mapped to
     /// contacts — the JMI's progress-monitoring duty (§4.2), which GT2
-    /// forwarded to client callbacks.
+    /// forwarded to client callbacks. A job retired since the last poll
+    /// still has its final `cancelled` event delivered, GT2's last
+    /// callback before the JMI exits.
     pub fn poll_events(&self) -> Vec<(JobContact, gridauthz_scheduler::JobEvent)> {
-        let events = self.scheduler.write().drain_events();
+        let (events, retired) = {
+            let mut scheduler = self.scheduler.write();
+            (scheduler.drain_events(), std::mem::take(&mut *self.retired.lock()))
+        };
+        let retired: HashMap<JobId, JobContact> = retired.into_iter().collect();
         events
             .into_iter()
             .filter_map(|event| {
-                self.locals
-                    .get_cloned(&event.job)
-                    .map(|contact| (JobContact::from_wire(&contact), event))
+                let contact = match self.locals.get_cloned(&event.job) {
+                    Some(contact) => JobContact::from_wire(&contact),
+                    None => retired.get(&event.job)?.clone(),
+                };
+                Some((contact, event))
             })
             .collect()
     }
@@ -1568,16 +1603,20 @@ impl GramServer {
 
     /// Checkpoints when the configured append budget is spent. Called
     /// at the end of mutation entry points, where no barrier or admin
-    /// lock is held.
+    /// lock is held. The caller that finds the budget spent claims it by
+    /// zeroing the count atomically, so two lanes crossing it together
+    /// take one checkpoint between them, not two.
     fn maybe_checkpoint(&self) {
         let Some(durability) = &self.durability else {
             return;
         };
-        if durability.snapshot_every == 0 {
-            return;
-        }
-        if durability.appends_since_checkpoint.load(Ordering::Relaxed) >= durability.snapshot_every
-        {
+        let every = durability.snapshot_every;
+        let claimed = every != 0
+            && durability
+                .appends_since_checkpoint
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| (n >= every).then_some(0))
+                .is_ok();
+        if claimed {
             // Best-effort: a failed checkpoint leaves the journal longer
             // than intended but never loses state (the snapshot store
             // replaces atomically; compaction only drops covered
@@ -1589,7 +1628,10 @@ impl GramServer {
 
     /// Serializes the server's durable state into a snapshot, saves it,
     /// and compacts the journal through the snapshot's covering
-    /// sequence number. No-op on memory-only servers.
+    /// sequence number. No-op on memory-only servers. The append budget
+    /// restarts from the appends the snapshot does not cover, and each
+    /// checkpoint is one timed [`labels::CHECKPOINT`] sample on the
+    /// [`Stage::JournalAppend`] stage.
     ///
     /// The snapshot is *logical*: a record sequence re-expressing the
     /// current state in the same vocabulary the journal uses, so
@@ -1606,6 +1648,7 @@ impl GramServer {
         let Some(durability) = &self.durability else {
             return Ok(());
         };
+        let start = Instant::now();
         let _admin = self.admin.lock();
         let (covers, records) = {
             let _exclusive = durability.barrier.write();
@@ -1617,6 +1660,9 @@ impl GramServer {
                 .journal
                 .flush()
                 .map_err(|e| durability_error(format!("flush failed: {e}")))?;
+            // Every append counted so far is covered; the ones counted
+            // from here on, while the snapshot saves, are not.
+            durability.appends_since_checkpoint.store(0, Ordering::Relaxed);
             (durability.journal.committed_seq(), self.serialize_state())
         };
         let blob = SnapshotBlob { covers_seq: covers, payload: encode_records(&records) };
@@ -1629,13 +1675,17 @@ impl GramServer {
             .journal
             .compact_through(covers)
             .map_err(|e| durability_error(format!("compaction failed: {e}")))?;
-        durability.appends_since_checkpoint.store(0, Ordering::Relaxed);
         self.telemetry.set_gauge(Gauge::JournalBytes, durability.journal.stats().durable_bytes);
+        self.telemetry.record_timed(Stage::JournalAppend, labels::CHECKPOINT, elapsed_nanos(start));
         Ok(())
     }
 
     /// The server's current state as a journal-record sequence (the
-    /// snapshot payload). Caller holds the barrier write guard.
+    /// snapshot payload): the gatekeeper, the leases, the next contact
+    /// index, every live job and the audit ring. Cancelled jobs are
+    /// retired and jobs that ended inside the scheduler are left out,
+    /// so a snapshot grows with the live jobs, not with history. Caller
+    /// holds the barrier write guard.
     fn serialize_state(&self) -> Vec<JournalRecord> {
         let mut records = Vec::new();
         let gatekeeper = self.gatekeeper.load();
@@ -1666,28 +1716,25 @@ impl GramServer {
                 records.push(JournalRecord::LeaseGrant { subject, account, expires_micros });
             }
         }
+        records.push(JournalRecord::NextContact { index: self.next_job.load(Ordering::SeqCst) });
         let mut jobs: Vec<Arc<JmiRecord>> = Vec::new();
         self.jobs.for_each(|_, record| jobs.push(Arc::clone(record)));
         jobs.sort_by_key(|record| record.index);
         {
             let scheduler = self.scheduler.read();
             for record in &jobs {
-                let status = scheduler.status(record.local).ok();
-                let submitted = status.as_ref().map_or(SimTime::EPOCH, |status| status.submitted);
-                records.push(self.submit_record(record, submitted));
-                // Non-initial lifecycle states are re-expressed as the
-                // signal that produced them, so one replay path (Submit
-                // then Signal/Cancel) covers snapshot and tail alike.
-                // Execution progress is not snapshotted (restart
-                // semantics); terminal jobs collapse to Submit + Cancel.
-                if let Some(JobState::Suspended { .. }) =
-                    status.as_ref().map(|status| &status.state)
-                {
-                    let suspend = JobEffect::Signal(GramSignal::Suspend);
-                    records.push(suspend.record(&record.contact, submitted));
+                let Ok(status) = scheduler.status(record.local) else { continue };
+                if status.state.is_terminal() {
+                    continue;
                 }
-                if let Some(at) = status.and_then(|status| terminal_at(&status.state)) {
-                    records.push(JobEffect::Cancel.record(&record.contact, at));
+                records.push(self.submit_record(record, status.submitted));
+                // A suspended job is re-expressed as the signal that
+                // suspended it, so one replay path (Submit then Signal)
+                // covers snapshot and tail alike. Execution progress is
+                // not snapshotted (restart semantics).
+                if let JobState::Suspended { .. } = status.state {
+                    let suspend = JobEffect::Signal(GramSignal::Suspend);
+                    records.push(suspend.record(&record.contact, status.submitted));
                 }
             }
         }
@@ -1796,15 +1843,20 @@ impl GramServer {
                 })?;
             }
             JournalRecord::Audit { .. } => self.push_audit(journal_to_audit(record)?),
+            JournalRecord::NextContact { index } => {
+                self.next_job.fetch_max(*index, Ordering::SeqCst);
+            }
         }
         Ok(())
     }
 
-    /// Replays a `Cancel` or `Signal` record. Scheduler refusals are
-    /// ignored: the job may already be terminal (idempotent replay).
+    /// Replays a `Cancel` or `Signal` record. A job no record names any
+    /// more was retired (or ended) before the snapshot; scheduler
+    /// refusals are ignored because the job may already be terminal
+    /// (idempotent replay).
     fn replay_effect(&self, contact: &str, effect: JobEffect) {
-        if let Some(local) = self.jobs.with(contact, |record| record.local) {
-            let _ = self.apply_effect(local, effect);
+        if let Some(record) = self.jobs.get_cloned(contact) {
+            let _ = self.apply_effect(&record, effect);
         }
     }
 
@@ -1844,13 +1896,16 @@ impl GramServer {
 
     /// True when the server holds a record for `contact` — the recovery
     /// oracle's existence check (operator-local, unauthenticated, like
-    /// [`GramServer::audit_snapshot`]).
+    /// [`GramServer::audit_snapshot`]). False for a cancelled job, which
+    /// was retired.
     pub fn job_exists(&self, contact: &JobContact) -> bool {
         self.jobs.get_cloned(contact.as_str()).is_some()
     }
 
     /// The scheduler state of `contact`'s job, when both the record and
-    /// the local job exist (operator-local).
+    /// the local job exist (operator-local). `None` for a cancelled job,
+    /// which was retired; a job that ended inside the scheduler reports
+    /// its terminal state.
     pub fn job_state(&self, contact: &JobContact) -> Option<JobState> {
         let local = self.jobs.with(contact.as_str(), |record| record.local)?;
         self.scheduler.read().status(local).ok().map(|status| status.state)
@@ -1866,9 +1921,10 @@ impl GramServer {
     }
 
     /// Number of Job Manager Instance records the server holds
-    /// (operator-local) — the recovery oracle's phantom-job check: a
-    /// recovered server must hold exactly the acknowledged jobs, no
-    /// more.
+    /// (operator-local): every acknowledged job not yet cancelled,
+    /// since a cancel retires its job. The recovery oracle's phantom-job
+    /// check: a recovered server must hold exactly the acknowledged live
+    /// jobs, no more.
     pub fn job_count(&self) -> usize {
         self.jobs.len()
     }
@@ -2864,6 +2920,118 @@ mod tests {
         assert_eq!(gauge(Gauge::LiveJobs), 1);
         assert!(gauge(Gauge::SnapshotGeneration) >= 1, "policy_updated bumps the generation");
         assert!(snapshot.traces_finished >= 1);
+    }
+
+    /// A GT2 fixture server journaling to `storage` and `snapshots`,
+    /// checkpointing every `snapshot_every` appends.
+    fn durable_fixture(
+        storage: &gridauthz_journal::MemStorage,
+        snapshots: &gridauthz_journal::MemSnapshotStore,
+        snapshot_every: u64,
+    ) -> Fixture {
+        let Identities { clock, trust, gridmap, bo, kate, outsider } = identities();
+        let config = DurabilityConfig::in_memory(storage.clone(), snapshots.clone())
+            .snapshot_every(snapshot_every);
+        let server = GramServerBuilder::new("anl-cluster", &clock)
+            .trust(trust)
+            .gridmap(gridmap)
+            .cluster(Cluster::uniform(16, 8, 16_384))
+            .recover(config)
+            .unwrap();
+        Fixture { clock, bo, kate, outsider, server }
+    }
+
+    /// Checkpoints taken so far, read from the telemetry snapshot.
+    fn checkpoints_taken(server: &GramServer) -> u64 {
+        let snapshot = server.telemetry_snapshot();
+        snapshot
+            .counters
+            .iter()
+            .find(|(stage, label, _)| {
+                *stage == Stage::JournalAppend && *label == labels::CHECKPOINT
+            })
+            .map_or(0, |(_, _, count)| *count)
+    }
+
+    /// Two lanes crossing the append budget together take one
+    /// checkpoint between them, and a manual checkpoint restarts the
+    /// budget. Each submit counts two appends (its `Submit` and its
+    /// audit rider), so 2 × 6 submits spend 24 of a 16-append budget:
+    /// one crossing, whatever the interleaving.
+    #[test]
+    fn one_checkpoint_per_spent_budget() {
+        let storage = gridauthz_journal::MemStorage::new();
+        let snapshots = gridauthz_journal::MemSnapshotStore::new();
+        let f = durable_fixture(&storage, &snapshots, 16);
+        let start = std::sync::Barrier::new(2);
+        let cross = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for who in [&f.bo, &f.kate] {
+                let (start, cross, server) = (&start, &cross, &f.server);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..4 {
+                        server.submit(who.chain(), BO_TEST1, None, mins(30)).unwrap();
+                    }
+                    // Both lanes step over the budget at the same time.
+                    cross.wait();
+                    for _ in 0..2 {
+                        server.submit(who.chain(), BO_TEST1, None, mins(30)).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(checkpoints_taken(&f.server), 1);
+        let snapshot = f.server.telemetry_snapshot();
+        let journal = snapshot.histograms.iter().find(|h| h.stage == Stage::JournalAppend);
+        assert!(journal.is_some_and(|h| h.count >= 13), "appends and the checkpoint are timed");
+
+        // At most 8 appends are left over; a manual checkpoint zeroes
+        // them, so 7 more submits (14 appends) stay under the budget.
+        f.server.checkpoint().unwrap();
+        for _ in 0..7 {
+            f.server.submit(f.bo.chain(), BO_TEST1, None, mins(30)).unwrap();
+        }
+        assert_eq!(checkpoints_taken(&f.server), 2);
+    }
+
+    /// A checkpoint that lands between a submit's admission, which draws
+    /// the contact index, and its `Submit` append must not let recovery
+    /// reissue that index — whether the submit then commits (and is
+    /// cancelled, so no `Submit` in any snapshot names it) or dies
+    /// before its append.
+    #[test]
+    fn checkpoint_between_admit_and_append_never_reissues_a_contact() {
+        for commits in [true, false] {
+            let storage = gridauthz_journal::MemStorage::new();
+            let snapshots = gridauthz_journal::MemSnapshotStore::new();
+            let f = durable_fixture(&storage, &snapshots, 0);
+            let first = f.server.submit(f.bo.chain(), BO_TEST1, None, mins(30)).unwrap();
+            let spec = gridauthz_rsl::parse(BO_TEST1).unwrap();
+            let job =
+                JobDescription::new(crate::jobspec::normalize_job(spec.as_conjunction().unwrap()));
+            let owner = f.bo.certificate().subject().clone();
+            let admitted =
+                f.server.admit(None, owner, job, "bliu".into(), false, mins(30)).unwrap();
+            let drawn = admitted.index;
+            f.server.checkpoint().unwrap();
+            if commits {
+                let contact = f.server.commit_submit(admitted).unwrap();
+                f.server.cancel(f.bo.chain(), &contact).unwrap();
+                assert!(!f.server.job_exists(&contact));
+            }
+            drop(f);
+
+            let f = durable_fixture(&storage, &snapshots, 0);
+            assert_eq!(f.server.job_count(), 1);
+            assert!(f.server.job_exists(&first));
+            let next = f.server.submit(f.bo.chain(), BO_TEST1, None, mins(30)).unwrap();
+            assert_eq!(
+                next,
+                JobContact::new("anl-cluster", drawn + 1),
+                "commits={commits}: index {drawn} was drawn before the crash"
+            );
+        }
     }
 
     /// A hostile job description cannot smuggle forged headers into the

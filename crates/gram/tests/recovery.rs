@@ -2,7 +2,8 @@
 //! acknowledged submit survives a crash and stays manageable), the
 //! lease-table reconciliation rule, audit-trail and revocation
 //! durability, recovery of journals in the earlier record format,
-//! snapshot coverage of non-initial job states, a property
+//! snapshot coverage of non-initial job states, contacts of retired
+//! jobs never being reissued, a property
 //! test of the WAL's longest-checksummed-prefix contract, and a small
 //! sweep of the deterministic crash-point torture matrix.
 
@@ -88,9 +89,9 @@ fn durable_records(disk: &FaultDisk) -> Vec<JournalRecord> {
 
 /// The headline regression: a submit the client saw acknowledged is
 /// still there after the machine dies and recovers — present, in a live
-/// state, and cancelable by its owner. Without write-ahead journaling
-/// before the acknowledgement this cannot hold: the restarted server
-/// would come up empty.
+/// state, and cancelable by its owner (which retires it). Without
+/// write-ahead journaling before the acknowledgement this cannot hold:
+/// the restarted server would come up empty.
 #[test]
 fn acknowledged_submit_survives_crash_and_stays_cancelable() {
     let world = World::new();
@@ -107,7 +108,8 @@ fn acknowledged_submit_survives_crash_and_stays_cancelable() {
     assert!(recovered.job_exists(&contact), "acknowledged job lost across the crash");
     assert!(!recovered.job_state(&contact).unwrap().is_terminal(), "live job recovered terminal");
     recovered.cancel(world.alice.chain(), &contact).unwrap();
-    assert!(matches!(recovered.job_state(&contact), Some(JobState::Cancelled { .. })));
+    assert!(!recovered.job_exists(&contact), "a cancelled job is retired");
+    assert_eq!(recovered.job_count(), 0);
 }
 
 /// A submit that dies inside the commit barrier is refused, and the
@@ -256,6 +258,76 @@ fn suspended_job_recovers_suspended_across_checkpoint() {
     // And it resumes, proving the recovered scheduler state is live.
     recovered.signal(world.alice.chain(), &contact, GramSignal::Resume).unwrap();
     assert!(matches!(recovered.job_state(&contact), Some(JobState::Running { .. })));
+}
+
+/// Cancelled jobs are retired, and a checkpoint taken after their
+/// cancels names none of them. Recovery must still issue the next
+/// contact above theirs: the snapshot's `NextContact` record carries the
+/// counter. A snapshot written before that record existed still
+/// recovers, with each terminal job as `Submit` then `Cancel`; replay
+/// retires those jobs and raises the counter past their indices.
+#[test]
+fn retired_contacts_are_never_reissued_after_recovery() {
+    let world = World::new();
+    let storage = MemStorage::new();
+    let snapshots = MemSnapshotStore::new();
+    let durable = || {
+        world
+            .builder()
+            .recover(
+                DurabilityConfig::in_memory(storage.clone(), snapshots.clone()).snapshot_every(0),
+            )
+            .unwrap()
+    };
+    let server = durable();
+    let contacts: Vec<_> =
+        (0..3).map(|_| server.submit(world.alice.chain(), RSL, None, mins(30)).unwrap()).collect();
+    for contact in &contacts {
+        server.cancel(world.alice.chain(), contact).unwrap();
+        let refusal = server.status(world.alice.chain(), contact);
+        assert!(matches!(refusal, Err(GramError::UnknownJob(_))), "{refusal:?}");
+    }
+    assert_eq!(server.job_count(), 0);
+    server.checkpoint().unwrap();
+    drop(server);
+
+    let blob = snapshots.clone().load().unwrap().expect("checkpoint saved a snapshot");
+    let records = gridauthz_gram::journal::decode_records(&blob.payload).unwrap();
+    assert!(!records.iter().any(|r| matches!(r, JournalRecord::Submit { .. })), "{records:?}");
+    assert!(records.contains(&JournalRecord::NextContact { index: 4 }), "{records:?}");
+
+    let recovered = durable();
+    assert_eq!(recovered.job_count(), 0);
+    let next = recovered.submit(world.alice.chain(), RSL, None, mins(30)).unwrap();
+    assert_eq!(next.index(), Some(4), "a retired contact was reissued");
+
+    // The same history as an older snapshot: Submit + Cancel per job.
+    let legacy: Vec<JournalRecord> = contacts
+        .iter()
+        .flat_map(|contact| {
+            [
+                JournalRecord::Submit {
+                    index: contact.index().unwrap(),
+                    contact: contact.as_str().to_string(),
+                    owner: world.alice.certificate().subject().to_string(),
+                    rsl: RSL.to_string(),
+                    account: "alice".into(),
+                    dynamic: false,
+                    work_micros: mins(30).as_micros(),
+                    at_micros: 0,
+                },
+                JournalRecord::Cancel { contact: contact.as_str().to_string(), at_micros: 0 },
+            ]
+        })
+        .collect();
+    let mut old_snapshots = MemSnapshotStore::new();
+    let payload = gridauthz_gram::journal::encode_records(&legacy);
+    old_snapshots.save(&SnapshotBlob { covers_seq: 0, payload }).unwrap();
+    let config = DurabilityConfig::in_memory(MemStorage::new(), old_snapshots).snapshot_every(0);
+    let recovered = world.builder().recover(config).unwrap();
+    assert_eq!(recovered.job_count(), 0, "replayed cancels retire their jobs");
+    let next = recovered.submit(world.alice.chain(), RSL, None, mins(30)).unwrap();
+    assert_eq!(next.index(), Some(4));
 }
 
 /// The four record layouts the generation-journaling format wrote:
@@ -558,20 +630,22 @@ fn recovered_server_equals_the_live_one_for_every_mutation_kind() {
     let live = world.durable(&MemStorage::new(), &MemSnapshotStore::new());
     world.drive(&live, Checkpoint::Never);
     let expected = world.observe(&live);
+    // The rolled-back multi-request part (3), the cancel (4) and the
+    // sweep (5, 6) retired their jobs.
     assert_eq!(
         expected.states,
         [
             (true, "suspended"),
             (true, "live"),
-            (true, "terminal"),
-            (true, "terminal"),
-            (true, "terminal"),
-            (true, "terminal"),
+            (false, "missing"),
+            (false, "missing"),
+            (false, "missing"),
+            (false, "missing"),
             (true, "live"),
             (false, "missing"),
         ]
     );
-    assert_eq!(expected.jobs, 7);
+    assert_eq!(expected.jobs, 3);
     assert_eq!(expected.leases, Some(1));
     assert_eq!(expected.next, ("gram://equivalence-site/jobs/8".into(), "carol".into()));
     assert!(expected

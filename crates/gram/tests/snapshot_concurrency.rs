@@ -356,12 +356,18 @@ fn credential_revocation_is_immediate_once_acknowledged() {
 
     // Steady state: Kate is gone; Bo's credential still authenticates
     // (his status denial is policy-level — Figure 3 grants him no
-    // information action — not an authentication failure).
-    assert!(matches!(
-        g.server.status(g.kate.chain(), &contact),
-        Err(GramError::AuthenticationFailed(_))
-    ));
-    assert!(matches!(g.server.status(g.bo.chain(), &contact), Err(GramError::NotAuthorized(_))));
+    // information action — not an authentication failure). The NFC job
+    // may have been swept and retired before the revocation, so the
+    // probe is a live ADS job no sweep touches.
+    let ads = "&(executable = test1)(directory = /sandbox/test)(jobtag = ADS)(count = 1)";
+    let live = g.server.submit(g.bo.chain(), ads, None, SimDuration::from_hours(2)).unwrap();
+    for probe in [&contact, &live] {
+        assert!(matches!(
+            g.server.status(g.kate.chain(), probe),
+            Err(GramError::AuthenticationFailed(_))
+        ));
+    }
+    assert!(matches!(g.server.status(g.bo.chain(), &live), Err(GramError::NotAuthorized(_))));
 }
 
 /// One arbitrary management/startup request.

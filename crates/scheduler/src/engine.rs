@@ -477,6 +477,40 @@ impl LocalScheduler {
         self.jobs.keys().map(|&id| self.status(id).expect("known id")).collect()
     }
 
+    /// Forgets a terminal job: its record and its tag-index entry go, so
+    /// a server that retires what it cancels holds only live jobs. Its
+    /// id is never reissued, and events already recorded for it stay
+    /// queued for [`LocalScheduler::drain_events`].
+    ///
+    /// # Errors
+    ///
+    /// [`SchedulerError::UnknownJob`] / [`SchedulerError::InvalidTransition`]
+    /// for a job that has not reached a terminal state.
+    pub fn retire(&mut self, id: JobId) -> Result<(), SchedulerError> {
+        let record = self.jobs.get(&id).ok_or(SchedulerError::UnknownJob(id))?;
+        if !record.state.is_terminal() {
+            return Err(SchedulerError::InvalidTransition {
+                job: id,
+                operation: "retire",
+                state: record.state.label().to_string(),
+            });
+        }
+        let record = self.jobs.remove(&id).expect("checked above");
+        if let Some(tag) = &record.spec.tag {
+            if let Some(ids) = self.tag_index.get_mut(tag) {
+                // Ids are issued in ascending order, so every tag's list
+                // is sorted.
+                if let Ok(at) = ids.binary_search(&id) {
+                    ids.remove(at);
+                }
+                if ids.is_empty() {
+                    self.tag_index.remove(tag);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Non-terminal jobs carrying `tag`, via the maintained index (the T4
     /// fast path).
     pub fn jobs_with_tag(&self, tag: &str) -> Vec<JobId> {
@@ -738,6 +772,27 @@ mod tests {
         assert_eq!(sched.jobs_with_tag("NFC").len(), 2);
         assert_eq!(sched.jobs_with_tag_scan("NFC").len(), 2);
         assert!(sched.jobs_with_tag("NOPE").is_empty());
+    }
+
+    #[test]
+    fn retire_forgets_terminal_jobs_only() {
+        let (_clock, mut sched) = setup(1, 4);
+        let ids: Vec<JobId> = (0..3)
+            .map(|i| sched.submit(JobSpec::new(format!("j{i}"), "u", 1, mins(10)).with_tag("NFC")))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert!(matches!(sched.retire(ids[1]), Err(SchedulerError::InvalidTransition { .. })));
+        sched.cancel(ids[1]).unwrap();
+        sched.retire(ids[1]).unwrap();
+        assert_eq!(sched.status(ids[1]), Err(SchedulerError::UnknownJob(ids[1])));
+        assert_eq!(sched.retire(ids[1]), Err(SchedulerError::UnknownJob(ids[1])));
+        assert_eq!(sched.statuses().len(), 2);
+        assert_eq!(sched.jobs_with_tag("NFC"), vec![ids[0], ids[2]]);
+        // The cancellation event outlives the record; ids are not reissued.
+        let events = sched.drain_events();
+        assert!(events.iter().any(|e| e.job == ids[1] && e.state.label() == "cancelled"));
+        let next = sched.submit(JobSpec::new("j3", "u", 1, mins(10))).unwrap();
+        assert!(next > ids[2]);
     }
 
     #[test]

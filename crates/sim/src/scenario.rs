@@ -380,8 +380,11 @@ pub struct CrashRecoveryReport {
 /// rebuilt over the surviving journal. Because testbed credentials are
 /// derived deterministically from their DNs, the rebuilt site must
 /// honor every pre-crash acknowledgement: live jobs are still standing
-/// and manageable by their owners, cancelled jobs stay cancelled, and
-/// the VO admin's tag sweep still sees every live `NFC` job.
+/// and manageable by their owners, cancelled jobs stay retired (absent,
+/// or at most cancelled, never live), the site holds exactly the live
+/// jobs, the VO admin's tag sweep still sees every live `NFC` job, and
+/// the next contact is issued above every contact issued before the
+/// crash.
 /// `snapshot_every` is the checkpoint cadence in journal appends (0
 /// disables checkpointing, so recovery replays the full history).
 #[must_use]
@@ -445,10 +448,17 @@ pub fn crash_recovery(jobs: usize, snapshot_every: u64) -> CrashRecoveryReport {
     }
     for (_, contact) in &cancelled {
         match tb.server.job_state(contact) {
-            Some(JobState::Cancelled { .. }) => {}
-            other => violations
+            None | Some(JobState::Cancelled { .. }) => {}
+            Some(other) => violations
                 .push(format!("cancelled job {} recovered as {other:?}", contact.as_str())),
         }
+    }
+    if tb.server.job_count() != live.len() {
+        violations.push(format!(
+            "recovered {} jobs, {} acknowledged live",
+            tb.server.job_count(),
+            live.len()
+        ));
     }
     // The admin's VO-wide sweep still covers every live NFC job.
     match tb.server.status_by_tag(tb.admin.chain(), "NFC") {
@@ -465,6 +475,16 @@ pub fn crash_recovery(jobs: usize, snapshot_every: u64) -> CrashRecoveryReport {
             }
         }
         Err(e) => violations.push(format!("admin sweep refused after recovery: {e}")),
+    }
+    // Contacts are never reissued, not even those of retired jobs.
+    let issued = live.iter().chain(&cancelled).filter_map(|(_, contact)| contact.index()).max();
+    match tb.member_client(0).submit(&tb.server, RSL, work) {
+        Ok(next) if next.index() > issued => {}
+        Ok(next) => violations.push(format!(
+            "post-recovery submit reissued {} (highest issued before the crash: {issued:?})",
+            next.as_str()
+        )),
+        Err(e) => violations.push(format!("post-recovery submit refused: {e}")),
     }
 
     CrashRecoveryReport {

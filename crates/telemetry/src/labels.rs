@@ -13,8 +13,9 @@
 //! frame, duplicated header), three are the admission vocabulary (load
 //! shed, deadline expired in queue, shutdown drain), two are the
 //! connection-lifecycle vocabulary (idle-read timeout, per-connection
-//! error budget exhausted), and the last two are the durability
-//! vocabulary (physical journal fsyncs, records replayed at recovery).
+//! error budget exhausted), and the last three are the durability
+//! vocabulary (physical journal fsyncs, records replayed at recovery,
+//! checkpoints taken).
 
 /// A granted stage or a permitted decision.
 pub const PERMIT: &str = "permit";
@@ -83,9 +84,12 @@ pub const ERROR_BUDGET: &str = "error-budget";
 pub const FSYNC: &str = "fsync";
 /// A journal (or snapshot) record was replayed during startup recovery.
 pub const REPLAY: &str = "replay";
+/// A checkpoint serialized the server's state into a snapshot and
+/// compacted the journal behind it.
+pub const CHECKPOINT: &str = "checkpoint";
 
 /// Every label in the vocabulary, in canonical (reporting) order.
-pub const ALL: [&str; 30] = [
+pub const ALL: [&str; 31] = [
     PERMIT,
     HIT,
     MISS,
@@ -116,6 +120,7 @@ pub const ALL: [&str; 30] = [
     ERROR_BUDGET,
     FSYNC,
     REPLAY,
+    CHECKPOINT,
 ];
 
 /// Index of `label` in [`ALL`], or `None` for a string outside the

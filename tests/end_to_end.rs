@@ -52,8 +52,9 @@ fn members_cannot_manage_each_others_jobs_but_admin_can() {
     assert!(matches!(err, GramError::NotAuthorized(_)));
     // The admin role's (jobtag = NFC) grant permits.
     admin.cancel(&tb.server, &contact).unwrap();
-    let report = alice.status(&tb.server, &contact).unwrap();
-    assert!(matches!(report.state, JobState::Cancelled { .. }));
+    // The cancel retired the job, as GT2's JMI exits with its job.
+    let err = alice.status(&tb.server, &contact).unwrap_err();
+    assert!(matches!(err, GramError::UnknownJob(_)));
 }
 
 #[test]
@@ -106,9 +107,15 @@ fn vo_wide_tag_sweep_cancels_only_tagged_jobs() {
         admin.cancel(&tb.server, &contact).unwrap();
     }
     assert!(tb.server.jobs_with_tag("NFC").is_empty());
+    // Every swept job was retired; its final event still reaches the
+    // grid layer.
+    let events = tb.server.poll_events();
     for contact in &nfc {
-        let report = admin.status(&tb.server, contact).unwrap();
-        assert!(matches!(report.state, JobState::Cancelled { .. }));
+        let err = admin.status(&tb.server, contact).unwrap_err();
+        assert!(matches!(err, GramError::UnknownJob(_)));
+        assert!(events
+            .iter()
+            .any(|(c, e)| c == contact && matches!(e.state, JobState::Cancelled { .. })));
     }
 }
 
