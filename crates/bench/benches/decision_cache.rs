@@ -23,9 +23,8 @@ fn bench_decision_cache(c: &mut Criterion) {
     let request = management_request();
 
     // Two sources (resource owner + VO) is the paper's minimum
-    // deployment — §5.2's model always combines both. The harness's T8
-    // table additionally reports the single-source ablation, where the
-    // digest cost eats most of the saving.
+    // deployment — §5.2's model always combines both. With a single
+    // source the digest cost eats most of the saving.
     for sources in [2usize, 4, 8] {
         let pdp = combined_pdp_with_n_sources(sources);
         assert!(pdp.decide(&request).is_permit(), "fixture must permit");

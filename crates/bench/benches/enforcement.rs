@@ -5,8 +5,8 @@
 //! Expected shape: static mapping is cheapest; dynamic accounts pay a
 //! configuration cost on first lease that amortizes on reuse; sandbox
 //! checks add a small per-operation cost — the price of catching the
-//! violations accounts cannot see (the harness prints that catch-rate
-//! table).
+//! violations accounts cannot see (`tests/enforcement_ladder.rs`
+//! asserts that catch rate).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gridauthz_clock::{SimClock, SimDuration};

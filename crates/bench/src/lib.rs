@@ -1,8 +1,8 @@
 //! Shared fixtures for the gridauthz benchmark suite.
 //!
-//! Every experiment in DESIGN.md §5 (T1–T7, A1–A3) builds its inputs
-//! through this module so the criterion benches and the `harness` binary
-//! measure exactly the same configurations.
+//! Every experiment in DESIGN.md §5 (T1–T9, A1–A3) builds its inputs
+//! through this module, so the criterion benches and the ablation tests
+//! below run exactly the same configurations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,9 +18,9 @@ use gridauthz_rsl::Conjunction;
 use gridauthz_sim::{Testbed, TestbedBuilder};
 
 /// A counting `#[global_allocator]` wrapper: forwards to the system
-/// allocator and counts every allocation (and reallocation), so the
-/// harness can report allocations *per request* on the front-end's warm
-/// path against the naive decode-everything path (T11).
+/// allocator and counts every allocation (and reallocation), so a test
+/// or benchmark can count allocations *per request* on the front-end's
+/// warm path.
 ///
 /// Counts are process-wide — measure deltas on a single thread with no
 /// other work in flight.
@@ -367,5 +367,48 @@ mod tests {
         }
         // Exactly the two requirement-blocked cases flip.
         assert_eq!(wrongly_permitted, 2);
+    }
+
+    #[test]
+    fn a3_only_deny_overrides_lets_figure3_requirements_bind() {
+        // A permissive local policy plus Figure 3. Under deny-overrides
+        // (the paper's model) Figure 3's requirements bind; either
+        // alternative lets the local grants override them.
+        let local: Policy = gridauthz_sim::LOCAL_POLICY.parse().expect("local policy parses");
+        let pdp = |combiner| {
+            CombinedPdp::new(
+                vec![
+                    PolicySource::new("local", PolicyOrigin::ResourceOwner, local.clone()),
+                    PolicySource::new(
+                        "fig3",
+                        PolicyOrigin::VirtualOrganization("fusion".into()),
+                        paper::figure3_policy(),
+                    ),
+                ],
+                combiner,
+            )
+        };
+        let bo_cancels_own_ads_job = AuthzRequest::manage(
+            paper::bo_liu(),
+            Action::Cancel,
+            paper::bo_liu(),
+            Some("ADS".into()),
+        );
+        let matrix = a3_matrix_requests();
+        assert_eq!(matrix.len(), 10);
+        for (combiner, permits, bo_cancels) in [
+            (Combiner::DenyOverrides, 4, false),
+            (Combiner::PermitOverrides, 10, true),
+            (Combiner::FirstApplicable, 10, true),
+        ] {
+            let pdp = pdp(combiner);
+            let permitted = matrix.iter().filter(|r| pdp.decide(r).is_permit()).count();
+            assert_eq!(permitted, permits, "{combiner:?}: F3-matrix permits");
+            assert_eq!(
+                pdp.decide(&bo_cancels_own_ads_job).is_permit(),
+                bo_cancels,
+                "{combiner:?}: Bo cancels his own ADS job"
+            );
+        }
     }
 }

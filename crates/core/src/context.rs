@@ -139,10 +139,8 @@ impl fmt::Display for ShedReason {
 /// every attempt runs to its per-attempt deadline: all attempts at the
 /// deadline plus every backoff at its ceiling.
 ///
-/// This is the one budget formula shared by
-/// [`ResilienceConfig::decision_budget`](crate::ResilienceConfig::decision_budget),
-/// the front-end's queue-wait bound and the bench harness's client
-/// timeouts — previously three ad-hoc copies of the same arithmetic.
+/// This is the budget formula behind
+/// [`ResilienceConfig::decision_budget`](crate::ResilienceConfig::decision_budget).
 #[must_use]
 pub fn retry_budget(
     per_attempt: SimDuration,

@@ -3,8 +3,8 @@
 //! Figure 3 ("Simple VO-wide policy for job management") is the paper's
 //! worked evaluation example. It ships here verbatim (modulo fixing the
 //! figure's typography: the original text drops a `/` and inserts stray
-//! spaces in Kate Keahey's DN) so tests, examples and the benchmark
-//! harness all reproduce the same scenario:
+//! spaces in Kate Keahey's DN) so tests, examples and the benchmarks
+//! all reproduce the same scenario:
 //!
 //! * everyone under `mcs.anl.gov` must supply a `jobtag` on job startup;
 //! * **Bo Liu** may start `test1` (jobtag `ADS`) and `test2` (jobtag

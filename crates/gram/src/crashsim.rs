@@ -37,8 +37,6 @@
 //! cut position inside the in-flight batch, driven by the case seed.
 //! Every case is therefore replayable from `(boundary, mode, seed)`.
 
-use std::time::Instant;
-
 use gridauthz_clock::{SimClock, SimDuration};
 use gridauthz_credential::{
     Certificate, CertificateAuthority, Credential, DistinguishedName, GridMapEntry, GridMapFile,
@@ -432,10 +430,6 @@ pub struct CaseOutcome {
     pub crashed: bool,
     /// Mutations acknowledged before the crash.
     pub acked: usize,
-    /// Bytes the platter kept — what recovery had to read.
-    pub journal_bytes: u64,
-    /// Wall time of the recovery (journal open + replay + reconcile).
-    pub recovery_nanos: u64,
     /// Invariant violations (empty = the case passed).
     pub violations: Vec<String>,
 }
@@ -463,33 +457,16 @@ pub fn run_case(world: &CrashWorld, case: CrashCase, snapshot_every: u64) -> Cas
     drop(server);
 
     let survivor = FaultDisk::from_bytes(disk.durable_bytes());
-    let journal_bytes = disk.durable_bytes().len() as u64;
     let config = DurabilityConfig {
         storage: Box::new(survivor.storage()),
         snapshots: Box::new(snapshots.clone()),
         snapshot_every,
     };
-    let start = Instant::now();
-    let recovered = match world.builder().recover(config) {
-        Ok(server) => server,
-        Err(e) => {
-            return CaseOutcome {
-                crashed: disk.crashed(),
-                acked: oracle.acked,
-                journal_bytes,
-                recovery_nanos: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                violations: vec![format!("recovery failed: {e}")],
-            }
-        }
+    let violations = match world.builder().recover(config) {
+        Ok(recovered) => world.check_invariants(&recovered, &oracle),
+        Err(e) => vec![format!("recovery failed: {e}")],
     };
-    let recovery_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    CaseOutcome {
-        crashed: disk.crashed(),
-        acked: oracle.acked,
-        journal_bytes,
-        recovery_nanos,
-        violations: world.check_invariants(&recovered, &oracle),
-    }
+    CaseOutcome { crashed: disk.crashed(), acked: oracle.acked, violations }
 }
 
 /// Durability barriers the full workload crosses (the sweep's boundary
@@ -512,14 +489,8 @@ pub fn baseline_syncs(world: &CrashWorld, snapshot_every: u64) -> u64 {
 /// A full matrix sweep's tally.
 #[derive(Debug, Clone, Default)]
 pub struct MatrixReport {
-    /// Durability barriers in the workload (boundaries swept).
-    pub boundaries: u64,
-    /// Crash-recover cycles run.
-    pub cases: u64,
     /// Cases where the planned crash fired.
     pub crashes: u64,
-    /// Mutations acknowledged across all cases.
-    pub acked_total: u64,
     /// Every violation, labeled with its case coordinates.
     pub violations: Vec<String>,
 }
@@ -529,16 +500,14 @@ pub struct MatrixReport {
 /// `violations` is the headline robustness claim.
 pub fn run_matrix(world: &CrashWorld, seeds: &[u64], snapshot_every: u64) -> MatrixReport {
     let boundaries = baseline_syncs(world, snapshot_every);
-    let mut report = MatrixReport { boundaries, ..MatrixReport::default() };
+    let mut report = MatrixReport::default();
     for &seed in seeds {
         for boundary in 0..boundaries {
             for mode in CrashMode::ALL {
                 let outcome = run_case(world, CrashCase { boundary, mode, seed }, snapshot_every);
-                report.cases += 1;
                 if outcome.crashed {
                     report.crashes += 1;
                 }
-                report.acked_total += outcome.acked as u64;
                 report.violations.extend(outcome.violations.into_iter().map(|v| {
                     format!("seed {seed} boundary {boundary} mode {}: {v}", mode.as_str())
                 }));

@@ -138,11 +138,11 @@ pub enum GramError {
 
 /// The stable telemetry label for a [`GramError`] — one short metric key
 /// per protocol error class, drawn from the fixed vocabulary of
-/// [`gridauthz_telemetry::labels`]. The gram server's decision traces,
-/// the simulator's `DecisionTally`, and the bench harness all key on
-/// these, so the mapping is part of the public API and pinned by an
-/// exhaustive test: adding a `GramError` variant without extending this
-/// match is a compile error, and changing a label breaks the pin test.
+/// [`gridauthz_telemetry::labels`]. The gram server's decision traces
+/// and the simulator's `DecisionTally` both key on these, so the mapping
+/// is part of the public API and pinned by an exhaustive test: adding a
+/// `GramError` variant without extending this match is a compile error,
+/// and changing a label breaks the pin test.
 #[must_use]
 pub fn error_label(error: &GramError) -> &'static str {
     use gridauthz_telemetry::labels;

@@ -117,7 +117,7 @@ impl GramServerBuilder {
     }
 
     /// Shares a caller-owned telemetry registry (e.g. one registry over
-    /// several servers, or over a server plus a bench harness). Without
+    /// several servers, or over a server plus a load generator). Without
     /// this the server creates its own.
     #[must_use]
     pub fn telemetry(mut self, registry: Arc<TelemetryRegistry>) -> Self {
@@ -1340,8 +1340,7 @@ impl GramServer {
     }
 
     /// A consistent registry snapshot with the sampled gauges (cache
-    /// hit/miss/occupancy, live jobs) refreshed first — what check/CI
-    /// serialize into `BENCH_telemetry.json`.
+    /// hit/miss/occupancy, live jobs) refreshed first.
     pub fn telemetry_snapshot(&self) -> RegistrySnapshot {
         self.engine.refresh_telemetry_gauges();
         self.telemetry.set_gauge(Gauge::LiveJobs, self.jobs.len() as u64);

@@ -24,8 +24,8 @@
 //! Everything is derived from one `u64` seed through an inline
 //! SplitMix64 generator ([`TortureRng`]) — no external randomness, so a
 //! failing seed replays exactly. The harness is a library (not test
-//! code) so the integration tests, the bench harness's T13 sweep and CI
-//! all share one storm implementation.
+//! code) so the integration tests' default sweep and CI's wider
+//! `TORTURE_SEEDS` sweep share one storm implementation.
 //!
 //! [`Frontend`]: crate::Frontend
 

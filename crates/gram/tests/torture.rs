@@ -8,9 +8,8 @@
 //! from [`gridauthz_gram::torture`] and assert every lifecycle
 //! invariant holds for every seed.
 //!
-//! `TORTURE_SEEDS=<n>` widens the storm sweep (CI runs the bench
-//! harness's T13 for the big sweep; the default here stays small to
-//! keep `cargo test` quick).
+//! `TORTURE_SEEDS=<n>` sets the storm sweep's seed count. The default
+//! of 6 keeps `cargo test` quick; CI runs 25 seeds in release.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -144,7 +143,7 @@ fn seeded_storms_hold_every_lifecycle_invariant() {
     let config = TortureConfig::new(pem::encode_chain(bo.chain()), 4096);
 
     let seeds: u64 =
-        std::env::var("TORTURE_SEEDS").ok().and_then(|raw| raw.parse().ok()).unwrap_or(4);
+        std::env::var("TORTURE_SEEDS").ok().and_then(|raw| raw.parse().ok()).unwrap_or(6);
     for seed in 0..seeds {
         let report = run_storm(addr, server.telemetry(), seed, &config);
         assert!(report.passed(), "seed {seed} violations:\n{:#?}", report.violations);

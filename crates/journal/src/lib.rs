@@ -26,8 +26,7 @@
 //!
 //! The [`crashsim`] module provides the deterministic fault-injection
 //! layer (`FaultDisk`/`FaultFile`, SplitMix64-seeded) used by the
-//! crash-point torture matrix in `gram::crashsim` and the `t14` harness
-//! experiment.
+//! crash-point torture matrix in `gram::crashsim`.
 
 pub mod codec;
 pub mod crashsim;

@@ -11,8 +11,7 @@
 //! Followers block on a condition variable until the committed sequence
 //! covers their frame. Under concurrency this amortizes the fsync — N
 //! appenders pay ~1 sync per batch, not per record — while a
-//! single-threaded caller degenerates to one sync per append, which is
-//! the bound the `t14` harness charges against the hot path.
+//! single-threaded caller degenerates to one sync per append.
 //!
 //! [`Journal::append_relaxed`] enqueues a frame without waiting: it
 //! becomes durable with whatever batch the next leader commits, or at an

@@ -162,9 +162,9 @@ impl TestbedBuilder {
         self
     }
 
-    /// Shares a [`TelemetryRegistry`] with the built server, so the
-    /// bench harness (or a scenario aggregating several testbeds) can
-    /// report through one registry. By default the server creates its
+    /// Shares a [`TelemetryRegistry`] with the built server, so a
+    /// scenario aggregating several testbeds can report through one
+    /// registry. By default the server creates its
     /// own, reachable via `testbed.server.telemetry()`.
     #[must_use]
     pub fn telemetry(mut self, registry: Arc<TelemetryRegistry>) -> Self {

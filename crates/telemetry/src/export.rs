@@ -77,7 +77,7 @@ impl RegistrySnapshot {
         out
     }
 
-    /// Compact JSON rendering (the `BENCH_telemetry.json` payload).
+    /// Compact JSON rendering.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
@@ -192,9 +192,9 @@ mod tests {
         assert_eq!(snap.total(labels::HIT), 2);
     }
 
-    /// Golden rendering: the exact bytes `BENCH_telemetry.json` and the
-    /// harness's text report are built from. Any reordering, renaming,
-    /// or format drift fails here before it corrupts a CI diff.
+    /// Golden rendering: the exact text and JSON bytes of a snapshot.
+    /// Any reordering, renaming, or format drift fails here before a
+    /// consumer of the rendering sees it.
     #[test]
     fn snapshot_renderings_match_golden_bytes() {
         use gridauthz_clock::SimTime;

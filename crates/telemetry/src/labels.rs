@@ -3,11 +3,11 @@
 //! Every counter and span in the pipeline uses one of these labels. The
 //! set is closed on purpose: a fixed vocabulary keeps the counter store a
 //! flat atomic array (no map, no lock, no allocation on the hot path) and
-//! keeps metric keys stable across the gram server, the simulator's
-//! `DecisionTally`, and the bench harness. Eleven of the labels mirror
-//! the `GramError` variants one-to-one (see `gridauthz_gram::error_label`);
-//! three name non-error outcomes, seven are the callout-supervision
-//! vocabulary (retries, timeouts, circuit-breaker transitions,
+//! keeps metric keys stable across the gram server and the simulator's
+//! `DecisionTally`. Eleven of the labels mirror the `GramError`
+//! variants one-to-one (see `gridauthz_gram::error_label`); three name
+//! non-error outcomes, seven are the callout-supervision vocabulary
+//! (retries, timeouts, circuit-breaker transitions,
 //! degraded-mode decisions), three classify wire-frame decode failures
 //! at the TCP front-end (partial frame at connection close, oversized
 //! frame, duplicated header), three are the admission vocabulary (load

@@ -21,8 +21,8 @@
 //!   per-stage accounting happens exactly once per request.
 //! * [`RegistrySnapshot`] — a point-in-time copy with deterministic
 //!   [text](RegistrySnapshot::to_text) and
-//!   [JSON](RegistrySnapshot::to_json) renderings; this is what the bench
-//!   harness serializes into `BENCH_telemetry.json`.
+//!   [JSON](RegistrySnapshot::to_json) renderings, pinned byte for byte
+//!   by a golden test.
 //!
 //! The label vocabulary is fixed (see [`labels`]): the ten GRAM error
 //! labels shared with the simulator's `DecisionTally`, plus `permit` for
