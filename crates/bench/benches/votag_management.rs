@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gridauthz_clock::{SimClock, SimDuration};
-use gridauthz_scheduler::{Cluster, JobSpec, LocalScheduler};
+use gridauthz_scheduler::{Cluster, JobId, JobSpec, LocalScheduler};
 
 /// A scheduler loaded with `n` jobs, 10% tagged `NFC`, the rest spread
 /// over other tags.
@@ -16,12 +16,9 @@ fn loaded_scheduler(n: usize) -> LocalScheduler {
     let mut sched = LocalScheduler::new(Cluster::uniform(64, 64, 65_536), &clock);
     for i in 0..n {
         let tag = if i % 10 == 0 { "NFC".to_string() } else { format!("TAG{}", i % 97) };
-        sched
-            .submit(
-                JobSpec::new(format!("job{i}"), "acct", 1, SimDuration::from_hours(10))
-                    .with_tag(tag),
-            )
-            .expect("bench job admits");
+        let spec =
+            JobSpec::new(format!("job{i}"), "acct", 1, SimDuration::from_hours(10)).with_tag(tag);
+        sched.submit(JobId(i as u64 + 1), spec).expect("bench job admits");
     }
     sched
 }

@@ -3,7 +3,6 @@
 //! identity to a local account.
 
 use gridauthz_clock::SimClock;
-use gridauthz_core::{RequestContext, ShedReason};
 use gridauthz_credential::{
     verify_chain, Certificate, DistinguishedName, GridMapFile, TrustStore, VerifiedIdentity,
 };
@@ -84,30 +83,6 @@ impl Gatekeeper {
         verify_chain(chain, &self.trust, self.clock.now()).map_err(GramError::AuthenticationFailed)
     }
 
-    /// [`Gatekeeper::authenticate`] under a request lifecycle context:
-    /// a request whose deadline has already passed is refused with
-    /// [`GramError::Overloaded`] *before* paying for chain verification
-    /// — RSA verification is the most expensive stage a doomed request
-    /// could waste.
-    ///
-    /// # Errors
-    ///
-    /// [`GramError::Overloaded`] for an expired context, otherwise
-    /// whatever [`Gatekeeper::authenticate`] returns.
-    pub fn authenticate_within(
-        &self,
-        ctx: &RequestContext,
-        chain: &[Certificate],
-    ) -> Result<VerifiedIdentity, GramError> {
-        if ctx.expired() {
-            return Err(GramError::Overloaded {
-                reason: ShedReason::DeadlineExpired,
-                retry_after: ctx.class().default_budget(),
-            });
-        }
-        self.authenticate(chain)
-    }
-
     /// GT2 authorization + mapping: the identity must appear in the
     /// grid-mapfile; the job runs under the entry's default account or a
     /// listed alternate.
@@ -170,29 +145,6 @@ mod tests {
         let proxy = user.delegate_proxy(SimDuration::from_mins(30)).unwrap();
         let id = f.gatekeeper.authenticate(proxy.chain()).unwrap();
         assert_eq!(id.subject().to_string(), "/O=Grid/CN=Bo Liu");
-    }
-
-    #[test]
-    fn expired_context_is_refused_before_verification() {
-        use gridauthz_core::AdmissionClass;
-        use std::sync::Arc;
-
-        let f = fixture();
-        let user = f.ca.issue_identity("/O=Grid/CN=Bo Liu", SimDuration::from_hours(1)).unwrap();
-        let ctx = RequestContext::with_budget(
-            Arc::new(f.clock.clone()),
-            AdmissionClass::Interactive,
-            SimDuration::from_millis(5),
-        );
-        // Within budget: verification proceeds normally.
-        assert!(f.gatekeeper.authenticate_within(&ctx, user.chain()).is_ok());
-        f.clock.advance(SimDuration::from_millis(10));
-        // Past the deadline: refused with the overload error, and the
-        // credential itself is never blamed.
-        assert!(matches!(
-            f.gatekeeper.authenticate_within(&ctx, user.chain()),
-            Err(GramError::Overloaded { reason: ShedReason::DeadlineExpired, .. })
-        ));
     }
 
     #[test]

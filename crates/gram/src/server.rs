@@ -4,6 +4,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -19,7 +20,7 @@ use gridauthz_credential::{
 };
 use gridauthz_journal::{Journal, SnapshotBlob, SnapshotStore};
 use gridauthz_rsl::Conjunction;
-use gridauthz_scheduler::{Cluster, JobId, JobState, LocalScheduler, SchedulerQueue};
+use gridauthz_scheduler::{Cluster, JobEvent, JobId, JobState, LocalScheduler, SchedulerQueue};
 use gridauthz_telemetry::{
     labels, DecisionTrace, Gauge, RegistrySnapshot, Stage, TelemetryRegistry,
 };
@@ -68,7 +69,10 @@ struct JmiRecord {
     owner: DistinguishedName,
     jobtag: Option<String>,
     rsl: JobDescription,
-    local: JobId,
+    /// The job's one number: the index its contact URL ends with, its
+    /// scheduler id and its key in the job map. Journaled, so recovery
+    /// restores the `next_job` counter past every issued contact.
+    id: JobId,
     account: String,
     sandbox: Option<Sandbox>,
     /// The job's true computation time — journaled so recovery can
@@ -77,10 +81,6 @@ struct JmiRecord {
     /// True when `account` was leased from the dynamic pool; recovery
     /// uses this to reconcile the lease table against live jobs.
     dynamic: bool,
-    /// The server-side job index behind the contact URL — journaled so
-    /// recovery restores the `next_job` counter past every issued
-    /// contact.
-    index: u64,
 }
 
 /// Builder for [`GramServer`].
@@ -233,8 +233,6 @@ impl GramServerBuilder {
             engine,
             mode,
             jobs: ShardedMap::new(),
-            locals: ShardedMap::new(),
-            retired: Mutex::new(Vec::new()),
             scheduler: RwLock::new(scheduler),
             accounts: Accounts::from(self.accounts),
             sandboxing: self.sandboxing,
@@ -506,16 +504,12 @@ pub struct GramServer {
     /// across a decision.
     engine: AuthzEngine,
     mode: GramMode,
-    /// Records are shared (`Arc`): the management hot path looks one up
-    /// per request, and a lookup must be a refcount bump, not a deep
-    /// clone of the record's strings and job description.
-    jobs: ShardedMap<String, Arc<JmiRecord>>,
-    locals: ShardedMap<JobId, String>,
-    /// Contacts of the jobs retired since the last
-    /// [`poll_events`](GramServer::poll_events), whose final events the
-    /// next poll still has to map. Pushed and taken under the scheduler
-    /// write lock, so a poll maps every event it drains.
-    retired: Mutex<Vec<(JobId, JobContact)>>,
+    /// Keyed by the job's one number, the index its contact ends with
+    /// (see [`record_for`](GramServer::record_for)). Records are shared
+    /// (`Arc`): the management hot path looks one up per request, and a
+    /// lookup must be a refcount bump, not a deep clone of the record's
+    /// strings and job description.
+    jobs: ShardedMap<JobId, Arc<JmiRecord>>,
     /// Deliberately still a lock: the discrete-event scheduler mutates
     /// shared queue/placement state on nearly every call (even status
     /// polls race against `catch_up`), so swap-on-update would copy the
@@ -683,7 +677,7 @@ impl GramServer {
         let result =
             self.submit_authenticated(ctx, &identity, rsl_text, requested_account, work, trace);
         let account =
-            result.as_ref().ok().and_then(|c| self.jobs.with(c.as_str(), |r| r.account.clone()));
+            result.as_ref().ok().and_then(|c| self.record_for(c)).map(|r| r.account.clone());
         self.record_audit(
             &subject,
             Action::Start,
@@ -786,9 +780,11 @@ impl GramServer {
     /// The effect of a `Submit` record, live and on replay: admits `job`
     /// to the scheduler under `account` and builds its Job Manager
     /// Instance record. A live submit passes no `slot` and draws the
-    /// next contact index only once the scheduler has accepted the job;
-    /// replay passes the journaled index and contact and raises the
-    /// counter past them.
+    /// next contact index, which becomes the job's scheduler id; replay
+    /// passes the journaled index and contact. Either way the counter
+    /// moves past the index under the scheduler write lock and only once
+    /// the scheduler has accepted the job, so a refused submit consumes
+    /// no index and no index is issued twice.
     fn admit(
         &self,
         slot: Option<(u64, JobContact)>,
@@ -799,17 +795,14 @@ impl GramServer {
         work: SimDuration,
     ) -> Result<JmiRecord, GramError> {
         let job_spec = job_spec_from_rsl(job.conjunction(), &account, work)?;
-        let local = self.scheduler.write().submit(job_spec)?;
-        let (index, contact) = match slot {
-            Some((index, contact)) => {
-                self.next_job.fetch_max(index + 1, Ordering::SeqCst);
-                (index, contact)
-            }
-            None => {
-                let index = self.next_job.fetch_add(1, Ordering::SeqCst);
-                (index, JobContact::new(&self.resource_name, index))
-            }
+        let id = {
+            let mut scheduler = self.scheduler.write();
+            let index = slot.as_ref().map_or_else(|| self.next_job.load(Ordering::SeqCst), |s| s.0);
+            scheduler.submit(JobId(index), job_spec)?;
+            self.next_job.fetch_max(index + 1, Ordering::SeqCst);
+            JobId(index)
         };
+        let contact = slot.map_or_else(|| JobContact::new(&self.resource_name, id.0), |s| s.1);
         Ok(JmiRecord {
             contact,
             owner,
@@ -820,21 +813,26 @@ impl GramServer {
                 .map(str::to_string),
             sandbox: self.sandboxing.then(|| Sandbox::new(sandbox_profile_for(job.conjunction()))),
             rsl: job,
-            local,
+            id,
             account,
             work,
             dynamic,
-            index,
         })
     }
 
-    /// Publishes an admitted job to the job and local-id maps: the last
-    /// step of a submit, after its commit point, and of its replay.
+    /// Publishes an admitted job to the job map: the last step of a
+    /// submit, after its commit point, and of its replay.
     fn publish(&self, record: JmiRecord) {
-        let local = record.local;
-        let contact = record.contact.as_str().to_string();
-        self.jobs.insert(contact.clone(), Arc::new(record));
-        self.locals.insert(local, contact);
+        self.jobs.insert(record.id, Arc::new(record));
+    }
+
+    /// The record of the job `contact` names: the job its index names,
+    /// if that job was issued under exactly this contact. `None` for a
+    /// contact this server did not issue, whether its index does not
+    /// parse or names a job held under another contact.
+    fn record_for(&self, contact: &JobContact) -> Option<Arc<JmiRecord>> {
+        let record = self.jobs.get_cloned(&JobId(contact.index()?))?;
+        (record.contact == *contact).then_some(record)
     }
 
     /// Submits an RSL *multi-request* (`+(&(...))(&(...))`) — GT2's
@@ -879,7 +877,7 @@ impl GramServer {
                     // acknowledged.
                     self.traced("cancel", |trace| {
                         for contact in &contacts {
-                            if let Some(record) = self.jobs.get_cloned(contact.as_str()) {
+                            if let Some(record) = self.record_for(contact) {
                                 let _ = self.commit_effect(&record, JobEffect::Cancel, trace);
                             }
                         }
@@ -893,8 +891,10 @@ impl GramServer {
 
     /// Cancels a job (`action = cancel`) and retires it: GT2's Job
     /// Manager Instance exits once its job ends, so every later request
-    /// on `contact` answers [`GramError::UnknownJob`]. The contact is
-    /// never reissued.
+    /// on `contact` answers [`GramError::UnknownJob`]. The job's final
+    /// `cancelled` event reaches every [`subscribe`](Self::subscribe)
+    /// receiver before the job is forgotten. The contact is never
+    /// reissued.
     ///
     /// # Errors
     ///
@@ -1039,27 +1039,22 @@ impl GramServer {
 
     /// The effect of a `Cancel` or `Signal` record on `record`'s job,
     /// live and on replay. A cancel also retires the job, as GT2's Job
-    /// Manager Instance exits once its job ends: it leaves the job map,
-    /// the local-id map and the scheduler, and later requests on its
-    /// contact answer [`GramError::UnknownJob`]. Its contact moves to
-    /// `retired` under the same scheduler lock, so
-    /// [`poll_events`](Self::poll_events) still delivers the job's final
-    /// event.
+    /// Manager Instance exits once its job ends: the scheduler sends its
+    /// final `cancelled` event to the subscribers, then the job leaves
+    /// the scheduler and the job map, and later requests on its contact
+    /// answer [`GramError::UnknownJob`].
     fn apply_effect(&self, record: &JmiRecord, effect: JobEffect) -> Result<(), GramError> {
-        let local = record.local;
+        let id = record.id;
         let mut scheduler = self.scheduler.write();
         match effect {
             JobEffect::Cancel => {
-                scheduler.cancel(local)?;
-                scheduler.retire(local)?;
-                self.jobs.remove(record.contact.as_str());
-                if self.locals.remove(&local).is_some() {
-                    self.retired.lock().push((local, record.contact.clone()));
-                }
+                scheduler.cancel(id)?;
+                scheduler.retire(id)?;
+                self.jobs.remove(&id);
             }
-            JobEffect::Signal(GramSignal::Suspend) => scheduler.suspend(local)?,
-            JobEffect::Signal(GramSignal::Resume) => scheduler.resume(local)?,
-            JobEffect::Signal(GramSignal::Priority(p)) => scheduler.set_priority(local, p)?,
+            JobEffect::Signal(GramSignal::Suspend) => scheduler.suspend(id)?,
+            JobEffect::Signal(GramSignal::Resume) => scheduler.resume(id)?,
+            JobEffect::Signal(GramSignal::Priority(p)) => scheduler.set_priority(id, p)?,
         }
         Ok(())
     }
@@ -1091,10 +1086,8 @@ impl GramServer {
         let identity = self.authenticate_caller(caller, trace)?;
         // A failed job lookup is deliberately unrecorded: UnknownJob is a
         // routing miss, not an authorization stage.
-        let record = self
-            .jobs
-            .get_cloned(contact.as_str())
-            .ok_or_else(|| GramError::UnknownJob(contact.clone()))?;
+        let record =
+            self.record_for(contact).ok_or_else(|| GramError::UnknownJob(contact.clone()))?;
         Ok((identity, record))
     }
 
@@ -1186,8 +1179,7 @@ impl GramServer {
             .read()
             .jobs_with_tag(tag)
             .into_iter()
-            .filter_map(|local| self.locals.get_cloned(&local))
-            .filter_map(|contact| self.jobs.get_cloned(&contact))
+            .filter_map(|id| self.jobs.get_cloned(&id))
             .collect()
     }
 
@@ -1273,7 +1265,7 @@ impl GramServer {
     }
 
     fn report_for(&self, record: &JmiRecord) -> Result<JobReport, GramError> {
-        let status = self.scheduler.read().status(record.local)?;
+        let status = self.scheduler.read().status(record.id)?;
         Ok(JobReport {
             contact: record.contact.clone(),
             owner: record.owner.clone(),
@@ -1476,8 +1468,13 @@ impl GramServer {
         contact: &JobContact,
         operation: JobOperation,
     ) -> Result<(), GramError> {
+        let unknown = || GramError::UnknownJob(contact.clone());
+        let id = JobId(contact.index().ok_or_else(unknown)?);
         self.jobs
-            .update(contact.as_str(), |record| {
+            .update(&id, |record| {
+                if record.contact != *contact {
+                    return Err(unknown());
+                }
                 // Copy-on-write through the shared record: concurrent
                 // readers keep their snapshot, the map gets the updated
                 // sandbox state.
@@ -1494,7 +1491,7 @@ impl GramServer {
                 };
                 result.map_err(|v| GramError::SandboxViolation(v.to_string()))
             })
-            .ok_or_else(|| GramError::UnknownJob(contact.clone()))?
+            .ok_or_else(unknown)?
     }
 
     /// Violations recorded by a job's sandbox so far (audit).
@@ -1503,10 +1500,8 @@ impl GramServer {
     ///
     /// [`GramError::UnknownJob`].
     pub fn sandbox_violation_count(&self, contact: &JobContact) -> Result<usize, GramError> {
-        self.jobs
-            .with(contact.as_str(), |record| {
-                record.sandbox.as_ref().map_or(0, |s| s.violations().len())
-            })
+        self.record_for(contact)
+            .map(|record| record.sandbox.as_ref().map_or(0, |s| s.violations().len()))
             .ok_or_else(|| GramError::UnknownJob(contact.clone()))
     }
 
@@ -1521,27 +1516,16 @@ impl GramServer {
         self.scheduler.write().catch_up();
     }
 
-    /// Drains job lifecycle transitions since the last poll, mapped to
-    /// contacts — the JMI's progress-monitoring duty (§4.2), which GT2
-    /// forwarded to client callbacks. A job retired since the last poll
-    /// still has its final `cancelled` event delivered, GT2's last
-    /// callback before the JMI exits.
-    pub fn poll_events(&self) -> Vec<(JobContact, gridauthz_scheduler::JobEvent)> {
-        let (events, retired) = {
-            let mut scheduler = self.scheduler.write();
-            (scheduler.drain_events(), std::mem::take(&mut *self.retired.lock()))
-        };
-        let retired: HashMap<JobId, JobContact> = retired.into_iter().collect();
-        events
-            .into_iter()
-            .filter_map(|event| {
-                let contact = match self.locals.get_cloned(&event.job) {
-                    Some(contact) => JobContact::from_wire(&contact),
-                    None => retired.get(&event.job)?.clone(),
-                };
-                Some((contact, event))
-            })
-            .collect()
+    /// Subscribes to job lifecycle transitions — the JMI's
+    /// progress-monitoring duty (§4.2), which GT2 forwarded to the
+    /// clients that registered a callback. The receiver gets every
+    /// transition from now on and none from before; an event's `job` is
+    /// the contact index ([`JobContact::index`]). A cancelled job's final
+    /// `cancelled` event is sent before the job is retired, GT2's last
+    /// callback before the JMI exits. Dropping the receiver ends the
+    /// subscription; with no subscriber, no event is kept.
+    pub fn subscribe(&self) -> Receiver<JobEvent> {
+        self.scheduler.write().subscribe()
     }
 
     /// Advances the shared clock to `t`, processing scheduler events in
@@ -1715,14 +1699,17 @@ impl GramServer {
                 records.push(JournalRecord::LeaseGrant { subject, account, expires_micros });
             }
         }
-        records.push(JournalRecord::NextContact { index: self.next_job.load(Ordering::SeqCst) });
         let mut jobs: Vec<Arc<JmiRecord>> = Vec::new();
         self.jobs.for_each(|_, record| jobs.push(Arc::clone(record)));
-        jobs.sort_by_key(|record| record.index);
+        jobs.sort_by_key(|record| record.id);
         {
+            // Read under the scheduler lock, which `admit` holds from
+            // drawing an index to advancing the counter past it.
             let scheduler = self.scheduler.read();
+            let next = self.next_job.load(Ordering::SeqCst);
+            records.push(JournalRecord::NextContact { index: next });
             for record in &jobs {
-                let Ok(status) = scheduler.status(record.local) else { continue };
+                let Ok(status) = scheduler.status(record.id) else { continue };
                 if status.state.is_terminal() {
                     continue;
                 }
@@ -1746,7 +1733,7 @@ impl GramServer {
     /// The journal record making one admitted job durable.
     fn submit_record(&self, record: &JmiRecord, at: SimTime) -> JournalRecord {
         JournalRecord::Submit {
-            index: record.index,
+            index: record.id.0,
             contact: record.contact.as_str().to_string(),
             owner: record.owner.to_string(),
             rsl: gridauthz_rsl::Rsl::Conjunction(record.rsl.conjunction().clone()).to_string(),
@@ -1774,7 +1761,7 @@ impl GramServer {
                 work_micros,
                 at_micros: _,
             } => {
-                if self.jobs.get_cloned(contact.as_str()).is_some() {
+                if self.jobs.get_cloned(&JobId(*index)).is_some() {
                     return Ok(());
                 }
                 let owner: DistinguishedName = owner
@@ -1854,7 +1841,7 @@ impl GramServer {
     /// refusals are ignored because the job may already be terminal
     /// (idempotent replay).
     fn replay_effect(&self, contact: &str, effect: JobEffect) {
-        if let Some(record) = self.jobs.get_cloned(contact) {
+        if let Some(record) = self.record_for(&JobContact::from_wire(contact)) {
             let _ = self.apply_effect(&record, effect);
         }
     }
@@ -1870,14 +1857,14 @@ impl GramServer {
         let mut dynamic_jobs: Vec<(JobId, String)> = Vec::new();
         self.jobs.for_each(|_, record| {
             if record.dynamic {
-                dynamic_jobs.push((record.local, record.account.clone()));
+                dynamic_jobs.push((record.id, record.account.clone()));
             }
         });
         let mut live = std::collections::HashSet::new();
         {
             let scheduler = self.scheduler.read();
-            for (local, account) in dynamic_jobs {
-                if scheduler.status(local).is_ok_and(|status| !status.state.is_terminal()) {
+            for (id, account) in dynamic_jobs {
+                if scheduler.status(id).is_ok_and(|status| !status.state.is_terminal()) {
                     live.insert(account);
                 }
             }
@@ -1898,16 +1885,16 @@ impl GramServer {
     /// [`GramServer::audit_snapshot`]). False for a cancelled job, which
     /// was retired.
     pub fn job_exists(&self, contact: &JobContact) -> bool {
-        self.jobs.get_cloned(contact.as_str()).is_some()
+        self.record_for(contact).is_some()
     }
 
-    /// The scheduler state of `contact`'s job, when both the record and
-    /// the local job exist (operator-local). `None` for a cancelled job,
+    /// The scheduler state of `contact`'s job (operator-local). `None`
+    /// for a contact this server did not issue and for a cancelled job,
     /// which was retired; a job that ended inside the scheduler reports
     /// its terminal state.
     pub fn job_state(&self, contact: &JobContact) -> Option<JobState> {
-        let local = self.jobs.with(contact.as_str(), |record| record.local)?;
-        self.scheduler.read().status(local).ok().map(|status| status.state)
+        let id = self.record_for(contact)?.id;
+        self.scheduler.read().status(id).ok().map(|status| status.state)
     }
 
     /// Live dynamic-account leases, when a pool is configured
@@ -2517,6 +2504,36 @@ mod tests {
         assert!(matches!(f.server.status(f.bo.chain(), &ghost), Err(GramError::UnknownJob(_))));
     }
 
+    /// Jobs are keyed by the index their contact ends with, so a lookup
+    /// must also match the whole contact: a contact this server did not
+    /// issue names no job, even when its index is held.
+    #[test]
+    fn contacts_this_server_did_not_issue_are_unknown() {
+        let f = fixture(GramMode::Gt2);
+        let chain = f.bo.chain();
+        let job = f.server.submit(chain, BO_TEST1, None, mins(30)).unwrap();
+        let index = job.index().unwrap();
+        for forged in [
+            format!("gram://other-site/jobs/{index}"),
+            format!("gram://anl-cluster/jobs/0{index}"),
+            "gram://anl-cluster/jobs/x".to_string(),
+        ] {
+            let forged = JobContact::from_wire(&forged);
+            let unknown = |result: Result<(), GramError>| {
+                assert!(matches!(result, Err(GramError::UnknownJob(_))), "{forged}: {result:?}");
+            };
+            unknown(f.server.status(chain, &forged).map(drop));
+            unknown(f.server.cancel(chain, &forged));
+            unknown(f.server.signal(chain, &forged, GramSignal::Suspend));
+            unknown(f.server.sandbox_violation_count(&forged).map(drop));
+            let exec = JobOperation::Exec("test1".into());
+            unknown(f.server.check_job_operation(&forged, exec));
+            assert!(!f.server.job_exists(&forged));
+            assert_eq!(f.server.job_state(&forged), None);
+        }
+        assert!(matches!(f.server.job_state(&job), Some(JobState::Running { .. })));
+    }
+
     #[test]
     fn bad_rsl_is_rejected() {
         let f = fixture(GramMode::Gt2);
@@ -3012,7 +3029,7 @@ mod tests {
             let owner = f.bo.certificate().subject().clone();
             let admitted =
                 f.server.admit(None, owner, job, "bliu".into(), false, mins(30)).unwrap();
-            let drawn = admitted.index;
+            let drawn = admitted.id.0;
             f.server.checkpoint().unwrap();
             if commits {
                 let contact = f.server.commit_submit(admitted).unwrap();

@@ -80,17 +80,6 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
         self.shard_for(key).write().get_mut(key).map(f)
     }
 
-    /// Applies `f` to a shared reference to the value under `key`,
-    /// returning its result; `None` when the key is absent. Unlike
-    /// [`ShardedMap::get_cloned`] this never clones.
-    pub fn with<Q, R>(&self, key: &Q, f: impl FnOnce(&V) -> R) -> Option<R>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.shard_for(key).read().get(key).map(f)
-    }
-
     /// Visits every entry, shard by shard (weak snapshot; see the type
     /// docs).
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
@@ -133,7 +122,7 @@ mod tests {
         assert_eq!(map.get_cloned("a"), Some(2));
         assert_eq!(map.get_cloned("missing"), None);
         assert_eq!(map.update("b", |v| std::mem::replace(v, 9)), Some(3));
-        assert_eq!(map.with("b", |v| *v), Some(9));
+        assert_eq!(map.get_cloned("b"), Some(9));
         assert_eq!(map.len(), 2);
         assert_eq!(map.remove("a"), Some(2));
         assert_eq!(map.len(), 1);

@@ -3,7 +3,8 @@
 //! lease-table reconciliation rule, audit-trail and revocation
 //! durability, recovery of journals in the earlier record format,
 //! snapshot coverage of non-initial job states, contacts of retired
-//! jobs never being reissued, a property
+//! jobs never being reissued, jobs replayed out of index order staying
+//! sweepable, a property
 //! test of the WAL's longest-checksummed-prefix contract, and a small
 //! sweep of the deterministic crash-point torture matrix.
 
@@ -415,6 +416,43 @@ fn legacy_generation_records_still_recover() {
     let recovered =
         builder().recover(DurabilityConfig::in_memory(storage, snapshots)).expect("re-recovers");
     check(&recovered);
+}
+
+/// Replay submits jobs in journal order, which with concurrent lanes is
+/// not index order. A journal tail holding two jobs of one tag in
+/// descending index order recovers to a tag index a VO-wide sweep can
+/// retire both jobs from, and the next contact is above both.
+#[test]
+fn jobs_replayed_out_of_index_order_stay_sweepable() {
+    let world = World::new();
+    let tagged = "&(executable = transp)(directory = /sandbox/run)(jobtag = NFC)(count = 1)";
+    let storage = MemStorage::new();
+    let (journal, _) = Journal::open(Box::new(storage.clone())).unwrap();
+    for index in [6, 5] {
+        let submit = JournalRecord::Submit {
+            index,
+            contact: format!("gram://recovery-site/jobs/{index}"),
+            owner: world.alice.certificate().subject().to_string(),
+            rsl: tagged.to_string(),
+            account: "alice".into(),
+            dynamic: false,
+            work_micros: mins(30).as_micros(),
+            at_micros: 0,
+        };
+        journal.append(&submit.encode()).unwrap();
+    }
+    drop(journal);
+
+    let config = DurabilityConfig::in_memory(storage, MemSnapshotStore::new()).snapshot_every(0);
+    let recovered = world.builder().recover(config).unwrap();
+    assert_eq!(recovered.jobs_with_tag("NFC").len(), 2);
+    let swept = recovered.cancel_by_tag(world.alice.chain(), "NFC").unwrap();
+    assert_eq!(swept.len(), 2);
+    assert!(swept.iter().all(|(_, outcome)| outcome.is_ok()), "{swept:?}");
+    assert!(recovered.jobs_with_tag("NFC").is_empty());
+    assert_eq!(recovered.job_count(), 0);
+    let next = recovered.submit(world.alice.chain(), RSL, None, mins(30)).unwrap();
+    assert_eq!(next.index(), Some(7));
 }
 
 /// The full torture matrix — every durability barrier × every crash

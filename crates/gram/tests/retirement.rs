@@ -1,7 +1,8 @@
 //! Bounded job state: a cancel retires its job, so a durable server
 //! that runs many submit+cancel pairs holds, checkpoints and sweeps only
-//! its live jobs — while the grid layer still receives every retired
-//! job's final `cancelled` event.
+//! its live jobs. Events go only to subscribers: one registered before
+//! the churn receives every retired job's final `cancelled` event, and
+//! with no subscriber the churn leaves no event behind.
 
 use std::collections::HashSet;
 
@@ -103,6 +104,7 @@ fn churn_keeps_state_and_checkpoints_bounded_and_events_delivered() {
         .map(|member| server.submit(member.chain(), RSL, None, mins(600)).unwrap())
         .collect();
 
+    let early = server.subscribe();
     let mut cancelled = churn(&server, &members, 100);
     assert_eq!(server.job_count(), keepers.len());
     let (after_100, _) = checkpoint_records(&server, &snapshots);
@@ -137,17 +139,19 @@ fn churn_keeps_state_and_checkpoints_bounded_and_events_delivered() {
     assert!(after_1000.contains(&JournalRecord::NextContact { index: 2_003 }), "{after_1000:?}");
 
     // A retired job answers UNKNOWN_JOB, and its final event still
-    // reaches the grid layer.
+    // reached the subscriber registered before the churn. One
+    // registered after it receives nothing: no event was kept for it.
     let refusal = server.status(alice.chain(), &cancelled[0]);
     assert!(matches!(refusal, Err(GramError::UnknownJob(_))), "{refusal:?}");
-    let finals: HashSet<JobContact> = server
-        .poll_events()
-        .into_iter()
-        .filter(|(_, event)| matches!(event.state, JobState::Cancelled { .. }))
-        .map(|(contact, _)| contact)
+    let late = server.subscribe();
+    assert!(late.try_recv().is_err());
+    let finals: HashSet<u64> = early
+        .try_iter()
+        .filter(|event| matches!(event.state, JobState::Cancelled { .. }))
+        .map(|event| event.job.0)
         .collect();
     assert_eq!(finals.len(), cancelled.len());
-    assert!(cancelled.iter().all(|contact| finals.contains(contact)));
+    assert!(cancelled.iter().all(|contact| finals.contains(&contact.index().unwrap())));
 
     // VO-wide management sees only the live jobs.
     let mut tagged = server.jobs_with_tag("NFC");
@@ -159,8 +163,9 @@ fn churn_keeps_state_and_checkpoints_bounded_and_events_delivered() {
     assert_eq!(swept.len(), keepers.len());
     assert!(matches!(swept.iter().find(|(c, _)| *c == keepers[0]), Some((_, Ok(())))));
     assert_eq!(server.job_count(), 1, "Alice's sweep retired her own job only");
-    let events = server.poll_events();
+    let events: Vec<_> = late.try_iter().collect();
     assert!(events
         .iter()
-        .any(|(c, e)| *c == keepers[0] && matches!(e.state, JobState::Cancelled { .. })));
+        .any(|e| Some(e.job.0) == keepers[0].index()
+            && matches!(e.state, JobState::Cancelled { .. })));
 }

@@ -1,6 +1,7 @@
 //! The discrete-event scheduling engine.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::mpsc::{self, Receiver};
 
 use gridauthz_clock::{SimClock, SimDuration, SimTime};
 
@@ -46,8 +47,9 @@ pub struct JobStatus {
     pub executed: SimDuration,
 }
 
-/// One recorded lifecycle transition (the event stream GT2's Job Manager
-/// forwarded to client callbacks).
+/// One lifecycle transition (the event stream GT2's Job Manager
+/// forwarded to client callbacks), sent to every live
+/// [`LocalScheduler::subscribe`] receiver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobEvent {
     /// When the transition happened.
@@ -83,9 +85,14 @@ struct JobRecord {
     effective_priority: i64,
 }
 
+/// A registered callback, as GT2's Job Manager kept per client: it
+/// forwards one transition and answers whether its receiver is still
+/// live. Boxed, so the channel's generic code is compiled once here
+/// rather than in every crate that drops a scheduler.
+type Subscriber = Box<dyn Fn(&JobEvent) -> bool + Send + Sync>;
+
 /// The local resource manager: submits, schedules, and manages jobs on a
 /// [`Cluster`], driven by a shared [`SimClock`].
-#[derive(Debug)]
 pub struct LocalScheduler {
     clock: SimClock,
     cluster: Cluster,
@@ -95,8 +102,7 @@ pub struct LocalScheduler {
     pending: Vec<JobId>,
     tag_index: HashMap<String, Vec<JobId>>,
     usage: HashMap<String, AccountUsage>,
-    events: Vec<JobEvent>,
-    next_id: u64,
+    subscribers: Vec<Subscriber>,
 }
 
 impl LocalScheduler {
@@ -123,8 +129,7 @@ impl LocalScheduler {
             pending: Vec::new(),
             tag_index: HashMap::new(),
             usage: HashMap::new(),
-            events: Vec::new(),
-            next_id: 1,
+            subscribers: Vec::new(),
         }
     }
 
@@ -148,13 +153,20 @@ impl LocalScheduler {
         self.jobs.values().filter(|r| matches!(r.state, JobState::Running { .. })).count()
     }
 
-    /// Submits a job; it may start immediately if resources are free.
+    /// Submits a job under `id`, which the caller draws; it may start
+    /// immediately if resources are free. Ids need not arrive in
+    /// ascending order, and the id of a retired job is accepted again:
+    /// never reissuing one is the caller's duty.
     ///
     /// # Errors
     ///
+    /// [`SchedulerError::DuplicateJob`] when `id` is already held;
     /// [`SchedulerError::UnknownQueue`], [`SchedulerError::QueueLimitExceeded`]
     /// or [`SchedulerError::InsufficientResources`] on admission failure.
-    pub fn submit(&mut self, spec: JobSpec) -> Result<JobId, SchedulerError> {
+    pub fn submit(&mut self, id: JobId, spec: JobSpec) -> Result<(), SchedulerError> {
+        if self.jobs.contains_key(&id) {
+            return Err(SchedulerError::DuplicateJob(id));
+        }
         let queue = self
             .queues
             .get(&spec.queue)
@@ -167,11 +179,13 @@ impl LocalScheduler {
             });
         }
         let effective_priority = spec.priority + queue.priority_boost();
-        let id = JobId(self.next_id);
-        self.next_id += 1;
         let now = self.clock.now();
         if let Some(tag) = &spec.tag {
-            self.tag_index.entry(tag.clone()).or_default().push(id);
+            // Sorted whatever order ids arrive in, so `retire` finds an
+            // id by binary search; `id` is not held, so not listed yet.
+            let ids = self.tag_index.entry(tag.clone()).or_default();
+            let at = ids.binary_search(&id).unwrap_err();
+            ids.insert(at, id);
         }
         self.usage.entry(spec.account.clone()).or_default().jobs_submitted += 1;
         self.jobs.insert(
@@ -189,17 +203,24 @@ impl LocalScheduler {
         self.record_event(now, id, JobState::Pending);
         self.enqueue_pending(id);
         self.schedule_pending(now);
-        Ok(id)
+        Ok(())
     }
 
+    /// Sends one transition to every live subscriber, pruning the ones
+    /// whose receiver was dropped. With no subscriber nothing is kept.
     fn record_event(&mut self, at: SimTime, job: JobId, state: JobState) {
-        self.events.push(JobEvent { at, job, state });
+        let event = JobEvent { at, job, state };
+        self.subscribers.retain(|subscriber| subscriber(&event));
     }
 
-    /// Drains the recorded lifecycle transitions (submission, start,
-    /// suspend, resume, completion, cancellation, timeout), oldest first.
-    pub fn drain_events(&mut self) -> Vec<JobEvent> {
-        std::mem::take(&mut self.events)
+    /// Subscribes to lifecycle transitions (submission, start, suspend,
+    /// resume, completion, cancellation, timeout): the receiver gets
+    /// every transition from now on, oldest first, and none from
+    /// before. Dropping the receiver ends the subscription.
+    pub fn subscribe(&mut self) -> Receiver<JobEvent> {
+        let (sender, receiver) = mpsc::channel();
+        self.subscribers.push(Box::new(move |event| sender.send(event.clone()).is_ok()));
+        receiver
     }
 
     fn enqueue_pending(&mut self, id: JobId) {
@@ -472,15 +493,16 @@ impl LocalScheduler {
         })
     }
 
-    /// Snapshots of every job, in submission order.
+    /// Snapshots of every job, in id order.
     pub fn statuses(&self) -> Vec<JobStatus> {
         self.jobs.keys().map(|&id| self.status(id).expect("known id")).collect()
     }
 
     /// Forgets a terminal job: its record and its tag-index entry go, so
     /// a server that retires what it cancels holds only live jobs. Its
-    /// id is never reissued, and events already recorded for it stay
-    /// queued for [`LocalScheduler::drain_events`].
+    /// final event was sent to the subscribers when it ended; after
+    /// this, [`submit`](LocalScheduler::submit) would accept its id
+    /// again.
     ///
     /// # Errors
     ///
@@ -498,8 +520,6 @@ impl LocalScheduler {
         let record = self.jobs.remove(&id).expect("checked above");
         if let Some(tag) = &record.spec.tag {
             if let Some(ids) = self.tag_index.get_mut(tag) {
-                // Ids are issued in ascending order, so every tag's list
-                // is sorted.
                 if let Ok(at) = ids.binary_search(&id) {
                     ids.remove(at);
                 }
@@ -552,10 +572,19 @@ mod tests {
         SimDuration::from_mins(m)
     }
 
+    /// Submits `spec` under id `n` and returns the id.
+    fn submit_as(
+        sched: &mut LocalScheduler,
+        n: u64,
+        spec: JobSpec,
+    ) -> Result<JobId, SchedulerError> {
+        sched.submit(JobId(n), spec).map(|()| JobId(n))
+    }
+
     #[test]
     fn job_runs_to_completion() {
         let (clock, mut sched) = setup(1, 4);
-        let id = sched.submit(JobSpec::new("a", "u1", 2, mins(10))).unwrap();
+        let id = submit_as(&mut sched, 1, JobSpec::new("a", "u1", 2, mins(10))).unwrap();
         assert!(matches!(sched.status(id).unwrap().state, JobState::Running { .. }));
         sched.run_until(clock.now() + mins(10));
         let status = sched.status(id).unwrap();
@@ -566,8 +595,8 @@ mod tests {
     #[test]
     fn jobs_queue_when_cluster_full() {
         let (_clock, mut sched) = setup(1, 4);
-        let first = sched.submit(JobSpec::new("a", "u1", 4, mins(10))).unwrap();
-        let second = sched.submit(JobSpec::new("b", "u2", 4, mins(5))).unwrap();
+        let first = submit_as(&mut sched, 1, JobSpec::new("a", "u1", 4, mins(10))).unwrap();
+        let second = submit_as(&mut sched, 2, JobSpec::new("b", "u2", 4, mins(5))).unwrap();
         assert_eq!(sched.pending_count(), 1);
         assert_eq!(sched.running_count(), 1);
         let end = sched.drain();
@@ -580,9 +609,11 @@ mod tests {
     #[test]
     fn priority_orders_the_queue() {
         let (_clock, mut sched) = setup(1, 4);
-        let _running = sched.submit(JobSpec::new("hog", "u1", 4, mins(10))).unwrap();
-        let low = sched.submit(JobSpec::new("low", "u2", 4, mins(1))).unwrap();
-        let high = sched.submit(JobSpec::new("high", "u3", 4, mins(1)).with_priority(10)).unwrap();
+        let _running = submit_as(&mut sched, 1, JobSpec::new("hog", "u1", 4, mins(10))).unwrap();
+        let low = submit_as(&mut sched, 2, JobSpec::new("low", "u2", 4, mins(1))).unwrap();
+        let high =
+            submit_as(&mut sched, 3, JobSpec::new("high", "u3", 4, mins(1)).with_priority(10))
+                .unwrap();
         sched.drain();
         let low_done = match sched.status(low).unwrap().state {
             JobState::Completed { at } => at,
@@ -598,11 +629,12 @@ mod tests {
     #[test]
     fn backfill_lets_small_jobs_pass_blocked_head() {
         let (clock, mut sched) = setup(1, 4);
-        let _running = sched.submit(JobSpec::new("hog", "u1", 3, mins(10))).unwrap();
+        let _running = submit_as(&mut sched, 1, JobSpec::new("hog", "u1", 3, mins(10))).unwrap();
         // Head of queue needs 4 cpus (blocked), a 1-cpu job is behind it.
         let _blocked =
-            sched.submit(JobSpec::new("big", "u2", 4, mins(1)).with_priority(5)).unwrap();
-        let small = sched.submit(JobSpec::new("small", "u3", 1, mins(1))).unwrap();
+            submit_as(&mut sched, 2, JobSpec::new("big", "u2", 4, mins(1)).with_priority(5))
+                .unwrap();
+        let small = submit_as(&mut sched, 3, JobSpec::new("small", "u3", 1, mins(1))).unwrap();
         assert!(matches!(sched.status(small).unwrap().state, JobState::Running { .. }));
         let _ = clock;
     }
@@ -615,18 +647,19 @@ mod tests {
             &clock,
             SchedulerConfig { backfill: false },
         );
-        let _running = sched.submit(JobSpec::new("hog", "u1", 3, mins(10))).unwrap();
+        let _running = submit_as(&mut sched, 1, JobSpec::new("hog", "u1", 3, mins(10))).unwrap();
         let _blocked =
-            sched.submit(JobSpec::new("big", "u2", 4, mins(1)).with_priority(5)).unwrap();
-        let small = sched.submit(JobSpec::new("small", "u3", 1, mins(1))).unwrap();
+            submit_as(&mut sched, 2, JobSpec::new("big", "u2", 4, mins(1)).with_priority(5))
+                .unwrap();
+        let small = submit_as(&mut sched, 3, JobSpec::new("small", "u3", 1, mins(1))).unwrap();
         assert!(matches!(sched.status(small).unwrap().state, JobState::Pending));
     }
 
     #[test]
     fn cancel_pending_running_and_suspended() {
         let (clock, mut sched) = setup(1, 2);
-        let running = sched.submit(JobSpec::new("r", "u1", 2, mins(10))).unwrap();
-        let pending = sched.submit(JobSpec::new("p", "u2", 2, mins(10))).unwrap();
+        let running = submit_as(&mut sched, 1, JobSpec::new("r", "u1", 2, mins(10))).unwrap();
+        let pending = submit_as(&mut sched, 2, JobSpec::new("p", "u2", 2, mins(10))).unwrap();
         sched.run_until(clock.now() + mins(2));
         sched.cancel(pending).unwrap();
         assert!(matches!(sched.status(pending).unwrap().state, JobState::Cancelled { .. }));
@@ -641,7 +674,7 @@ mod tests {
     #[test]
     fn suspend_frees_cpus_for_urgent_job_and_resume_finishes_work() {
         let (clock, mut sched) = setup(1, 4);
-        let long = sched.submit(JobSpec::new("long", "u1", 4, mins(30))).unwrap();
+        let long = submit_as(&mut sched, 1, JobSpec::new("long", "u1", 4, mins(30))).unwrap();
         sched.run_until(clock.now() + mins(10));
 
         // VO admin suspends the long job to run an urgent one (the paper's
@@ -649,7 +682,8 @@ mod tests {
         sched.suspend(long).unwrap();
         assert_eq!(sched.utilization(), 0.0);
         let urgent =
-            sched.submit(JobSpec::new("urgent", "u2", 4, mins(5)).with_priority(100)).unwrap();
+            submit_as(&mut sched, 2, JobSpec::new("urgent", "u2", 4, mins(5)).with_priority(100))
+                .unwrap();
         assert!(matches!(sched.status(urgent).unwrap().state, JobState::Running { .. }));
         sched.run_until(clock.now() + mins(5));
         assert!(matches!(sched.status(urgent).unwrap().state, JobState::Completed { .. }));
@@ -667,8 +701,8 @@ mod tests {
     #[test]
     fn suspend_only_running() {
         let (_clock, mut sched) = setup(1, 2);
-        let a = sched.submit(JobSpec::new("a", "u1", 2, mins(10))).unwrap();
-        let b = sched.submit(JobSpec::new("b", "u2", 2, mins(10))).unwrap();
+        let a = submit_as(&mut sched, 1, JobSpec::new("a", "u1", 2, mins(10))).unwrap();
+        let b = submit_as(&mut sched, 2, JobSpec::new("b", "u2", 2, mins(10))).unwrap();
         assert!(sched.suspend(b).is_err(), "cannot suspend pending");
         sched.suspend(a).unwrap();
         assert!(sched.suspend(a).is_err(), "cannot suspend twice");
@@ -678,9 +712,12 @@ mod tests {
     #[test]
     fn wall_limit_kills_overrunning_job() {
         let (clock, mut sched) = setup(1, 2);
-        let id = sched
-            .submit(JobSpec::new("over", "u1", 1, mins(60)).with_wall_limit(mins(10)))
-            .unwrap();
+        let id = submit_as(
+            &mut sched,
+            1,
+            JobSpec::new("over", "u1", 1, mins(60)).with_wall_limit(mins(10)),
+        )
+        .unwrap();
         sched.run_until(clock.now() + mins(20));
         let status = sched.status(id).unwrap();
         assert_eq!(status.state, JobState::TimedOut { at: SimTime::from_secs(600) });
@@ -693,8 +730,8 @@ mod tests {
     #[test]
     fn usage_accounting_accumulates() {
         let (_clock, mut sched) = setup(1, 4);
-        let a = sched.submit(JobSpec::new("a", "bliu", 2, mins(10))).unwrap();
-        let b = sched.submit(JobSpec::new("b", "bliu", 2, mins(5))).unwrap();
+        let a = submit_as(&mut sched, 1, JobSpec::new("a", "bliu", 2, mins(10))).unwrap();
+        let b = submit_as(&mut sched, 2, JobSpec::new("b", "bliu", 2, mins(5))).unwrap();
         sched.drain();
         let usage = sched.usage("bliu");
         assert_eq!(usage.jobs_submitted, 2);
@@ -710,15 +747,16 @@ mod tests {
         sched.add_queue(SchedulerQueue::new("small").with_max_cpus(2));
         sched.add_queue(SchedulerQueue::new("urgent").with_priority_boost(50));
         assert!(matches!(
-            sched.submit(JobSpec::new("big", "u1", 4, mins(1)).with_queue("small")),
+            submit_as(&mut sched, 1, JobSpec::new("big", "u1", 4, mins(1)).with_queue("small")),
             Err(SchedulerError::QueueLimitExceeded { .. })
         ));
         assert!(matches!(
-            sched.submit(JobSpec::new("x", "u1", 1, mins(1)).with_queue("nope")),
+            submit_as(&mut sched, 2, JobSpec::new("x", "u1", 1, mins(1)).with_queue("nope")),
             Err(SchedulerError::UnknownQueue(_))
         ));
         let boosted =
-            sched.submit(JobSpec::new("u", "u1", 1, mins(1)).with_queue("urgent")).unwrap();
+            submit_as(&mut sched, 3, JobSpec::new("u", "u1", 1, mins(1)).with_queue("urgent"))
+                .unwrap();
         assert_eq!(sched.status(boosted).unwrap().priority, 50);
     }
 
@@ -726,11 +764,11 @@ mod tests {
     fn impossible_jobs_are_rejected_up_front() {
         let (_clock, mut sched) = setup(2, 4);
         assert!(matches!(
-            sched.submit(JobSpec::new("huge", "u1", 9, mins(1))),
+            submit_as(&mut sched, 1, JobSpec::new("huge", "u1", 9, mins(1))),
             Err(SchedulerError::InsufficientResources { .. })
         ));
         assert!(matches!(
-            sched.submit(JobSpec::new("fat", "u1", 1, mins(1)).with_memory(65_536)),
+            submit_as(&mut sched, 2, JobSpec::new("fat", "u1", 1, mins(1)).with_memory(65_536)),
             Err(SchedulerError::InsufficientResources { .. })
         ));
     }
@@ -738,9 +776,9 @@ mod tests {
     #[test]
     fn set_priority_reorders_pending() {
         let (_clock, mut sched) = setup(1, 4);
-        let _hog = sched.submit(JobSpec::new("hog", "u1", 4, mins(10))).unwrap();
-        let first = sched.submit(JobSpec::new("first", "u2", 4, mins(1))).unwrap();
-        let second = sched.submit(JobSpec::new("second", "u3", 4, mins(1))).unwrap();
+        let _hog = submit_as(&mut sched, 1, JobSpec::new("hog", "u1", 4, mins(10))).unwrap();
+        let first = submit_as(&mut sched, 2, JobSpec::new("first", "u2", 4, mins(1))).unwrap();
+        let second = submit_as(&mut sched, 3, JobSpec::new("second", "u3", 4, mins(1))).unwrap();
         sched.set_priority(second, 99).unwrap();
         sched.drain();
         let t_first = match sched.status(first).unwrap().state {
@@ -759,7 +797,8 @@ mod tests {
         let (_clock, mut sched) = setup(4, 8);
         for i in 0..6 {
             let tag = if i % 2 == 0 { "NFC" } else { "ADS" };
-            sched.submit(JobSpec::new(format!("j{i}"), "u", 1, mins(10)).with_tag(tag)).unwrap();
+            let spec = JobSpec::new(format!("j{i}"), "u", 1, mins(10)).with_tag(tag);
+            submit_as(&mut sched, i + 1, spec).unwrap();
         }
         let mut indexed = sched.jobs_with_tag("NFC");
         let mut scanned = sched.jobs_with_tag_scan("NFC");
@@ -778,9 +817,13 @@ mod tests {
     fn retire_forgets_terminal_jobs_only() {
         let (_clock, mut sched) = setup(1, 4);
         let ids: Vec<JobId> = (0..3)
-            .map(|i| sched.submit(JobSpec::new(format!("j{i}"), "u", 1, mins(10)).with_tag("NFC")))
+            .map(|i| {
+                let spec = JobSpec::new(format!("j{i}"), "u", 1, mins(10)).with_tag("NFC");
+                submit_as(&mut sched, i + 1, spec)
+            })
             .collect::<Result<_, _>>()
             .unwrap();
+        let events = sched.subscribe();
         assert!(matches!(sched.retire(ids[1]), Err(SchedulerError::InvalidTransition { .. })));
         sched.cancel(ids[1]).unwrap();
         sched.retire(ids[1]).unwrap();
@@ -788,11 +831,28 @@ mod tests {
         assert_eq!(sched.retire(ids[1]), Err(SchedulerError::UnknownJob(ids[1])));
         assert_eq!(sched.statuses().len(), 2);
         assert_eq!(sched.jobs_with_tag("NFC"), vec![ids[0], ids[2]]);
-        // The cancellation event outlives the record; ids are not reissued.
-        let events = sched.drain_events();
-        assert!(events.iter().any(|e| e.job == ids[1] && e.state.label() == "cancelled"));
-        let next = sched.submit(JobSpec::new("j3", "u", 1, mins(10))).unwrap();
-        assert!(next > ids[2]);
+        // The cancellation event outlives the record. A held id is
+        // refused; a retired one is the caller's to never reissue.
+        assert!(events.try_iter().any(|e| e.job == ids[1] && e.state.label() == "cancelled"));
+        let spec = JobSpec::new("j3", "u", 1, mins(10));
+        assert_eq!(sched.submit(ids[2], spec.clone()), Err(SchedulerError::DuplicateJob(ids[2])));
+        assert_eq!(submit_as(&mut sched, 2, spec), Ok(ids[1]));
+    }
+
+    #[test]
+    fn out_of_order_ids_keep_the_tag_index_sorted() {
+        let (_clock, mut sched) = setup(1, 4);
+        for n in [6, 5] {
+            submit_as(&mut sched, n, JobSpec::new("j", "u", 1, mins(10)).with_tag("NFC")).unwrap();
+        }
+        assert_eq!(sched.jobs_with_tag("NFC"), sched.jobs_with_tag_scan("NFC"));
+        assert_eq!(sched.jobs_with_tag("NFC"), vec![JobId(5), JobId(6)]);
+        sched.cancel(JobId(5)).unwrap();
+        sched.retire(JobId(5)).unwrap();
+        assert_eq!(sched.jobs_with_tag("NFC"), vec![JobId(6)]);
+        sched.cancel(JobId(6)).unwrap();
+        sched.retire(JobId(6)).unwrap();
+        assert!(sched.jobs_with_tag("NFC").is_empty());
     }
 
     #[test]
@@ -809,7 +869,7 @@ mod tests {
     #[test]
     fn status_reports_live_executed_time() {
         let (clock, mut sched) = setup(1, 2);
-        let id = sched.submit(JobSpec::new("a", "u", 1, mins(10))).unwrap();
+        let id = submit_as(&mut sched, 1, JobSpec::new("a", "u", 1, mins(10))).unwrap();
         sched.run_until(clock.now() + mins(4));
         assert_eq!(sched.status(id).unwrap().executed, mins(4));
     }
@@ -818,20 +878,21 @@ mod tests {
     fn next_event_time_tracks_earliest_finish() {
         let (_clock, mut sched) = setup(1, 4);
         assert_eq!(sched.next_event_time(), None);
-        sched.submit(JobSpec::new("a", "u", 1, mins(10))).unwrap();
-        sched.submit(JobSpec::new("b", "u", 1, mins(3))).unwrap();
+        submit_as(&mut sched, 1, JobSpec::new("a", "u", 1, mins(10))).unwrap();
+        submit_as(&mut sched, 2, JobSpec::new("b", "u", 1, mins(3))).unwrap();
         assert_eq!(sched.next_event_time(), Some(SimTime::from_secs(180)));
     }
 
     #[test]
     fn event_stream_records_every_transition() {
         let (clock, mut sched) = setup(1, 4);
-        let id = sched.submit(JobSpec::new("a", "u", 4, mins(10))).unwrap();
+        let stream = sched.subscribe();
+        let id = submit_as(&mut sched, 1, JobSpec::new("a", "u", 4, mins(10))).unwrap();
         sched.run_until(clock.now() + mins(2));
         sched.suspend(id).unwrap();
         sched.resume(id).unwrap();
         sched.drain();
-        let events = sched.drain_events();
+        let events: Vec<JobEvent> = stream.try_iter().collect();
         let labels: Vec<&str> = events.iter().map(|e| e.state.label()).collect();
         assert_eq!(
             labels,
@@ -840,15 +901,52 @@ mod tests {
         assert!(events.iter().all(|e| e.job == id));
         // Timestamps are monotone.
         assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
-        // Draining empties the stream.
-        assert!(sched.drain_events().is_empty());
+        // Receiving empties the stream.
+        assert!(stream.try_recv().is_err());
+    }
+
+    fn labels(stream: &Receiver<JobEvent>) -> Vec<&'static str> {
+        stream.try_iter().map(|e| e.state.label()).collect()
+    }
+
+    #[test]
+    fn a_subscriber_gets_only_later_transitions() {
+        let (_clock, mut sched) = setup(1, 4);
+        let id = submit_as(&mut sched, 1, JobSpec::new("a", "u", 4, mins(10))).unwrap();
+        let late = sched.subscribe();
+        assert!(late.try_recv().is_err());
+        sched.suspend(id).unwrap();
+        assert_eq!(labels(&late), vec!["suspended"]);
+    }
+
+    #[test]
+    fn every_live_subscriber_gets_every_transition() {
+        let (_clock, mut sched) = setup(1, 4);
+        let first = sched.subscribe();
+        let second = sched.subscribe();
+        let id = submit_as(&mut sched, 1, JobSpec::new("a", "u", 4, mins(10))).unwrap();
+        assert_eq!(labels(&first), vec!["pending", "running"]);
+        assert_eq!(labels(&second), vec!["pending", "running"]);
+        // A dropped receiver is pruned on the next send; the other one
+        // keeps receiving.
+        drop(first);
+        sched.suspend(id).unwrap();
+        assert_eq!(sched.subscribers.len(), 1);
+        assert_eq!(labels(&second), vec!["suspended"]);
+        sched.cancel(id).unwrap();
+        assert_eq!(labels(&second), vec!["cancelled"]);
+        // With no receiver left, the next transition prunes the last
+        // sender and nothing is kept.
+        drop(second);
+        submit_as(&mut sched, 2, JobSpec::new("b", "u", 1, mins(10))).unwrap();
+        assert!(sched.subscribers.is_empty());
     }
 
     #[test]
     fn statuses_lists_all_jobs_in_submission_order() {
         let (_clock, mut sched) = setup(1, 4);
-        let a = sched.submit(JobSpec::new("a", "u", 1, mins(1))).unwrap();
-        let b = sched.submit(JobSpec::new("b", "u", 1, mins(1))).unwrap();
+        let a = submit_as(&mut sched, 1, JobSpec::new("a", "u", 1, mins(1))).unwrap();
+        let b = submit_as(&mut sched, 2, JobSpec::new("b", "u", 1, mins(1))).unwrap();
         let all = sched.statuses();
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].id, a);

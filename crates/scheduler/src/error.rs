@@ -8,6 +8,8 @@ use crate::job::JobId;
 pub enum SchedulerError {
     /// No job with this id exists.
     UnknownJob(JobId),
+    /// A job with this id is already held.
+    DuplicateJob(JobId),
     /// The operation is invalid in the job's current state (e.g. resuming
     /// a running job).
     InvalidTransition {
@@ -40,6 +42,7 @@ impl fmt::Display for SchedulerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SchedulerError::UnknownJob(id) => write!(f, "unknown job {id}"),
+            SchedulerError::DuplicateJob(id) => write!(f, "job {id} is already held"),
             SchedulerError::InvalidTransition { job, operation, state } => {
                 write!(f, "cannot {operation} job {job} in state {state}")
             }

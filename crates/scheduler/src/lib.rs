@@ -15,18 +15,21 @@
 //!   so completion, suspension bookkeeping and wall-clock limits are
 //!   exact;
 //! * [`LocalScheduler`] — priority scheduling with optional backfill,
-//!   suspend/resume/cancel/re-prioritize, per-account usage accounting.
+//!   suspend/resume/cancel/re-prioritize, per-account usage accounting,
+//!   and lifecycle events sent to subscribers. The caller numbers the
+//!   jobs.
 //!
 //! # Example
 //!
 //! ```
 //! use gridauthz_clock::{SimClock, SimDuration};
-//! use gridauthz_scheduler::{Cluster, JobSpec, JobState, LocalScheduler};
+//! use gridauthz_scheduler::{Cluster, JobId, JobSpec, JobState, LocalScheduler};
 //!
 //! let clock = SimClock::new();
 //! let mut sched = LocalScheduler::new(Cluster::uniform(2, 4, 4096), &clock);
 //! let job = JobSpec::new("TRANSP", "bliu", 2, SimDuration::from_mins(10));
-//! let id = sched.submit(job)?;
+//! let id = JobId(1);
+//! sched.submit(id, job)?;
 //! sched.run_until(clock.now() + SimDuration::from_mins(11));
 //! assert!(matches!(sched.status(id)?.state, JobState::Completed { .. }));
 //! # Ok::<(), gridauthz_scheduler::SchedulerError>(())

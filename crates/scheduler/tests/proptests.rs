@@ -15,6 +15,7 @@ enum Op {
     Suspend(usize),
     Resume(usize),
     SetPriority(usize, i64),
+    Retire(usize),
     Advance(u64),
 }
 
@@ -33,6 +34,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         1 => (0usize..24).prop_map(Op::Suspend),
         1 => (0usize..24).prop_map(Op::Resume),
         1 => ((0usize..24), -5i64..6).prop_map(|(i, p)| Op::SetPriority(i, p)),
+        1 => (0usize..24).prop_map(Op::Retire),
         2 => (1u64..30).prop_map(Op::Advance),
     ]
 }
@@ -49,11 +51,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn scheduler_invariants_hold_under_arbitrary_operations(ops in prop::collection::vec(arb_op(), 1..40)) {
+    fn scheduler_invariants_hold_under_arbitrary_operations(
+        ops in prop::collection::vec(arb_op(), 1..40),
+        id_keys in prop::collection::vec(any::<u32>(), 40),
+    ) {
         let clock = SimClock::new();
         let total_cpus = 8u32;
         let mut sched = LocalScheduler::new(Cluster::uniform(2, 4, 4096), &clock);
         let mut jobs: Vec<JobId> = Vec::new();
+        // The caller numbers the jobs, here in shuffled order: the tag
+        // index must stay sorted whatever order ids arrive in.
+        let mut ids: Vec<u64> = (1..=40).collect();
+        ids.sort_by_key(|&n| (id_keys[n as usize - 1], n));
+        let mut unused_ids = ids.into_iter().map(JobId);
         let mut work_of: std::collections::HashMap<JobId, SimDuration> = Default::default();
 
         for op in ops {
@@ -65,7 +75,8 @@ proptest! {
                     if tagged {
                         spec = spec.with_tag("NFC");
                     }
-                    if let Ok(id) = sched.submit(spec) {
+                    let id = unused_ids.next().expect("one id per operation");
+                    if sched.submit(id, spec).is_ok() {
                         jobs.push(id);
                         work_of.insert(id, SimDuration::from_mins(work_mins));
                     }
@@ -82,6 +93,12 @@ proptest! {
                 Op::SetPriority(i, p) if !jobs.is_empty() => {
                     let _ = sched.set_priority(jobs[i % jobs.len()], p);
                 }
+                Op::Retire(i) if !jobs.is_empty() => {
+                    let id = jobs[i % jobs.len()];
+                    if sched.retire(id).is_ok() {
+                        jobs.retain(|&job| job != id);
+                    }
+                }
                 Op::Advance(mins) => {
                     sched.run_until(clock.now() + SimDuration::from_mins(mins));
                 }
@@ -93,12 +110,8 @@ proptest! {
             // Invariant 2: utilization stays in [0, 1].
             let u = sched.utilization();
             prop_assert!((0.0..=1.0).contains(&u), "utilization {u}");
-            // Invariant 3: tag index and scan always agree.
-            let mut indexed = sched.jobs_with_tag("NFC");
-            let mut scanned = sched.jobs_with_tag_scan("NFC");
-            indexed.sort();
-            scanned.sort();
-            prop_assert_eq!(indexed, scanned);
+            // Invariant 3: tag index and scan always agree, in id order.
+            prop_assert_eq!(sched.jobs_with_tag("NFC"), sched.jobs_with_tag_scan("NFC"));
         }
 
         // Resume anything left suspended (suspended jobs legitimately

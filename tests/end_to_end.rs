@@ -103,19 +103,21 @@ fn vo_wide_tag_sweep_cancels_only_tagged_jobs() {
     }
     assert_eq!(tb.server.jobs_with_tag("NFC").len(), 3);
 
+    let events = tb.server.subscribe();
     for contact in tb.server.jobs_with_tag("NFC") {
         admin.cancel(&tb.server, &contact).unwrap();
     }
     assert!(tb.server.jobs_with_tag("NFC").is_empty());
     // Every swept job was retired; its final event still reaches the
     // grid layer.
-    let events = tb.server.poll_events();
+    let events: Vec<_> = events.try_iter().collect();
     for contact in &nfc {
         let err = admin.status(&tb.server, contact).unwrap_err();
         assert!(matches!(err, GramError::UnknownJob(_)));
         assert!(events
             .iter()
-            .any(|(c, e)| c == contact && matches!(e.state, JobState::Cancelled { .. })));
+            .any(|e| Some(e.job.0) == contact.index()
+                && matches!(e.state, JobState::Cancelled { .. })));
     }
 }
 
@@ -245,19 +247,21 @@ fn multi_request_submission_is_atomic() {
 fn lifecycle_events_reach_the_grid_layer() {
     let tb = TestbedBuilder::new().members(1).build();
     let member = tb.member_client(0);
+    let stream = tb.server.subscribe();
     let contact = member.submit(&tb.server, SANCTIONED, mins(10)).unwrap();
 
-    // Submission produced pending + running events.
-    let events = tb.server.poll_events();
-    let labels: Vec<&str> = events.iter().map(|(_, e)| e.state.label()).collect();
+    // Submission produced pending + running events, numbered by the
+    // contact's index.
+    let events: Vec<_> = stream.try_iter().collect();
+    let labels: Vec<&str> = events.iter().map(|e| e.state.label()).collect();
     assert_eq!(labels, vec!["pending", "running"]);
-    assert!(events.iter().all(|(c, _)| *c == contact));
+    assert!(events.iter().all(|e| Some(e.job.0) == contact.index()));
 
     // Suspend/resume/complete arrive as they happen.
     member.signal(&tb.server, &contact, GramSignal::Suspend).unwrap();
     member.signal(&tb.server, &contact, GramSignal::Resume).unwrap();
     tb.server.drain();
-    let labels: Vec<&str> = tb.server.poll_events().iter().map(|(_, e)| e.state.label()).collect();
+    let labels: Vec<&str> = stream.try_iter().map(|e| e.state.label()).collect();
     assert_eq!(labels, vec!["suspended", "pending", "running", "completed"]);
-    assert!(tb.server.poll_events().is_empty());
+    assert!(stream.try_recv().is_err());
 }
