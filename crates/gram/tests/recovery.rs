@@ -4,7 +4,8 @@
 //! durability, recovery of journals in the earlier record format,
 //! snapshot coverage of non-initial job states, contacts of retired
 //! jobs never being reissued, jobs replayed out of index order staying
-//! sweepable, a property
+//! sweepable, a server on the file-backed devices recovering across
+//! checkpoints, a property
 //! test of the WAL's longest-checksummed-prefix contract, and a small
 //! sweep of the deterministic crash-point torture matrix.
 
@@ -329,6 +330,42 @@ fn retired_contacts_are_never_reissued_after_recovery() {
     assert_eq!(recovered.job_count(), 0, "replayed cancels retire their jobs");
     let next = recovered.submit(world.alice.chain(), RSL, None, mins(30)).unwrap();
     assert_eq!(next.index(), Some(4));
+}
+
+/// The production devices end to end: a server on a preallocated file
+/// journal and a file snapshot store checkpoints several times (each
+/// compaction renames a fresh zero-filled file over the journal), dies
+/// with a tail past the last checkpoint, and recovers every live job
+/// from the directory alone.
+#[test]
+fn file_backed_server_recovers_across_checkpoints() {
+    let world = World::new();
+    let dir =
+        std::env::temp_dir().join(format!("gridauthz-recovery-file-backed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = || {
+        let config = DurabilityConfig::at_dir(&dir).unwrap().snapshot_every(3);
+        world.builder().recover(config).unwrap()
+    };
+    let server = durable();
+    let contacts: Vec<_> =
+        (0..8).map(|_| server.submit(world.alice.chain(), RSL, None, mins(30)).unwrap()).collect();
+    for contact in &contacts[..3] {
+        server.cancel(world.alice.chain(), contact).unwrap();
+    }
+    drop(server);
+    let journal_len = std::fs::metadata(dir.join("journal.wal")).unwrap().len();
+    assert_eq!(journal_len % gridauthz_journal::storage::PREALLOC_CHUNK, 0, "{journal_len}");
+
+    let recovered = durable();
+    assert_eq!(recovered.job_count(), 5);
+    for contact in &contacts[3..] {
+        assert!(recovered.job_exists(contact), "{} lost", contact.as_str());
+    }
+    let next = recovered.submit(world.alice.chain(), RSL, None, mins(30)).unwrap();
+    assert_eq!(next.index(), Some(9), "a contact was reissued");
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The four record layouts the generation-journaling format wrote:

@@ -9,7 +9,9 @@
 //! * [`CrashMode::Kill`] — power loss before the write reaches the
 //!   platter: nothing of the in-flight batch survives.
 //! * [`CrashMode::Torn`] — the device wrote a strict prefix of the batch
-//!   (a torn multi-sector write): a seeded cut somewhere inside it.
+//!   (a torn multi-sector write): a seeded cut somewhere before its last
+//!   non-zero byte. A cut after it would leave the whole batch on the
+//!   zero-filled platter, which is a complete write, not a torn one.
 //! * [`CrashMode::Short`] — only the first few header bytes landed (a
 //!   short sector write): the cut falls inside the frame header.
 //!
@@ -19,6 +21,12 @@
 //! or may not leave torn bytes behind, and recovery's torn-tail
 //! truncation removes them. `gram::crashsim` builds the full invariant
 //! matrix on top of this device.
+//!
+//! The disk models a preallocated device, as [`crate::FileStorage`] is:
+//! its image is the durable frames followed by zeros up to a 4 KiB
+//! boundary, and appends land at a tail inside it. A crash therefore
+//! leaves frames, then the torn or short prefix of the in-flight batch,
+//! then zeros — the shape recovery meets on a real file.
 
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -67,7 +75,8 @@ impl CrashRng {
 pub enum CrashMode {
     /// Nothing of the in-flight batch survives.
     Kill,
-    /// A seeded strict prefix of the batch survives.
+    /// A seeded strict prefix of the batch survives, cut before its last
+    /// non-zero byte.
     Torn,
     /// Only a prefix of the first frame's header survives.
     Short,
@@ -100,9 +109,17 @@ pub struct FaultPlan {
     pub seed: u64,
 }
 
+/// The step in which a [`FaultDisk`]'s image grows with zeros: the
+/// layout of [`crate::storage::PREALLOC_CHUNK`] at page size, so the
+/// matrix's images stay small and its crashes also cross a boundary.
+const FAULT_CHUNK: usize = 4096;
+
 #[derive(Debug)]
 struct DiskInner {
+    /// The platter: frames, then zeros up to a [`FAULT_CHUNK`] boundary.
     durable: Vec<u8>,
+    /// Where the next synced batch lands in `durable`.
+    tail: usize,
     pending: Vec<u8>,
     syncs: u64,
     plan: Option<FaultPlan>,
@@ -123,6 +140,7 @@ impl FaultDisk {
         FaultDisk {
             inner: Arc::new(Mutex::new(DiskInner {
                 durable: Vec::new(),
+                tail: 0,
                 pending: Vec::new(),
                 syncs: 0,
                 plan,
@@ -131,10 +149,15 @@ impl FaultDisk {
         }
     }
 
-    /// A disk pre-loaded with `bytes` (recovered contents).
+    /// A disk pre-loaded with `bytes` (recovered contents). Until the
+    /// journal's open names the tail, it sits at the end of `bytes`.
     pub fn from_bytes(bytes: Vec<u8>) -> FaultDisk {
         let disk = FaultDisk::new(None);
-        disk.inner.lock().expect("disk mutex poisoned").durable = bytes;
+        {
+            let mut inner = disk.inner.lock().expect("disk mutex poisoned");
+            inner.tail = bytes.len();
+            inner.durable = bytes;
+        }
         disk
     }
 
@@ -149,7 +172,7 @@ impl FaultDisk {
     }
 
     /// What the platter holds — exactly the bytes a post-crash recovery
-    /// would read.
+    /// would read, zeros past the tail included.
     pub fn durable_bytes(&self) -> Vec<u8> {
         self.inner.lock().expect("disk mutex poisoned").durable.clone()
     }
@@ -170,6 +193,23 @@ fn died() -> io::Error {
     io::Error::other("simulated crash: device is gone")
 }
 
+/// The first [`FAULT_CHUNK`] boundary strictly past `len`.
+fn fault_chunk_end(len: usize) -> usize {
+    (len / FAULT_CHUNK + 1) * FAULT_CHUNK
+}
+
+impl DiskInner {
+    /// Writes `bytes` at the tail, growing the image with zeros to the
+    /// next chunk boundary when they would cross its end.
+    fn write_at_tail(&mut self, bytes: &[u8]) {
+        let end = self.tail + bytes.len();
+        if end > self.durable.len() {
+            self.durable.resize(fault_chunk_end(end), 0);
+        }
+        self.durable[self.tail..end].copy_from_slice(bytes);
+    }
+}
+
 impl Storage for FaultFile {
     fn read_all(&mut self) -> io::Result<Vec<u8>> {
         let inner = self.inner.lock().expect("disk mutex poisoned");
@@ -177,7 +217,11 @@ impl Storage for FaultFile {
             return Err(died());
         }
         let mut all = inner.durable.clone();
-        all.extend_from_slice(&inner.pending);
+        let end = inner.tail + inner.pending.len();
+        if end > all.len() {
+            all.resize(end, 0);
+        }
+        all[inner.tail..end].copy_from_slice(&inner.pending);
         Ok(all)
     }
 
@@ -199,18 +243,22 @@ impl Storage for FaultFile {
             if inner.syncs == plan.crash_after_syncs {
                 let mut rng = CrashRng::new(plan.seed).substream(inner.syncs);
                 let pending = std::mem::take(&mut inner.pending);
+                // The platter past the tail is already zero, so a cut
+                // after the batch's last non-zero byte leaves the whole
+                // batch on it: an incomplete write ends before that byte.
+                let landed = pending.iter().rposition(|&b| b != 0).map_or(0, |last| last + 1);
                 let kept = match plan.mode {
                     CrashMode::Kill => 0,
                     // A strict prefix: never the complete batch.
                     CrashMode::Torn => {
-                        if pending.len() > 1 {
-                            1 + rng.below(pending.len() as u64 - 1) as usize
+                        if landed > 1 {
+                            1 + rng.below(landed as u64 - 1) as usize
                         } else {
                             0
                         }
                     }
                     CrashMode::Short => {
-                        let limit = pending.len().min(FRAME_HEADER_LEN);
+                        let limit = landed.min(FRAME_HEADER_LEN);
                         if limit > 0 {
                             rng.below(limit as u64) as usize
                         } else {
@@ -218,14 +266,15 @@ impl Storage for FaultFile {
                         }
                     }
                 };
-                inner.durable.extend_from_slice(&pending[..kept]);
+                inner.write_at_tail(&pending[..kept]);
                 inner.crashed = true;
                 return Err(died());
             }
         }
         inner.syncs += 1;
         let pending = std::mem::take(&mut inner.pending);
-        inner.durable.extend_from_slice(&pending);
+        inner.write_at_tail(&pending);
+        inner.tail += pending.len();
         Ok(())
     }
 
@@ -234,8 +283,15 @@ impl Storage for FaultFile {
         if inner.crashed {
             return Err(died());
         }
+        let len = usize::try_from(len).expect("disk fits memory");
+        if len > inner.durable.len() {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "tail past the device's end"));
+        }
+        // The preallocated space is kept; only what lies past the tail
+        // is zeroed.
         inner.pending.clear();
-        inner.durable.truncate(len as usize);
+        inner.durable[len..].fill(0);
+        inner.tail = len;
         Ok(())
     }
 
@@ -247,7 +303,10 @@ impl Storage for FaultFile {
         // Rename-style replacement is atomic: it happens entirely or not
         // at all, independent of the sync-counter crash plan.
         inner.pending.clear();
-        inner.durable = bytes.to_vec();
+        let mut image = bytes.to_vec();
+        image.resize(fault_chunk_end(bytes.len()), 0);
+        inner.durable = image;
+        inner.tail = bytes.len();
         Ok(())
     }
 }
@@ -296,6 +355,91 @@ mod tests {
                 assert_eq!(replay.records[0].payload, b"acknowledged-record");
             }
         }
+    }
+
+    #[test]
+    fn a_crash_leaves_frames_then_the_torn_prefix_then_zeros() {
+        // The acknowledged record ends just short of a chunk boundary,
+        // so some seeds tear the in-flight record across it.
+        let acked = vec![0xa5; FAULT_CHUNK - FRAME_HEADER_LEN - 16];
+        let acked_len = FRAME_HEADER_LEN + acked.len();
+        for mode in CrashMode::ALL {
+            for seed in 0..32u64 {
+                let disk = FaultDisk::new(Some(FaultPlan { crash_after_syncs: 1, mode, seed }));
+                let journal = journal_over(&disk);
+                assert!(journal.append(&acked).is_ok());
+                assert!(journal.append(b"an in-flight record").is_err());
+
+                let image = disk.durable_bytes();
+                assert_eq!(image.len() % FAULT_CHUNK, 0, "the image is whole chunks");
+                // Past the in-flight frame's prefix, only zeros.
+                let torn_end = image.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+                assert!(torn_end < acked_len + FRAME_HEADER_LEN + 19, "{mode:?} seed {seed}");
+                if mode == CrashMode::Kill {
+                    assert_eq!(torn_end, acked_len, "{mode:?} seed {seed}");
+                }
+
+                // Recovery zeroes the torn prefix and keeps the space.
+                let recovered = FaultDisk::from_bytes(image.clone());
+                let (journal, replay) = Journal::open(Box::new(recovered.storage())).unwrap();
+                assert_eq!(replay.records.len(), 1, "{mode:?} seed {seed}");
+                let after_open = recovered.durable_bytes();
+                assert_eq!(after_open.len(), image.len());
+                assert!(after_open[acked_len..].iter().all(|&b| b == 0));
+
+                // A shorter frame, a crash (drop), a reopen: exactly the
+                // acknowledged records.
+                assert_eq!(journal.append(b"next").unwrap(), 2);
+                drop(journal);
+                let (_, replay) = Journal::open(Box::new(recovered.storage())).unwrap();
+                let payloads: Vec<&[u8]> =
+                    replay.records.iter().map(|r| r.payload.as_slice()).collect();
+                assert_eq!(payloads, vec![acked.as_slice(), b"next".as_slice()]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_write_missing_only_trailing_zeros_is_complete() {
+        // On zero-filled space, a frame whose payload ends in zeros is
+        // whole once its last non-zero byte lands: recovery replays it.
+        // So a torn crash always cuts before that byte.
+        let disk = FaultDisk::new(None);
+        let journal = journal_over(&disk);
+        journal.append(b"ends-in-zeros\0\0\0\0").unwrap();
+        drop(journal);
+        let mut image = disk.durable_bytes();
+        let frame = FRAME_HEADER_LEN + 17;
+        image[frame - 4..frame].fill(0);
+        let (_, replay) = Journal::open(Box::new(FaultDisk::from_bytes(image).storage())).unwrap();
+        assert_eq!(replay.records.len(), 1);
+
+        for seed in 0..64u64 {
+            let plan = FaultPlan { crash_after_syncs: 0, mode: CrashMode::Torn, seed };
+            let disk = FaultDisk::new(Some(plan));
+            let journal = journal_over(&disk);
+            assert!(journal.append(b"ends-in-zeros\0\0\0\0").is_err());
+            let (_, replay) =
+                Journal::open(Box::new(FaultDisk::from_bytes(disk.durable_bytes()).storage()))
+                    .unwrap();
+            assert!(replay.records.is_empty(), "seed {seed}: the torn record replayed");
+        }
+    }
+
+    #[test]
+    fn replace_writes_a_fresh_zero_filled_image() {
+        let disk = FaultDisk::new(None);
+        let journal = journal_over(&disk);
+        for _ in 0..40 {
+            journal.append(&[0xee; 200]).unwrap();
+        }
+        assert!(disk.durable_bytes().len() > FAULT_CHUNK);
+        journal.compact_through(39).unwrap();
+        let image = disk.durable_bytes();
+        let frame = FRAME_HEADER_LEN + 200;
+        assert_eq!(image.len(), FAULT_CHUNK, "no old space is recycled");
+        assert!(image[frame..].iter().all(|&b| b == 0));
+        assert_eq!(journal.stats().durable_bytes, frame as u64);
     }
 
     #[test]

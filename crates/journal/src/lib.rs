@@ -20,9 +20,16 @@
 //! `check` is the first eight bytes of `sha256(seq_le || payload)`
 //! (reusing `credential::sha256`), so a torn or bit-flipped tail is
 //! detected and truncated when the journal is reopened. Sequence numbers
-//! are assigned at append time and must be contiguous on disk; after
-//! snapshot compaction the on-disk tail starts at an arbitrary sequence,
-//! which is how replay knows to skip records a snapshot already covers.
+//! are assigned at append time, start at 1 and must be contiguous on
+//! disk; after snapshot compaction the on-disk tail starts at an
+//! arbitrary sequence, which is how replay knows to skip records a
+//! snapshot already covers.
+//!
+//! Frames are followed by zeros: [`FileStorage`] writes them into space
+//! it preallocated as zeros, so an fsync flushes data and not the file
+//! size. **An all-zero header ends the log** (a real header never is
+//! one, since `seq >= 1`). A journal written before preallocation —
+//! frames up to end of file, no zeros — opens the same way.
 //!
 //! The [`crashsim`] module provides the deterministic fault-injection
 //! layer (`FaultDisk`/`FaultFile`, SplitMix64-seeded) used by the

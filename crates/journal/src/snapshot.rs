@@ -7,9 +7,10 @@
 //! carry explicit sequence numbers.
 //!
 //! Crash ordering: the snapshot is made durable (file backends write a
-//! temporary and atomically rename) *before* the WAL drops the frames it
-//! covers. A crash between the two steps leaves covered frames on disk;
-//! replay skips them by sequence, so the overlap is harmless. A torn or
+//! temporary, atomically rename it, and fsync the directory so the
+//! rename itself survives) *before* the WAL drops the frames it covers.
+//! A crash between the two steps leaves covered frames on disk; replay
+//! skips them by sequence, so the overlap is harmless. A torn or
 //! corrupt snapshot fails its checksum and is ignored (`load` returns
 //! `None`), falling back to full-journal replay.
 
@@ -19,6 +20,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use gridauthz_credential::sha256::sha256_prefix_u64;
+
+use crate::storage::sync_parent_dir;
 
 /// Magic prefix identifying a snapshot blob (and its format version).
 const MAGIC: &[u8; 8] = b"GJSNAP01";
@@ -124,7 +127,10 @@ impl SnapshotStore for FileSnapshotStore {
             f.write_all(&blob.encode())?;
             f.sync_data()?;
         }
-        fs::rename(&tmp, &self.path)
+        fs::rename(&tmp, &self.path)?;
+        // The rename must be durable before the caller compacts the
+        // journal through this snapshot.
+        sync_parent_dir(&self.path)
     }
 }
 

@@ -79,7 +79,9 @@ pub struct ReplayRecord {
 pub struct Replay {
     /// Every intact record, in sequence order.
     pub records: Vec<ReplayRecord>,
-    /// Bytes of torn/corrupt tail truncated away.
+    /// Bytes of torn/corrupt tail cut away: from the end of the intact
+    /// frames through the last non-zero byte (preallocated zeros are
+    /// not counted).
     pub truncated_bytes: u64,
     /// Bytes of intact frames retained.
     pub valid_bytes: u64,
@@ -92,7 +94,8 @@ pub struct JournalStats {
     pub appends: u64,
     /// Physical `sync` calls issued (group commit makes this ≤ appends).
     pub fsyncs: u64,
-    /// Durable journal length in bytes (post-compaction).
+    /// Durable journal length in bytes (post-compaction): the intact
+    /// frames, not the preallocated file size.
     pub durable_bytes: u64,
 }
 
@@ -146,13 +149,18 @@ fn frame_check(seq: u64, payload: &[u8]) -> u64 {
 }
 
 /// Scans `bytes` for intact frames; returns the records plus the byte
-/// length of the valid prefix. Scanning stops at the first frame that is
-/// incomplete, fails its checksum, or breaks sequence contiguity.
+/// length of the valid prefix. Scanning stops at an all-zero header (the
+/// preallocated space past the tail: a real header has `seq >= 1`) and at
+/// the first frame that is incomplete, fails its checksum, or breaks
+/// sequence contiguity.
 fn scan_frames(bytes: &[u8]) -> (Vec<ReplayRecord>, usize) {
     let mut records = Vec::new();
     let mut pos = 0usize;
     let mut expect_seq: Option<u64> = None;
     while bytes.len() - pos >= FRAME_HEADER_LEN {
+        if bytes[pos..pos + FRAME_HEADER_LEN].iter().all(|&b| b == 0) {
+            break;
+        }
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
         if len > MAX_PAYLOAD_LEN {
             break;
@@ -182,9 +190,10 @@ fn scan_frames(bytes: &[u8]) -> (Vec<ReplayRecord>, usize) {
 
 impl Journal {
     /// Opens a journal over `storage`: scans for the longest intact
-    /// checksummed prefix, truncates any torn tail, and returns the
-    /// journal (positioned to append after the last intact frame) plus
-    /// everything it replayed.
+    /// checksummed prefix, hands its length to [`Storage::truncate`]
+    /// (which cuts any torn tail), and returns the journal (positioned
+    /// to append after the last intact frame) plus everything it
+    /// replayed.
     ///
     /// # Errors
     ///
@@ -208,12 +217,12 @@ impl Journal {
     ) -> io::Result<(Journal, Replay)> {
         let bytes = storage.read_all()?;
         let (records, valid_len) = scan_frames(&bytes);
-        if valid_len < bytes.len() {
-            storage.truncate(valid_len as u64)?;
-        }
+        // Always: the device learns its tail here, never by guessing.
+        storage.truncate(valid_len as u64)?;
+        let torn_end = bytes.iter().rposition(|&b| b != 0).map_or(0, |last| last + 1);
         let next_seq = records.last().map_or(1, |r| r.seq + 1).max(covered + 1);
         let replay = Replay {
-            truncated_bytes: (bytes.len() - valid_len) as u64,
+            truncated_bytes: torn_end.saturating_sub(valid_len) as u64,
             valid_bytes: valid_len as u64,
             records,
         };
@@ -378,7 +387,10 @@ impl Journal {
         let mut io = self.io.lock().expect("journal io poisoned");
         let bytes = io.read_all().map_err(|e| JournalError::Io(e.to_string()))?;
         let (records, valid_len) = scan_frames(&bytes);
-        debug_assert_eq!(valid_len, bytes.len(), "durable region must be intact");
+        debug_assert!(
+            bytes[valid_len..].iter().all(|&b| b == 0),
+            "durable region must be intact frames followed by zeros"
+        );
         let mut retained = Vec::new();
         for record in &records {
             if record.seq > covered {
