@@ -6,7 +6,9 @@
 use std::sync::Arc;
 
 use gridauthz_clock::SimClock;
-use gridauthz_core::{AuthorizationCallout, AuthzFailure, AuthzRequest, DenyReason};
+use gridauthz_core::{
+    AuthorizationCallout, AuthzFailure, AuthzRequest, DecisionTrace, DenyReason, RequestContext,
+};
 use gridauthz_rsl::attributes;
 
 use crate::engine::AkentiEngine;
@@ -73,7 +75,12 @@ impl AuthorizationCallout for AkentiCallout {
         &self.name
     }
 
-    fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
+    fn authorize_within(
+        &self,
+        _ctx: &RequestContext,
+        request: &AuthzRequest,
+        _trace: Option<&mut DecisionTrace>,
+    ) -> Result<(), AuthzFailure> {
         let resource = self.resource_for(request)?;
         self.engine
             .check_access(request.subject(), &resource, request.action(), self.clock.now())
@@ -125,28 +132,52 @@ mod tests {
     #[test]
     fn authorized_member_passes() {
         let c = callout();
-        assert!(c.authorize(&request("/O=G/CN=Kate", "&(executable = TRANSP)")).is_ok());
+        assert!(c
+            .authorize_within(
+                &RequestContext::unbounded(),
+                &request("/O=G/CN=Kate", "&(executable = TRANSP)"),
+                None
+            )
+            .is_ok());
         assert_eq!(c.name(), "akenti");
     }
 
     #[test]
     fn nonmember_is_denied() {
         let c = callout();
-        let err = c.authorize(&request("/O=G/CN=Eve", "&(executable = TRANSP)")).unwrap_err();
+        let err = c
+            .authorize_within(
+                &RequestContext::unbounded(),
+                &request("/O=G/CN=Eve", "&(executable = TRANSP)"),
+                None,
+            )
+            .unwrap_err();
         assert!(err.is_denial());
     }
 
     #[test]
     fn unsanctioned_executable_is_denied() {
         let c = callout();
-        let err = c.authorize(&request("/O=G/CN=Kate", "&(executable = rogue)")).unwrap_err();
+        let err = c
+            .authorize_within(
+                &RequestContext::unbounded(),
+                &request("/O=G/CN=Kate", "&(executable = rogue)"),
+                None,
+            )
+            .unwrap_err();
         assert!(err.is_denial());
     }
 
     #[test]
     fn missing_executable_is_denied() {
         let c = callout();
-        let err = c.authorize(&request("/O=G/CN=Kate", "&(count = 1)")).unwrap_err();
+        let err = c
+            .authorize_within(
+                &RequestContext::unbounded(),
+                &request("/O=G/CN=Kate", "&(count = 1)"),
+                None,
+            )
+            .unwrap_err();
         assert!(err.is_denial());
     }
 
@@ -162,12 +193,22 @@ mod tests {
         // the two-failure threshold — the breaker must stay closed.
         for _ in 0..5 {
             let err = supervised
-                .authorize(&request("/O=G/CN=Eve", "&(executable = TRANSP)"))
+                .authorize_within(
+                    &RequestContext::unbounded(),
+                    &request("/O=G/CN=Eve", "&(executable = TRANSP)"),
+                    None,
+                )
                 .unwrap_err();
             assert!(err.is_denial());
         }
         assert_eq!(supervised.breaker_state(), BreakerState::Closed);
-        assert!(supervised.authorize(&request("/O=G/CN=Kate", "&(executable = TRANSP)")).is_ok());
+        assert!(supervised
+            .authorize_within(
+                &RequestContext::unbounded(),
+                &request("/O=G/CN=Kate", "&(executable = TRANSP)"),
+                None
+            )
+            .is_ok());
 
         // The supervision report surfaces through the callout trait.
         let report = AuthorizationCallout::supervision_report(&supervised).unwrap();

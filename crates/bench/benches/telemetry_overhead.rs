@@ -3,9 +3,11 @@
 //! The budget (DESIGN.md §Telemetry): with telemetry attached, a cache
 //! hit records exactly one relaxed counter increment and reads no
 //! clock, so the `telemetered` series must stay within 5% of `bare`.
-//! The `traced` series shows the served path's ceiling —
-//! [`AuthzEngine::authorize_within`] with a full [`DecisionTrace`] costs
-//! two `Instant` reads plus a span push per stage.
+//! The `bare` and `telemetered` series time `decide`, the decision path
+//! [`AuthorizationCallout::authorize_within`] takes with `trace: None`.
+//! The `traced` series shows the served path's ceiling — the same call
+//! with `Some` full [`DecisionTrace`] costs two `Instant` reads plus a
+//! span push per stage.
 
 use std::sync::Arc;
 
@@ -38,8 +40,11 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         let ctx = RequestContext::unbounded();
         b.iter(|| {
             let mut trace = registry.start_trace("bench", SimTime::from_secs(0));
-            let outcome =
-                std::hint::black_box(telemetered.authorize_within(&ctx, &request, &mut trace));
+            let outcome = std::hint::black_box(telemetered.authorize_within(
+                &ctx,
+                &request,
+                Some(&mut trace),
+            ));
             registry.finish_trace(trace);
             outcome
         });

@@ -23,11 +23,11 @@ use gridauthz_sim::{Testbed, TestbedBuilder};
 static ALLOCATOR: CountingAllocator = CountingAllocator::new();
 
 /// Allocations of one warm `STATUS` poll of the caller's own job.
-const STATUS_CEILING: u64 = 12;
+const STATUS_CEILING: u64 = 11;
 /// Median allocations of one warm, permitted `SUBMIT`.
-const SUBMIT_CEILING: u64 = 98;
+const SUBMIT_CEILING: u64 = 97;
 /// Allocations of one warm `CANCEL` of the caller's own job.
-const CANCEL_CEILING: u64 = 9;
+const CANCEL_CEILING: u64 = 8;
 
 /// Simulated work of every submitted job: long enough that none
 /// completes while the test runs.

@@ -1,6 +1,9 @@
 //! Resource-side enforcement of restricted-proxy capability policies.
 
-use gridauthz_core::{AuthorizationCallout, AuthzFailure, AuthzRequest, DenyReason, Pdp, Policy};
+use gridauthz_core::{
+    AuthorizationCallout, AuthzFailure, AuthzRequest, DecisionTrace, DenyReason, Pdp, Policy,
+    RequestContext,
+};
 
 /// A callout enforcing every restriction payload attached to the request's
 /// credential: each embedded policy must independently permit the request
@@ -24,7 +27,12 @@ impl AuthorizationCallout for RestrictionCallout {
         &self.name
     }
 
-    fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
+    fn authorize_within(
+        &self,
+        _ctx: &RequestContext,
+        request: &AuthzRequest,
+        _trace: Option<&mut DecisionTrace>,
+    ) -> Result<(), AuthzFailure> {
         for (i, payload) in request.restrictions().iter().enumerate() {
             let policy: Policy = payload.parse().map_err(|e| {
                 AuthzFailure::SystemError(format!("unparsable restriction payload {i}: {e}"))
@@ -63,7 +71,13 @@ mod tests {
     #[test]
     fn unrestricted_requests_pass() {
         let c = RestrictionCallout::new("cas-enforce");
-        assert!(c.authorize(&start("&(executable = anything)")).is_ok());
+        assert!(c
+            .authorize_within(
+                &RequestContext::unbounded(),
+                &start("&(executable = anything)"),
+                None
+            )
+            .is_ok());
         assert_eq!(c.name(), "cas-enforce");
     }
 
@@ -72,7 +86,7 @@ mod tests {
         let c = RestrictionCallout::new("cas-enforce");
         let r = start("&(executable = TRANSP)(jobtag = NFC)(count = 8)")
             .with_restrictions(vec![CAPS.into()]);
-        assert!(c.authorize(&r).is_ok());
+        assert!(c.authorize_within(&RequestContext::unbounded(), &r, None).is_ok());
     }
 
     #[test]
@@ -80,7 +94,7 @@ mod tests {
         let c = RestrictionCallout::new("cas-enforce");
         let r = start("&(executable = TRANSP)(jobtag = NFC)(count = 64)")
             .with_restrictions(vec![CAPS.into()]);
-        let err = c.authorize(&r).unwrap_err();
+        let err = c.authorize_within(&RequestContext::unbounded(), &r, None).unwrap_err();
         assert!(matches!(err, AuthzFailure::Denied(DenyReason::RestrictionViolated { .. })));
     }
 
@@ -94,7 +108,7 @@ mod tests {
 
         let start_req = start("&(executable = TRANSP)(jobtag = NFC)")
             .with_restrictions(vec![inner.into(), outer.into()]);
-        assert!(c.authorize(&start_req).is_ok());
+        assert!(c.authorize_within(&RequestContext::unbounded(), &start_req, None).is_ok());
 
         let cancel_req = AuthzRequest::manage(
             dn("/O=Grid/CN=Fusion CAS"),
@@ -103,14 +117,14 @@ mod tests {
             Some("NFC".into()),
         )
         .with_restrictions(vec![inner.into(), outer.into()]);
-        assert!(c.authorize(&cancel_req).is_err());
+        assert!(c.authorize_within(&RequestContext::unbounded(), &cancel_req, None).is_err());
     }
 
     #[test]
     fn garbage_payload_is_a_system_error() {
         let c = RestrictionCallout::new("cas-enforce");
         let r = start("&(executable = TRANSP)").with_restrictions(vec!["not a policy".into()]);
-        match c.authorize(&r) {
+        match c.authorize_within(&RequestContext::unbounded(), &r, None) {
             Err(AuthzFailure::SystemError(msg)) => assert!(msg.contains("payload 0")),
             other => panic!("expected SystemError, got {other:?}"),
         }
@@ -135,16 +149,19 @@ mod tests {
         // denial is an answer, not an authorization-system failure.
         let permit = start("&(executable = TRANSP)(jobtag = NFC)(count = 8)")
             .with_restrictions(vec![CAPS.into()]);
-        assert!(supervised.authorize(&permit).is_ok());
+        assert!(supervised.authorize_within(&RequestContext::unbounded(), &permit, None).is_ok());
         let deny = start("&(executable = TRANSP)(jobtag = NFC)(count = 64)")
             .with_restrictions(vec![CAPS.into()]);
-        assert!(matches!(supervised.authorize(&deny), Err(AuthzFailure::Denied(_))));
+        assert!(matches!(
+            supervised.authorize_within(&RequestContext::unbounded(), &deny, None),
+            Err(AuthzFailure::Denied(_))
+        ));
         assert_eq!(supervised.stats().retries, 0);
 
         // A corrupt payload is a system failure: retried once under the
         // two-attempt budget, then failed closed and counted degraded.
         let garbage = start("&(executable = TRANSP)").with_restrictions(vec!["%%".into()]);
-        match supervised.authorize(&garbage) {
+        match supervised.authorize_within(&RequestContext::unbounded(), &garbage, None) {
             Err(AuthzFailure::SystemError(msg)) => assert!(msg.contains("failing closed")),
             other => panic!("expected fail-closed SystemError, got {other:?}"),
         }

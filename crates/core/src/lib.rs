@@ -92,6 +92,10 @@ pub use decision::{Decision, DenyReason};
 pub use error::{AuthzFailure, PolicyParseError};
 pub use eval::Pdp;
 pub use explain::{Explanation, GrantAttempt, RequirementCheck};
+/// The per-decision span list a callout records into — re-exported so a
+/// crate implementing [`AuthorizationCallout`] needs no telemetry
+/// dependency of its own.
+pub use gridauthz_telemetry::DecisionTrace;
 pub use index::SubjectIndex;
 pub use parser::parse_policy;
 pub use pep::{

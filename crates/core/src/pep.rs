@@ -34,43 +34,35 @@ pub trait AuthorizationCallout: Send + Sync {
     /// The callout's configured name (for audit and error messages).
     fn name(&self) -> &str;
 
-    /// Authorizes `request`, returning `Ok(())` on permit.
+    /// Authorizes `request` under `ctx`, returning `Ok(())` on permit.
+    /// The context carries the request's deadline, so a callout that
+    /// can wait (a remote one, or [`SupervisedCallout`]'s retries) fits
+    /// its time spending inside it. When `trace` is `Some`, the callout
+    /// records its interior per-stage spans into it — a
+    /// [`PdpCallout`](crate::PdpCallout) its cache probe and combine; the
+    /// caller records the callout-level span itself. `None` asks for no
+    /// trace work at all.
     ///
     /// # Errors
     ///
     /// [`AuthzFailure::Denied`] when policy denies the request;
     /// [`AuthzFailure::SystemError`] when the authorization system itself
     /// fails (callers must fail closed).
-    fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure>;
-
-    /// [`authorize`](Self::authorize) under a [`RequestContext`],
-    /// recording interior per-stage spans into `trace`. The default
-    /// ignores both and delegates — stateless callouts answer
-    /// immediately and have no interior stages; the caller records the
-    /// callout-level span itself. [`PdpCallout`](crate::PdpCallout)
-    /// overrides this to surface its cache probe and PDP combine, and
-    /// [`SupervisedCallout`] to fit its retry schedule inside the
-    /// deadline.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the failures [`authorize`](Self::authorize) returns.
     fn authorize_within(
         &self,
         ctx: &RequestContext,
         request: &AuthzRequest,
-        trace: &mut DecisionTrace,
-    ) -> Result<(), AuthzFailure> {
-        let _ = (ctx, trace);
-        self.authorize(request)
-    }
+        trace: Option<&mut DecisionTrace>,
+    ) -> Result<(), AuthzFailure>;
 
     /// [`authorize_within`](Self::authorize_within) for a batch sharing
     /// one context, with one trace per request (`traces.len() ==
     /// requests.len()`) and one result per request. The default is
     /// element-wise; callouts backed by swappable state override it to
     /// resolve that state **once** for the whole batch, so a VO-wide
-    /// management fan-out is guaranteed a single consistent policy view.
+    /// management fan-out is guaranteed a single consistent policy view,
+    /// and wrappers override it to hand the whole batch to their inner
+    /// callout.
     fn authorize_batch_within(
         &self,
         ctx: &RequestContext,
@@ -80,14 +72,18 @@ pub trait AuthorizationCallout: Send + Sync {
         requests
             .iter()
             .zip(traces.iter_mut())
-            .map(|(request, trace)| self.authorize_within(ctx, request, trace))
+            .map(|(request, trace)| self.authorize_within(ctx, request, Some(trace)))
             .collect()
     }
 
-    /// Notifies the callout that the policy environment changed
-    /// (grid-mapfile swap, credential revocation, policy reload).
-    /// Callouts holding derived state — notably decision caches — must
-    /// drop it. The default is a no-op for stateless callouts.
+    /// Tells the callout to drop whatever it derived from the policy
+    /// environment — a [`PdpCallout`](crate::PdpCallout) republishes its
+    /// policy under a new generation, emptying its decision cache, and a
+    /// [`SupervisedCallout`] forgets its remembered decisions. Nothing on
+    /// the served path calls it: grid-mapfile swaps and revocations are
+    /// enforced by the gatekeeper before any callout runs, and a policy
+    /// reload publishes its own generation. The default is a no-op for
+    /// stateless callouts.
     fn policy_updated(&self) {}
 
     /// The callout's decision-cache counters and current entry count,
@@ -132,7 +128,9 @@ impl fmt::Debug for dyn AuthorizationCallout {
 /// Manager performs no authorization of its own.
 pub struct AuthzEngine {
     name: String,
-    callouts: Vec<Arc<dyn AuthorizationCallout>>,
+    /// Each callout with its name, taken once so that recording a
+    /// callout span shares the name instead of copying it.
+    callouts: Vec<(Arc<str>, Arc<dyn AuthorizationCallout>)>,
     /// Optional metrics sink, handed to every callout on attachment.
     telemetry: Option<Arc<TelemetryRegistry>>,
 }
@@ -153,7 +151,7 @@ impl AuthzEngine {
     /// [`AuthorizationCallout::attach_telemetry`]); callouts pushed later
     /// receive it too.
     pub fn set_telemetry(&mut self, registry: Arc<TelemetryRegistry>) {
-        for callout in &self.callouts {
+        for (_, callout) in &self.callouts {
             callout.attach_telemetry(&registry);
         }
         self.telemetry = Some(registry);
@@ -169,12 +167,12 @@ impl AuthzEngine {
         if let Some(telemetry) = &self.telemetry {
             callout.attach_telemetry(telemetry);
         }
-        self.callouts.push(callout);
+        self.callouts.push((Arc::from(callout.name()), callout));
     }
 
     /// The callouts' names, in invocation order.
     pub fn callout_names(&self) -> Vec<&str> {
-        self.callouts.iter().map(|c| c.name()).collect()
+        self.callouts.iter().map(|(name, _)| &**name).collect()
     }
 
     /// Supervision state of every supervised callout, in invocation
@@ -184,7 +182,7 @@ impl AuthzEngine {
     pub fn supervision_reports(&self) -> Vec<(String, SupervisionReport)> {
         self.callouts
             .iter()
-            .filter_map(|c| c.supervision_report().map(|r| (c.name().to_string(), r)))
+            .filter_map(|(name, c)| c.supervision_report().map(|r| (name.to_string(), r)))
             .collect()
     }
 
@@ -195,11 +193,11 @@ impl AuthzEngine {
         self.callouts.is_empty()
     }
 
-    /// Forwards a policy-environment change (grid-mapfile swap,
-    /// credential revocation) to every callout; see
-    /// [`AuthorizationCallout::policy_updated`].
+    /// Calls [`AuthorizationCallout::policy_updated`] on every callout,
+    /// so the next decision is computed afresh. The GRAM server never
+    /// calls it; benchmarks use it to time an uncached decision.
     pub fn policy_updated(&self) {
-        for callout in &self.callouts {
+        for (_, callout) in &self.callouts {
             callout.policy_updated();
         }
     }
@@ -213,52 +211,48 @@ impl AuthzEngine {
         }
     }
 
-    /// Authorizes `request` with no trace and no deadline: every callout
-    /// in order; the first failure wins.
+    /// Shorthand for [`authorize_within`](Self::authorize_within) with
+    /// no deadline and no trace.
     ///
     /// # Errors
     ///
     /// Propagates the failing callout's [`AuthzFailure`].
     pub fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
-        for callout in &self.callouts {
-            callout.authorize(request)?;
-        }
-        Ok(())
+        self.authorize_within(&RequestContext::unbounded(), request, None)
     }
 
-    /// [`authorize`](Self::authorize) under a [`RequestContext`], with
-    /// per-stage spans: an already-expired request is refused as an
-    /// authorization-system failure before any policy work; otherwise
-    /// every callout contributes a named
+    /// Authorizes `request` under a [`RequestContext`]: every callout in
+    /// order; the first failure wins. An already-expired request is
+    /// refused as an authorization-system failure before any policy
+    /// work. Each callout receives the context so it can clamp its own
+    /// time spending (see [`AuthorizationCallout::authorize_within`]) —
+    /// this is how the front-end's deadline reaches the retry loop
+    /// inside a [`SupervisedCallout`]. With a trace, every callout
+    /// contributes a named
     /// [`Stage::Callout`](gridauthz_telemetry::Stage::Callout) span (and
     /// a [`PdpCallout`](crate::PdpCallout) its interior
-    /// cache-probe/combine spans). Each callout receives the context so
-    /// it can clamp its own time spending (see
-    /// [`AuthorizationCallout::authorize_within`]) — this is how the
-    /// front-end's deadline reaches the retry loop inside a
-    /// [`SupervisedCallout`].
+    /// cache-probe/combine spans); without one, no clock is read here.
     ///
     /// # Errors
     ///
-    /// The failures [`authorize`](Self::authorize) returns, plus
+    /// Propagates the failing callout's [`AuthzFailure`];
     /// [`AuthzFailure::SystemError`] for an expired deadline.
     pub fn authorize_within(
         &self,
         ctx: &RequestContext,
         request: &AuthzRequest,
-        trace: &mut DecisionTrace,
+        mut trace: Option<&mut DecisionTrace>,
     ) -> Result<(), AuthzFailure> {
         if ctx.expired() {
             return Err(expired());
         }
-        for callout in &self.callouts {
-            let start = Instant::now();
-            let outcome = callout.authorize_within(ctx, request, trace);
-            trace.record_callout(
-                callout.name(),
-                AuthzEngine::outcome_label(&outcome),
-                elapsed_nanos(Some(start)),
-            );
+        for (name, callout) in &self.callouts {
+            let start = trace.is_some().then(Instant::now);
+            let outcome = callout.authorize_within(ctx, request, trace.as_deref_mut());
+            if let Some(trace) = trace.as_deref_mut() {
+                let label = AuthzEngine::outcome_label(&outcome);
+                trace.record_callout(name, label, elapsed_nanos(start));
+            }
             outcome?;
         }
         Ok(())
@@ -287,7 +281,7 @@ impl AuthzEngine {
             return requests.iter().map(|_| Err(expired())).collect();
         }
         let mut outcomes: Vec<Result<(), AuthzFailure>> = requests.iter().map(|_| Ok(())).collect();
-        for callout in &self.callouts {
+        for (name, callout) in &self.callouts {
             let pending: Vec<usize> =
                 (0..requests.len()).filter(|&i| outcomes[i].is_ok()).collect();
             if pending.is_empty() {
@@ -314,11 +308,7 @@ impl AuthzEngine {
             };
             let amortized = elapsed_nanos(Some(start)) / pending.len().max(1) as u64;
             for (&i, sub) in pending.iter().zip(subs) {
-                traces[i].record_callout(
-                    callout.name(),
-                    AuthzEngine::outcome_label(&sub),
-                    amortized,
-                );
+                traces[i].record_callout(name, AuthzEngine::outcome_label(&sub), amortized);
                 outcomes[i] = sub;
             }
         }
@@ -334,7 +324,7 @@ impl AuthzEngine {
     pub fn refresh_telemetry_gauges(&self) {
         let Some(telemetry) = &self.telemetry else { return };
         let (mut hits, mut misses, mut entries) = (0u64, 0u64, 0u64);
-        for (stats, len) in self.callouts.iter().filter_map(|c| c.cache_report()) {
+        for (stats, len) in self.callouts.iter().filter_map(|(_, c)| c.cache_report()) {
             hits += stats.hits;
             misses += stats.misses;
             entries += len as u64;
@@ -597,7 +587,12 @@ mod tests {
         fn name(&self) -> &str {
             "deny-all"
         }
-        fn authorize(&self, _: &AuthzRequest) -> Result<(), AuthzFailure> {
+        fn authorize_within(
+            &self,
+            _: &RequestContext,
+            _: &AuthzRequest,
+            _: Option<&mut DecisionTrace>,
+        ) -> Result<(), AuthzFailure> {
             Err(AuthzFailure::Denied(DenyReason::NoApplicableGrant))
         }
     }
@@ -609,7 +604,12 @@ mod tests {
         fn name(&self) -> &str {
             "counting"
         }
-        fn authorize(&self, _: &AuthzRequest) -> Result<(), AuthzFailure> {
+        fn authorize_within(
+            &self,
+            _: &RequestContext,
+            _: &AuthzRequest,
+            _: Option<&mut DecisionTrace>,
+        ) -> Result<(), AuthzFailure> {
             self.0.fetch_add(1, Ordering::SeqCst);
             Ok(())
         }
@@ -647,7 +647,12 @@ mod tests {
             fn name(&self) -> &str {
                 "deny-subject"
             }
-            fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
+            fn authorize_within(
+                &self,
+                _: &RequestContext,
+                request: &AuthzRequest,
+                _: Option<&mut DecisionTrace>,
+            ) -> Result<(), AuthzFailure> {
                 if request.subject().to_string().contains(self.0) {
                     Err(AuthzFailure::Denied(DenyReason::NoApplicableGrant))
                 } else {
@@ -665,7 +670,12 @@ mod tests {
             fn name(&self) -> &str {
                 "spy"
             }
-            fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
+            fn authorize_within(
+                &self,
+                _: &RequestContext,
+                request: &AuthzRequest,
+                _: Option<&mut DecisionTrace>,
+            ) -> Result<(), AuthzFailure> {
                 self.seen.lock().unwrap().push(request.subject().to_string());
                 Ok(())
             }

@@ -8,6 +8,7 @@ use gridauthz_rsl::{Attribute, Clause, Conjunction, RelOp, Relation, Value};
 use crate::action::Action;
 use crate::cache::DecisionCache;
 use crate::combine::{CombinedPdp, Combiner, PolicyOrigin, PolicySource};
+use crate::context::RequestContext;
 use crate::decision::{Decision, DenyReason};
 use crate::eval::Pdp;
 use crate::pep::AuthorizationCallout;
@@ -312,12 +313,12 @@ proptest! {
         let cached = PdpCallout::cached("s", make(&before));
         // Warm the cache under the old policy.
         for request in &requests {
-            let _ = cached.authorize(request);
+            let _ = cached.authorize_within(&RequestContext::unbounded(), request, None);
         }
         cached.reload(make(&after));
         let fresh = PdpCallout::new("s", make(&after));
         for request in &requests {
-            prop_assert_eq!(cached.authorize(request), fresh.authorize(request));
+            prop_assert_eq!(cached.authorize_within(&RequestContext::unbounded(), request, None), fresh.authorize_within(&RequestContext::unbounded(), request, None));
         }
     }
 

@@ -23,12 +23,11 @@
 //!   waits for a decision's evaluation.
 //! * [`PdpCallout`] is the RSL policy evaluator as one callout in the
 //!   chain (§5.2): it owns the published snapshot and its optional
-//!   decision cache. `decide`/`decide_batch` return per-source
-//!   breakdowns; as an [`AuthorizationCallout`] a batch resolves **one
-//!   snapshot for all its elements** — the VO-wide jobtag fan-out;
-//!   `reload`/`policy_updated` publish. The cache generation is the
-//!   snapshot's own generation — there is no separate counter to fall
-//!   out of sync.
+//!   decision cache. `decide` returns the per-source breakdown; as an
+//!   [`AuthorizationCallout`] a batch resolves **one snapshot for all its
+//!   elements** — the VO-wide jobtag fan-out; `reload`/`policy_updated`
+//!   publish. The cache generation is the snapshot's own generation —
+//!   there is no separate counter to fall out of sync.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,7 +125,7 @@ impl<T: fmt::Debug> fmt::Debug for SnapshotCell<T> {
 /// The PDP lives in a published [`PolicySnapshot`]. The steady-state
 /// decision path resolves the complete policy state with one
 /// [`SnapshotCell::load`] (uncached decisions touch nothing else; cached
-/// ones add one sharded cache probe), so `authorize` never holds a lock
+/// ones add one sharded cache probe), so a decision never holds a lock
 /// across evaluation. Publication — [`reload`](PdpCallout::reload),
 /// [`policy_updated`](AuthorizationCallout::policy_updated) — builds the
 /// new snapshot off-path under a writer mutex nothing on the decision
@@ -205,15 +204,6 @@ impl PdpCallout {
         self.decide_instrumented(&self.cell.load(), request, None)
     }
 
-    /// Evaluates a batch under **one** snapshot: a single load covers
-    /// every element, and all decisions are guaranteed to reflect the
-    /// same policy generation — a VO-wide cancel fan-out can never
-    /// straddle a reload.
-    pub fn decide_batch(&self, requests: &[AuthzRequest]) -> Vec<Arc<CombinedDecision>> {
-        let snapshot = self.cell.load();
-        requests.iter().map(|request| self.decide_instrumented(&snapshot, request, None)).collect()
-    }
-
     /// The decision cache, when this callout was built with one.
     pub fn cache(&self) -> Option<&DecisionCache> {
         self.cache.as_ref()
@@ -243,68 +233,44 @@ impl PdpCallout {
     ///   sub-microsecond hot path the <5% overhead budget protects);
     ///   misses time the PDP combine and feed the histogram.
     /// * neither — identical to the pre-telemetry path.
+    ///
+    /// One probe when there is a cache, one combine on a miss, then an
+    /// insert stamped with the snapshot's generation.
     fn decide_instrumented(
         &self,
         snapshot: &PolicySnapshot,
         request: &AuthzRequest,
-        trace: Option<&mut DecisionTrace>,
+        mut trace: Option<&mut DecisionTrace>,
     ) -> Arc<CombinedDecision> {
-        match &self.cache {
-            Some(cache) => {
-                let probe_start = trace.is_some().then(Instant::now);
-                let key = request_digest(request);
-                let generation = snapshot.generation();
-                if let Some(decision) = cache.lookup(key, generation) {
-                    match trace {
-                        Some(trace) => {
-                            trace.record(Stage::CacheProbe, labels::HIT, elapsed_nanos(probe_start))
-                        }
-                        None => {
-                            if let Some(telemetry) = self.telemetry.get() {
-                                telemetry.record(Stage::CacheProbe, labels::HIT);
-                            }
-                        }
-                    }
-                    return decision;
-                }
-                let probe_nanos = elapsed_nanos(probe_start);
-                let combine_start =
-                    (trace.is_some() || self.telemetry.get().is_some()).then(Instant::now);
-                let decision = Arc::new(snapshot.decide(request));
-                let combine_nanos = elapsed_nanos(combine_start);
-                let label = PdpCallout::decision_label(&decision);
-                match trace {
-                    Some(trace) => {
-                        trace.record(Stage::CacheProbe, labels::MISS, probe_nanos);
-                        trace.record(Stage::Combine, label, combine_nanos);
-                    }
-                    None => {
-                        if let Some(telemetry) = self.telemetry.get() {
-                            telemetry.record(Stage::CacheProbe, labels::MISS);
-                            telemetry.record_timed(Stage::Combine, label, combine_nanos);
-                        }
-                    }
-                }
-                cache.insert(key, generation, Arc::clone(&decision));
-                decision
+        let mut miss = None;
+        if let Some(cache) = &self.cache {
+            let start = trace.is_some().then(Instant::now);
+            let key = request_digest(request);
+            let hit = cache.lookup(key, snapshot.generation());
+            let label = if hit.is_some() { labels::HIT } else { labels::MISS };
+            match (trace.as_deref_mut(), self.telemetry.get()) {
+                (Some(trace), _) => trace.record(Stage::CacheProbe, label, elapsed_nanos(start)),
+                (None, Some(registry)) => registry.record(Stage::CacheProbe, label),
+                (None, None) => {}
             }
-            None => {
-                let combine_start =
-                    (trace.is_some() || self.telemetry.get().is_some()).then(Instant::now);
-                let decision = Arc::new(snapshot.decide(request));
-                let combine_nanos = elapsed_nanos(combine_start);
-                let label = PdpCallout::decision_label(&decision);
-                match trace {
-                    Some(trace) => trace.record(Stage::Combine, label, combine_nanos),
-                    None => {
-                        if let Some(telemetry) = self.telemetry.get() {
-                            telemetry.record_timed(Stage::Combine, label, combine_nanos);
-                        }
-                    }
-                }
-                decision
+            if let Some(decision) = hit {
+                return decision;
             }
+            miss = Some((cache, key));
         }
+        let start = (trace.is_some() || self.telemetry.get().is_some()).then(Instant::now);
+        let decision = Arc::new(snapshot.decide(request));
+        let nanos = elapsed_nanos(start);
+        let label = PdpCallout::decision_label(&decision);
+        match (trace, self.telemetry.get()) {
+            (Some(trace), _) => trace.record(Stage::Combine, label, nanos),
+            (None, Some(registry)) => registry.record_timed(Stage::Combine, label, nanos),
+            (None, None) => {}
+        }
+        if let Some((cache, key)) = miss {
+            cache.insert(key, snapshot.generation(), Arc::clone(&decision));
+        }
+        decision
     }
 
     fn to_outcome(decision: &CombinedDecision) -> Result<(), AuthzFailure> {
@@ -320,20 +286,14 @@ impl AuthorizationCallout for PdpCallout {
         &self.name
     }
 
-    /// The snapshot decision with no trace; a cache hit reads no clock.
-    fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
-        PdpCallout::to_outcome(&self.decide(request))
-    }
-
     fn authorize_within(
         &self,
         _ctx: &RequestContext,
         request: &AuthzRequest,
-        trace: &mut DecisionTrace,
+        trace: Option<&mut DecisionTrace>,
     ) -> Result<(), AuthzFailure> {
-        // Surfaces the interior cache probe and combine as spans. The
-        // deadline is not checked: a snapshot decision never blocks.
-        PdpCallout::to_outcome(&self.decide_instrumented(&self.cell.load(), request, Some(trace)))
+        // The deadline is not checked: a snapshot decision never blocks.
+        PdpCallout::to_outcome(&self.decide_instrumented(&self.cell.load(), request, trace))
     }
 
     fn authorize_batch_within(
@@ -354,9 +314,10 @@ impl AuthorizationCallout for PdpCallout {
     }
 
     /// Republishes the current PDP under a fresh generation, dropping
-    /// every cached decision: the policy *environment* changed
-    /// (grid-mapfile swap, credential revocation) without the PDP
-    /// itself being replaced.
+    /// every cached decision without replacing the PDP. The served path
+    /// never calls it (see
+    /// [`AuthorizationCallout::policy_updated`]); benchmarks do, to time
+    /// an uncached decision.
     fn policy_updated(&self) {
         self.publish(|current| current.pdp.clone());
     }
@@ -406,6 +367,14 @@ mod tests {
         )
     }
 
+    /// One decision with no deadline and no trace.
+    fn authorize(
+        callout: &dyn AuthorizationCallout,
+        request: &AuthzRequest,
+    ) -> Result<(), AuthzFailure> {
+        callout.authorize_within(&RequestContext::unbounded(), request, None)
+    }
+
     fn pdp(policy: &str) -> CombinedPdp {
         let source =
             PolicySource::new("test", PolicyOrigin::ResourceOwner, policy.parse().unwrap());
@@ -433,8 +402,8 @@ mod tests {
     #[test]
     fn pdp_callout_permits_and_denies() {
         let callout = PdpCallout::new("c", pdp("/O=G/CN=Bo: &(action = start)(executable = a)"));
-        assert!(callout.authorize(&request("/O=G/CN=Bo", "&(executable = a)")).is_ok());
-        let err = callout.authorize(&request("/O=G/CN=Bo", "&(executable = b)")).unwrap_err();
+        assert!(authorize(&callout, &request("/O=G/CN=Bo", "&(executable = a)")).is_ok());
+        let err = authorize(&callout, &request("/O=G/CN=Bo", "&(executable = b)")).unwrap_err();
         assert!(err.is_denial());
     }
 
@@ -453,20 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn decide_batch_matches_elementwise_decide() {
-        let callout = PdpCallout::new("c", pdp("/O=G/CN=Bo: &(action = start)(executable = a)"));
-        let requests = vec![
-            request("/O=G/CN=Bo", "&(executable = a)"),
-            request("/O=G/CN=Bo", "&(executable = b)"),
-            request("/O=G/CN=Eve", "&(executable = a)"),
-        ];
-        let batch = callout.decide_batch(&requests);
-        for (request, batched) in requests.iter().zip(&batch) {
-            assert_eq!(**batched, *callout.decide(request));
-        }
-    }
-
-    #[test]
     fn cached_callout_agrees_with_uncached() {
         let policy = "/O=G/CN=Bo: &(action = start)(executable = a)";
         let cached = PdpCallout::cached("c", pdp(policy));
@@ -474,7 +429,7 @@ mod tests {
         for job in ["&(executable = a)", "&(executable = b)"] {
             for _ in 0..3 {
                 let r = request("/O=G/CN=Bo", job);
-                assert_eq!(cached.authorize(&r).is_ok(), plain.authorize(&r).is_ok(), "{job}");
+                assert_eq!(authorize(&cached, &r).is_ok(), authorize(&plain, &r).is_ok(), "{job}");
             }
         }
         let stats = cached.cache_stats().unwrap();
@@ -486,13 +441,13 @@ mod tests {
     fn reload_drops_cached_permits() {
         let callout = PdpCallout::cached("c", pdp("/O=G/CN=Bo: &(action = start)(executable = a)"));
         let r = request("/O=G/CN=Bo", "&(executable = a)");
-        assert!(callout.authorize(&r).is_ok());
-        assert!(callout.authorize(&r).is_ok()); // cached permit
+        assert!(authorize(&callout, &r).is_ok());
+        assert!(authorize(&callout, &r).is_ok()); // cached permit
 
         // Reload with a policy that revokes Bo's grant: the cached permit
         // must not survive.
         callout.reload(pdp("/O=G/CN=Kate: &(action = start)"));
-        assert!(callout.authorize(&r).is_err());
+        assert!(authorize(&callout, &r).is_err());
         assert_eq!(callout.pdp().sources().len(), 1);
     }
 }

@@ -620,78 +620,91 @@ impl SupervisedCallout {
         }
     }
 
-    /// The supervised decision path shared by `authorize` and
-    /// `authorize_within`. The retry schedule is clamped by `ctx`: once
-    /// the request cannot afford another backoff plus a full
-    /// per-attempt deadline, the supervisor stops retrying and degrades
-    /// instead of blowing through the caller's deadline — the context's
-    /// remaining time, not the standalone
-    /// [`decision_budget`](ResilienceConfig::decision_budget), bounds
-    /// the call.
+    /// The supervised decision path, for one request or a batch: `keys`
+    /// holds each request's digest, `outcomes` one slot per request, and
+    /// `traces` one trace per request, or none when untraced. One breaker
+    /// admission and one attempt loop cover them all; each attempt is one
+    /// call of `attempt`, and one slower than the per-attempt deadline is
+    /// discarded whole. The retry schedule is clamped by `ctx`: once the
+    /// request cannot afford another backoff plus a full per-attempt
+    /// deadline, the supervisor stops retrying and degrades instead of
+    /// blowing through the caller's deadline — the context's remaining
+    /// time, not the standalone
+    /// [`decision_budget`](ResilienceConfig::decision_budget), bounds the
+    /// call. Each conclusive outcome is then remembered for `ServeStale`,
+    /// and each slot left holding a system error degrades under its key.
     fn call_supervised(
         &self,
         ctx: &RequestContext,
-        request: &AuthzRequest,
-        mut trace: Option<&mut DecisionTrace>,
-    ) -> Result<(), AuthzFailure> {
-        let key = request_digest(request);
-        if ctx.expired() {
-            self.record(labels::EXPIRED);
-            return self.degrade(key, trace, "request deadline expired before callout");
-        }
-        let probe = match self.admit() {
-            Admission::Allow { probe } => probe,
-            Admission::Reject => {
-                self.breaker_rejections.fetch_add(1, Ordering::Relaxed);
-                return self.degrade(key, trace, "circuit breaker open");
-            }
+        keys: &[u128],
+        traces: &mut [DecisionTrace],
+        outcomes: &mut [Result<(), AuthzFailure>],
+        mut attempt: impl FnMut(&mut [DecisionTrace], &mut [Result<(), AuthzFailure>]),
+    ) {
+        let fail = |outcome: &mut Result<(), AuthzFailure>, why: &str| {
+            *outcome = Err(AuthzFailure::SystemError(why.to_string()));
         };
-        let call = self.call_seq.fetch_add(1, Ordering::SeqCst);
-        let mut attempt: u32 = 0;
-        loop {
-            attempt += 1;
-            let start = self.clock.now();
-            let result = self.inner.authorize(request);
-            let elapsed = self.clock.now().saturating_since(start);
-            let outcome = if elapsed > self.config.deadline {
-                self.timeouts.fetch_add(1, Ordering::Relaxed);
-                self.record_timed(labels::TIMEOUT, elapsed);
-                Err(AuthzFailure::SystemError(format!(
-                    "attempt {attempt} exceeded deadline ({elapsed} > {})",
-                    self.config.deadline
-                )))
-            } else {
-                result
+        let failed = |outcome: &Result<(), AuthzFailure>| {
+            outcome.as_ref().is_err_and(|failure| !failure.is_denial())
+        };
+        'attempts: {
+            if ctx.expired() {
+                self.record(labels::EXPIRED);
+                outcomes
+                    .iter_mut()
+                    .for_each(|o| fail(o, "request deadline expired before callout"));
+                break 'attempts;
+            }
+            let Admission::Allow { probe } = self.admit() else {
+                self.breaker_rejections.fetch_add(1, Ordering::Relaxed);
+                outcomes.iter_mut().for_each(|o| fail(o, "circuit breaker open"));
+                break 'attempts;
             };
+            let call = self.call_seq.fetch_add(1, Ordering::SeqCst);
+            for tries in 1.. {
+                let start = self.clock.now();
+                attempt(traces, outcomes);
+                let elapsed = self.clock.now().saturating_since(start);
+                if elapsed > self.config.deadline {
+                    self.timeouts.fetch_add(1, Ordering::Relaxed);
+                    self.record_timed(labels::TIMEOUT, elapsed);
+                    let deadline = self.config.deadline;
+                    let why = format!("attempt {tries} exceeded deadline ({elapsed} > {deadline})");
+                    outcomes.iter_mut().for_each(|o| fail(o, &why));
+                }
+                // Denials are evidence the system works: breaker success.
+                let settled = !outcomes.iter().any(failed);
+                if settled || tries >= self.config.max_attempts {
+                    self.complete(probe, settled);
+                    break 'attempts;
+                }
+                let backoff = self.backoff(call, tries);
+                // A retry costs its backoff plus (up to) a full per-attempt
+                // deadline; a request that cannot afford that degrades now
+                // instead of answering late.
+                let next_attempt_cost = SimDuration::from_micros(
+                    backoff.as_micros().saturating_add(self.config.deadline.as_micros()),
+                );
+                if ctx.remaining() < next_attempt_cost {
+                    self.record(labels::EXPIRED);
+                    self.complete(probe, false);
+                    for outcome in outcomes.iter_mut().filter(|o| failed(o)) {
+                        fail(outcome, "request deadline exhausted");
+                    }
+                    break 'attempts;
+                }
+                self.retries.fetch_add(1, Ordering::Relaxed);
+                self.record(labels::RETRY);
+                self.clock.advance(backoff);
+            }
+        }
+        for (i, (&key, outcome)) in keys.iter().zip(outcomes.iter_mut()).enumerate() {
             match outcome {
-                Ok(()) | Err(AuthzFailure::Denied(_)) => {
-                    // Denials are evidence the system works: breaker
-                    // success, and a rememberable decision.
-                    self.complete(probe, true);
-                    self.remember(key, &outcome);
-                    return outcome;
+                Err(AuthzFailure::SystemError(why)) => {
+                    let why = std::mem::take(why);
+                    *outcome = self.degrade(key, traces.get_mut(i), &why);
                 }
-                Err(AuthzFailure::SystemError(message)) => {
-                    if attempt >= self.config.max_attempts {
-                        self.complete(probe, false);
-                        return self.degrade(key, trace.take(), &message);
-                    }
-                    let backoff = self.backoff(call, attempt);
-                    // A retry costs its backoff plus (up to) a full
-                    // per-attempt deadline; a request that cannot afford
-                    // that degrades now instead of answering late.
-                    let next_attempt_cost = SimDuration::from_micros(
-                        backoff.as_micros().saturating_add(self.config.deadline.as_micros()),
-                    );
-                    if ctx.remaining() < next_attempt_cost {
-                        self.record(labels::EXPIRED);
-                        self.complete(probe, false);
-                        return self.degrade(key, trace.take(), "request deadline exhausted");
-                    }
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    self.record(labels::RETRY);
-                    self.clock.advance(backoff);
-                }
+                conclusive => self.remember(key, conclusive),
             }
         }
     }
@@ -712,17 +725,38 @@ impl AuthorizationCallout for SupervisedCallout {
         self.inner.name()
     }
 
-    fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
-        self.call_supervised(&RequestContext::unbounded(), request, None)
-    }
-
     fn authorize_within(
         &self,
         ctx: &RequestContext,
         request: &AuthzRequest,
-        trace: &mut DecisionTrace,
+        trace: Option<&mut DecisionTrace>,
     ) -> Result<(), AuthzFailure> {
-        self.call_supervised(ctx, request, Some(trace))
+        let traces: &mut [DecisionTrace] = trace.map_or(&mut [], std::slice::from_mut);
+        let key = [request_digest(request)];
+        let mut outcome = [Ok(())];
+        self.call_supervised(ctx, &key, traces, &mut outcome, |traces, out| {
+            out[0] = self.inner.authorize_within(ctx, request, traces.first_mut());
+        });
+        let [outcome] = outcome;
+        outcome
+    }
+
+    /// One supervised call for the whole batch: each attempt hands the
+    /// batch to the inner callout in one call, so a
+    /// [`PdpCallout`](crate::PdpCallout) serves it from one snapshot.
+    fn authorize_batch_within(
+        &self,
+        ctx: &RequestContext,
+        requests: &[AuthzRequest],
+        traces: &mut [DecisionTrace],
+    ) -> Vec<Result<(), AuthzFailure>> {
+        let keys: Vec<u128> = requests.iter().map(request_digest).collect();
+        let mut outcomes = vec![Ok(()); requests.len()];
+        self.call_supervised(ctx, &keys, traces, &mut outcomes, |traces, out| {
+            let answers = self.inner.authorize_batch_within(ctx, requests, traces);
+            out.iter_mut().zip(answers).for_each(|(slot, answer)| *slot = answer);
+        });
+        outcomes
     }
 
     fn policy_updated(&self) {
@@ -763,6 +797,14 @@ mod tests {
         )
     }
 
+    /// One decision with no deadline and no trace.
+    fn authorize(
+        callout: &dyn AuthorizationCallout,
+        request: &AuthzRequest,
+    ) -> Result<(), AuthzFailure> {
+        callout.authorize_within(&RequestContext::unbounded(), request, None)
+    }
+
     /// Scripted inner callout: fails while `broken`, advancing the clock
     /// by `latency` per call.
     struct Scripted {
@@ -789,7 +831,12 @@ mod tests {
         fn name(&self) -> &str {
             "scripted"
         }
-        fn authorize(&self, _: &AuthzRequest) -> Result<(), AuthzFailure> {
+        fn authorize_within(
+            &self,
+            _: &RequestContext,
+            _: &AuthzRequest,
+            _: Option<&mut DecisionTrace>,
+        ) -> Result<(), AuthzFailure> {
             self.calls.fetch_add(1, Ordering::SeqCst);
             self.clock.advance(self.latency);
             if self.broken.load(Ordering::SeqCst) {
@@ -821,7 +868,7 @@ mod tests {
         let clock = SimClock::new();
         let inner = Arc::new(Scripted::new(&clock, SimDuration::from_millis(1)));
         let supervised = SupervisedCallout::new(inner.clone(), &clock, quick_config());
-        assert!(supervised.authorize(&request("/O=G/CN=Bo")).is_ok());
+        assert!(authorize(&supervised, &request("/O=G/CN=Bo")).is_ok());
         assert_eq!(supervised.breaker_state(), BreakerState::Closed);
         assert_eq!(inner.calls.load(Ordering::SeqCst), 1);
         assert_eq!(supervised.stats(), SupervisionStats::default());
@@ -835,7 +882,7 @@ mod tests {
         let supervised = SupervisedCallout::new(inner.clone(), &clock, quick_config());
         for _ in 0..10 {
             assert!(matches!(
-                supervised.authorize(&request("/O=G/CN=Bo")),
+                authorize(&supervised, &request("/O=G/CN=Bo")),
                 Err(AuthzFailure::Denied(_))
             ));
         }
@@ -852,7 +899,7 @@ mod tests {
         let budget = config.decision_budget();
         let supervised = SupervisedCallout::new(inner.clone(), &clock, config);
         let start = clock.now();
-        let err = supervised.authorize(&request("/O=G/CN=Bo")).unwrap_err();
+        let err = authorize(&supervised, &request("/O=G/CN=Bo")).unwrap_err();
         assert!(matches!(err, AuthzFailure::SystemError(_)));
         assert!(clock.now().saturating_since(start) <= budget);
         assert_eq!(inner.calls.load(Ordering::SeqCst), 2, "max_attempts bounds the retries");
@@ -876,7 +923,7 @@ mod tests {
         );
         let start = clock.now();
         let mut trace = DecisionTrace::detached();
-        let err = supervised.authorize_within(&ctx, &request("/O=G/CN=Bo"), &mut trace);
+        let err = supervised.authorize_within(&ctx, &request("/O=G/CN=Bo"), Some(&mut trace));
         assert!(matches!(err, Err(AuthzFailure::SystemError(_))), "{err:?}");
         assert!(trace.is_degraded());
         assert_eq!(inner.calls.load(Ordering::SeqCst), 1, "no retry fits a 30ms budget");
@@ -890,7 +937,7 @@ mod tests {
         // callout at all.
         clock.advance(SimDuration::from_millis(60));
         let calls_before = inner.calls.load(Ordering::SeqCst);
-        let err = supervised.authorize_within(&ctx, &request("/O=G/CN=Bo"), &mut trace);
+        let err = supervised.authorize_within(&ctx, &request("/O=G/CN=Bo"), Some(&mut trace));
         assert!(matches!(err, Err(AuthzFailure::SystemError(_))));
         assert_eq!(inner.calls.load(Ordering::SeqCst), calls_before);
     }
@@ -905,10 +952,70 @@ mod tests {
         let _ = supervised.authorize_within(
             &RequestContext::unbounded(),
             &request("/O=G/CN=Bo"),
-            &mut trace,
+            Some(&mut trace),
         );
         assert_eq!(inner.calls.load(Ordering::SeqCst), 2, "max_attempts still governs");
         assert_eq!(supervised.stats().retries, 1);
+    }
+
+    /// The supervisor hands its context and trace to the callout it
+    /// wraps: a supervised cached PDP still shows its cache probe and
+    /// combine in the served trace.
+    #[test]
+    fn supervised_pdp_callout_records_its_interior_spans() {
+        use crate::combine::{CombinedPdp, Combiner, PolicyOrigin, PolicySource};
+        use crate::{AuthzEngine, PdpCallout};
+
+        let policy = "/O=G/CN=Bo: &(action = start)(executable = x)".parse().unwrap();
+        let pdp = CombinedPdp::new(
+            vec![PolicySource::new("local", PolicyOrigin::ResourceOwner, policy)],
+            Combiner::DenyOverrides,
+        );
+        let clock = SimClock::new();
+        let pdp = Arc::new(PdpCallout::cached("pdp", pdp));
+        let mut engine = AuthzEngine::pass_through("chain");
+        engine.push_callout(Arc::new(SupervisedCallout::new(pdp, &clock, quick_config())));
+        let served = || {
+            let mut trace = DecisionTrace::detached();
+            let ctx = RequestContext::unbounded();
+            engine.authorize_within(&ctx, &request("/O=G/CN=Bo"), Some(&mut trace)).unwrap();
+            trace.spans().iter().map(|span| (span.stage, span.label)).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            served(),
+            [
+                (Stage::CacheProbe, labels::MISS),
+                (Stage::Combine, labels::PERMIT),
+                (Stage::Callout, labels::PERMIT)
+            ]
+        );
+        assert_eq!(served(), [(Stage::CacheProbe, labels::HIT), (Stage::Callout, labels::PERMIT)]);
+    }
+
+    /// A batch is one supervised call: one attempt loop retries it as a
+    /// whole, and on exhaustion each element degrades under its own key.
+    #[test]
+    fn batch_shares_one_attempt_loop_and_degrades_per_element() {
+        let clock = SimClock::new();
+        let inner = Arc::new(Scripted::new(&clock, SimDuration::from_millis(1)));
+        let mut config = quick_config();
+        config.degradation = DegradationPolicy::ServeStale { ttl: SimDuration::from_secs(60) };
+        let supervised = SupervisedCallout::new(inner.clone(), &clock, config);
+        assert!(authorize(&supervised, &request("/O=G/CN=Bo")).is_ok());
+
+        inner.broken.store(true, Ordering::SeqCst);
+        let calls_before = inner.calls.load(Ordering::SeqCst);
+        let requests = [request("/O=G/CN=Bo"), request("/O=G/CN=Eve")];
+        let mut traces = [DecisionTrace::detached(), DecisionTrace::detached()];
+        let outcomes =
+            supervised.authorize_batch_within(&RequestContext::unbounded(), &requests, &mut traces);
+        assert!(outcomes[0].is_ok(), "Bo's remembered permit is served stale");
+        assert!(matches!(outcomes[1], Err(AuthzFailure::SystemError(_))), "{outcomes:?}");
+        assert!(traces.iter().all(DecisionTrace::is_degraded));
+        // Two attempts of two elements each, one retry for the batch.
+        assert_eq!(inner.calls.load(Ordering::SeqCst) - calls_before, 4);
+        let stats = supervised.stats();
+        assert_eq!((stats.retries, stats.degraded, stats.stale_served), (1, 2, 1));
     }
 
     #[test]
@@ -928,12 +1035,12 @@ mod tests {
         let supervised = SupervisedCallout::new(inner.clone(), &clock, quick_config());
         // failure_threshold = 2 supervised decisions trip it open.
         for _ in 0..2 {
-            assert!(supervised.authorize(&request("/O=G/CN=Bo")).is_err());
+            assert!(authorize(&supervised, &request("/O=G/CN=Bo")).is_err());
         }
         assert_eq!(supervised.breaker_state(), BreakerState::Open);
         let calls_when_open = inner.calls.load(Ordering::SeqCst);
         for _ in 0..50 {
-            assert!(supervised.authorize(&request("/O=G/CN=Bo")).is_err());
+            assert!(authorize(&supervised, &request("/O=G/CN=Bo")).is_err());
         }
         assert_eq!(
             inner.calls.load(Ordering::SeqCst),
@@ -950,7 +1057,7 @@ mod tests {
         inner.broken.store(true, Ordering::SeqCst);
         let supervised = SupervisedCallout::new(inner.clone(), &clock, quick_config());
         for _ in 0..2 {
-            let _ = supervised.authorize(&request("/O=G/CN=Bo"));
+            let _ = authorize(&supervised, &request("/O=G/CN=Bo"));
         }
         assert_eq!(supervised.breaker_state(), BreakerState::Open);
 
@@ -958,7 +1065,7 @@ mod tests {
         // closes the breaker (close_after = 1).
         inner.broken.store(false, Ordering::SeqCst);
         clock.advance(SimDuration::from_secs(11));
-        assert!(supervised.authorize(&request("/O=G/CN=Bo")).is_ok());
+        assert!(authorize(&supervised, &request("/O=G/CN=Bo")).is_ok());
         assert_eq!(supervised.breaker_state(), BreakerState::Closed);
 
         let transitions = supervised.transitions();
@@ -983,11 +1090,11 @@ mod tests {
         inner.broken.store(true, Ordering::SeqCst);
         let supervised = SupervisedCallout::new(inner.clone(), &clock, quick_config());
         for _ in 0..2 {
-            let _ = supervised.authorize(&request("/O=G/CN=Bo"));
+            let _ = authorize(&supervised, &request("/O=G/CN=Bo"));
         }
         clock.advance(SimDuration::from_secs(11));
         // Still broken: the probe fails and the breaker reopens.
-        assert!(supervised.authorize(&request("/O=G/CN=Bo")).is_err());
+        assert!(authorize(&supervised, &request("/O=G/CN=Bo")).is_err());
         assert_eq!(supervised.breaker_state(), BreakerState::Open);
     }
 
@@ -997,7 +1104,7 @@ mod tests {
         // Inner latency 80ms > 50ms deadline: every answer is discarded.
         let inner = Arc::new(Scripted::new(&clock, SimDuration::from_millis(80)));
         let supervised = SupervisedCallout::new(inner.clone(), &clock, quick_config());
-        let err = supervised.authorize(&request("/O=G/CN=Bo")).unwrap_err();
+        let err = authorize(&supervised, &request("/O=G/CN=Bo")).unwrap_err();
         assert!(matches!(err, AuthzFailure::SystemError(_)), "{err:?}");
         assert_eq!(supervised.stats().timeouts, 2, "both attempts timed out");
     }
@@ -1012,7 +1119,11 @@ mod tests {
         let supervised = SupervisedCallout::new(inner, &clock, config);
         let mut trace = DecisionTrace::detached();
         assert!(supervised
-            .authorize_within(&RequestContext::unbounded(), &request("/O=G/CN=Bo"), &mut trace)
+            .authorize_within(
+                &RequestContext::unbounded(),
+                &request("/O=G/CN=Bo"),
+                Some(&mut trace)
+            )
             .is_ok());
         assert!(trace.is_degraded());
         assert_eq!(supervised.stats().fail_open, 1);
@@ -1027,13 +1138,17 @@ mod tests {
         let supervised = SupervisedCallout::new(inner.clone(), &clock, config);
 
         // Warm the store with one permitted request.
-        assert!(supervised.authorize(&request("/O=G/CN=Bo")).is_ok());
+        assert!(authorize(&supervised, &request("/O=G/CN=Bo")).is_ok());
 
         inner.broken.store(true, Ordering::SeqCst);
         let mut trace = DecisionTrace::detached();
         assert!(
             supervised
-                .authorize_within(&RequestContext::unbounded(), &request("/O=G/CN=Bo"), &mut trace)
+                .authorize_within(
+                    &RequestContext::unbounded(),
+                    &request("/O=G/CN=Bo"),
+                    Some(&mut trace)
+                )
                 .is_ok(),
             "remembered request must be served stale"
         );
@@ -1042,7 +1157,7 @@ mod tests {
 
         // A never-seen request has nothing to serve: fail closed.
         assert!(matches!(
-            supervised.authorize(&request("/O=G/CN=Eve")),
+            authorize(&supervised, &request("/O=G/CN=Eve")),
             Err(AuthzFailure::SystemError(_))
         ));
     }
@@ -1056,21 +1171,21 @@ mod tests {
         config.failure_threshold = u32::MAX; // keep the breaker out of the way
         let supervised = SupervisedCallout::new(inner.clone(), &clock, config);
 
-        assert!(supervised.authorize(&request("/O=G/CN=Bo")).is_ok());
+        assert!(authorize(&supervised, &request("/O=G/CN=Bo")).is_ok());
         inner.broken.store(true, Ordering::SeqCst);
 
         // Within TTL: served.
-        assert!(supervised.authorize(&request("/O=G/CN=Bo")).is_ok());
+        assert!(authorize(&supervised, &request("/O=G/CN=Bo")).is_ok());
         // Beyond TTL: refused.
         clock.advance(SimDuration::from_secs(6));
-        assert!(supervised.authorize(&request("/O=G/CN=Bo")).is_err());
+        assert!(authorize(&supervised, &request("/O=G/CN=Bo")).is_err());
 
         // Re-warm, then invalidate via policy_updated: refused again.
         inner.broken.store(false, Ordering::SeqCst);
-        assert!(supervised.authorize(&request("/O=G/CN=Bo")).is_ok());
+        assert!(authorize(&supervised, &request("/O=G/CN=Bo")).is_ok());
         inner.broken.store(true, Ordering::SeqCst);
         supervised.policy_updated();
-        assert!(supervised.authorize(&request("/O=G/CN=Bo")).is_err());
+        assert!(authorize(&supervised, &request("/O=G/CN=Bo")).is_err());
     }
 
     #[test]
@@ -1162,7 +1277,12 @@ mod tests {
         fn name(&self) -> &str {
             "concurrency"
         }
-        fn authorize(&self, _: &AuthzRequest) -> Result<(), AuthzFailure> {
+        fn authorize_within(
+            &self,
+            _: &RequestContext,
+            _: &AuthzRequest,
+            _: Option<&mut DecisionTrace>,
+        ) -> Result<(), AuthzFailure> {
             self.calls.fetch_add(1, Ordering::SeqCst);
             let inside = self.current.fetch_add(1, Ordering::SeqCst) + 1;
             self.max.fetch_max(inside, Ordering::SeqCst);
@@ -1194,7 +1314,7 @@ mod tests {
 
         // Trip the breaker, heal the service, expire the open window.
         inner.broken.store(true, Ordering::SeqCst);
-        let _ = supervised.authorize(&request("/O=G/CN=Bo"));
+        let _ = authorize(&*supervised, &request("/O=G/CN=Bo"));
         assert_eq!(supervised.breaker_state(), BreakerState::Open);
         inner.broken.store(false, Ordering::SeqCst);
         clock.advance(SimDuration::from_secs(11));
@@ -1203,7 +1323,7 @@ mod tests {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     let supervised = Arc::clone(&supervised);
-                    scope.spawn(move || supervised.authorize(&request("/O=G/CN=Bo")).is_ok())
+                    scope.spawn(move || authorize(&*supervised, &request("/O=G/CN=Bo")).is_ok())
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -1241,7 +1361,7 @@ mod tests {
                 let handles: Vec<_> = (0..n)
                     .map(|_| {
                         let supervised = Arc::clone(&supervised);
-                        scope.spawn(move || supervised.authorize(&request("/O=G/CN=Bo")).is_ok())
+                        scope.spawn(move || authorize(&*supervised, &request("/O=G/CN=Bo")).is_ok())
                     })
                     .collect();
                 let outcomes: Vec<bool> = handles.into_iter().map(|h| h.join().unwrap()).collect();
@@ -1335,13 +1455,13 @@ mod tests {
                         }
                         Op::Healthy(i) => {
                             inner.broken.store(false, Ordering::SeqCst);
-                            prop_assert!(supervised.authorize(&request(subjects[i])).is_ok());
+                            prop_assert!(authorize(&supervised, &request(subjects[i])).is_ok());
                             shadow.insert(i, (clock.now(), generation));
                         }
                         Op::Outage(i) => {
                             inner.broken.store(true, Ordering::SeqCst);
                             let before = supervised.stats().stale_served;
-                            let outcome = supervised.authorize(&request(subjects[i]));
+                            let outcome = authorize(&supervised, &request(subjects[i]));
                             let served = supervised.stats().stale_served > before;
                             let expect_serve = shadow.get(&i).is_some_and(|&(at, gen)| {
                                 gen == generation
@@ -1372,7 +1492,7 @@ mod tests {
         let registry = Arc::new(TelemetryRegistry::new());
         supervised.attach_telemetry(&registry);
         for _ in 0..2 {
-            let _ = supervised.authorize(&request("/O=G/CN=Bo"));
+            let _ = authorize(&supervised, &request("/O=G/CN=Bo"));
         }
         assert_eq!(registry.counter(Stage::Callout, labels::RETRY), 2);
         assert_eq!(registry.counter(Stage::Callout, labels::BREAKER_OPEN), 1);
@@ -1380,7 +1500,7 @@ mod tests {
 
         inner.broken.store(false, Ordering::SeqCst);
         clock.advance(SimDuration::from_secs(11));
-        let _ = supervised.authorize(&request("/O=G/CN=Bo"));
+        let _ = authorize(&supervised, &request("/O=G/CN=Bo"));
         assert_eq!(registry.counter(Stage::Callout, labels::BREAKER_HALF_OPEN), 1);
         assert_eq!(registry.counter(Stage::Callout, labels::BREAKER_CLOSED), 1);
     }

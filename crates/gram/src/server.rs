@@ -736,7 +736,9 @@ impl GramServer {
         if self.mode == GramMode::Extended {
             let request = AuthzRequest::start(subject.clone(), job.clone())
                 .with_restrictions(restriction_values(identity));
-            self.engine.authorize_within(ctx, &request, trace).map_err(authz_failure_to_error)?;
+            self.engine
+                .authorize_within(ctx, &request, Some(trace))
+                .map_err(authz_failure_to_error)?;
         }
 
         // Dynamic-account resolution happens only after authorization so
@@ -1127,7 +1129,7 @@ impl GramServer {
                 .authorize_within(
                     ctx,
                     &GramServer::management_request(identity, record, action),
-                    trace,
+                    Some(trace),
                 )
                 .map_err(authz_failure_to_error),
         }

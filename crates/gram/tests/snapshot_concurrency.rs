@@ -6,12 +6,12 @@
 //!    `reload`/`revoke_credential` has returned, every subsequently
 //!    *started* decision reflects the new state, and
 //! 2. observe a **torn snapshot** — a decision's per-source breakdown
-//!    (and every element of one `decide_batch` or
-//!    `authorize_batch_within`) always comes from a single publication,
-//!    never a mix of generations.
+//!    (and every element of one `authorize_batch_within`, whether the
+//!    PDP callout runs bare or under a `SupervisedCallout`) always comes
+//!    from a single publication, never a mix of generations.
 //!
-//! A property test additionally pins the batch APIs to their
-//! element-wise counterparts over arbitrary request mixes.
+//! A property test additionally pins the batch API to its element-wise
+//! counterpart over arbitrary request mixes.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -20,7 +20,8 @@ use std::sync::Arc;
 use gridauthz_clock::{SimClock, SimDuration};
 use gridauthz_core::{
     paper, Action, AuthorizationCallout, AuthzEngine, AuthzFailure, AuthzRequest, CombinedPdp,
-    Combiner, PdpCallout, PolicyOrigin, PolicySource, RequestContext,
+    Combiner, PdpCallout, PolicyOrigin, PolicySource, RequestContext, ResilienceConfig,
+    SupervisedCallout,
 };
 use gridauthz_credential::{
     CertificateAuthority, Credential, GridMapEntry, GridMapFile, TrustStore,
@@ -71,7 +72,6 @@ fn floods_never_observe_torn_snapshots() {
     const PUBLICATIONS: u64 = 400;
     let callout = PdpCallout::new("torn", versioned_pdp(SOURCES, 0));
     let request = AuthzRequest::start(paper::bo_liu(), conj("&(executable = test1)(count = 1)"));
-    let batch: Vec<AuthzRequest> = (0..8).map(|_| request.clone()).collect();
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
@@ -88,16 +88,6 @@ fn floods_never_observe_torn_snapshots() {
                     let decision = callout.decide(&request);
                     assert_eq!(decision.per_source().len(), SOURCES);
                     sole_version(decision.per_source().iter().map(|(name, _)| name.as_ref()));
-
-                    // A batch resolves one snapshot: every element of
-                    // every decision agrees on the version.
-                    let decisions = callout.decide_batch(&batch);
-                    assert_eq!(decisions.len(), batch.len());
-                    sole_version(
-                        decisions
-                            .iter()
-                            .flat_map(|d| d.per_source().iter().map(|(name, _)| name.as_ref())),
-                    );
                 }
             });
         }
@@ -128,37 +118,46 @@ fn authorize_batch_within(
 #[test]
 fn served_batches_never_straddle_publications() {
     const PUBLICATIONS: u64 = 400;
-    // Shaped like the GRAM server's engine: a chain holding the cached
-    // PDP callout, reloaded in place.
-    let callout = Arc::new(PdpCallout::cached("parity", parity_pdp(0)));
-    let mut engine = AuthzEngine::pass_through("served");
-    engine.push_callout(callout.clone());
     let request = AuthzRequest::start(paper::bo_liu(), conj("&(executable = test1)(count = 1)"));
     let batch: Vec<AuthzRequest> = (0..8).map(|_| request.clone()).collect();
-    let stop = AtomicBool::new(false);
-
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            for version in 1..=PUBLICATIONS {
-                callout.reload(parity_pdp(version));
-            }
-            stop.store(true, Ordering::SeqCst);
-        });
-        for _ in 0..3 {
-            scope.spawn(|| {
-                while !stop.load(Ordering::SeqCst) {
-                    let outcomes = authorize_batch_within(&engine, &batch);
-                    assert_eq!(outcomes.len(), batch.len());
-                    let permits = outcomes.iter().filter(|outcome| outcome.is_ok()).count();
-                    assert!(
-                        permits == 0 || permits == batch.len(),
-                        "torn snapshot: {permits} of {} identical requests permitted",
-                        batch.len()
-                    );
-                }
-            });
+    for supervised in [false, true] {
+        // Shaped like the GRAM server's engine: a chain holding the
+        // cached PDP callout, reloaded in place — bare, and inside the
+        // `SupervisedCallout` a callout's resilience options wrap it in.
+        let callout = Arc::new(PdpCallout::cached("parity", parity_pdp(0)));
+        let mut engine = AuthzEngine::pass_through("served");
+        if supervised {
+            let (clock, config) = (SimClock::new(), ResilienceConfig::default());
+            engine.push_callout(Arc::new(SupervisedCallout::new(callout.clone(), &clock, config)));
+        } else {
+            engine.push_callout(callout.clone());
         }
-    });
+        let stop = AtomicBool::new(false);
+
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for version in 1..=PUBLICATIONS {
+                    callout.reload(parity_pdp(version));
+                }
+                stop.store(true, Ordering::SeqCst);
+            });
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    while !stop.load(Ordering::SeqCst) {
+                        let outcomes = authorize_batch_within(&engine, &batch);
+                        assert_eq!(outcomes.len(), batch.len());
+                        let permits = outcomes.iter().filter(|outcome| outcome.is_ok()).count();
+                        assert!(
+                            permits == 0 || permits == batch.len(),
+                            "torn snapshot (supervised: {supervised}): {permits} of {} \
+                             identical requests permitted",
+                            batch.len()
+                        );
+                    }
+                });
+            }
+        });
+    }
 }
 
 #[test]
@@ -175,7 +174,7 @@ fn no_stale_permit_after_acknowledged_reload() {
     // stamped under the pre-revocation generation.
     let callout = PdpCallout::cached("stale", pdp(&grant));
     let request = AuthzRequest::start(paper::bo_liu(), conj("&(executable = test1)(count = 1)"));
-    assert!(callout.authorize(&request).is_ok());
+    assert!(callout.authorize_within(&RequestContext::unbounded(), &request, None).is_ok());
 
     let revoked = AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -187,7 +186,8 @@ fn no_stale_permit_after_acknowledged_reload() {
                     // decision started after the reload returned and must
                     // deny.
                     let acknowledged = revoked.load(Ordering::SeqCst);
-                    let outcome = callout.authorize(&request);
+                    let outcome =
+                        callout.authorize_within(&RequestContext::unbounded(), &request, None);
                     if acknowledged {
                         assert!(outcome.is_err(), "stale permit served after revocation");
                     }
@@ -201,7 +201,7 @@ fn no_stale_permit_after_acknowledged_reload() {
             revoked.store(true, Ordering::SeqCst);
         });
     });
-    assert!(callout.authorize(&request).is_err());
+    assert!(callout.authorize_within(&RequestContext::unbounded(), &request, None).is_err());
 }
 
 struct Grid {
@@ -399,10 +399,9 @@ fn arb_request() -> impl Strategy<Value = AuthzRequest> {
 }
 
 proptest! {
-    /// `decide_batch` is element-wise `decide` (and
-    /// `authorize_batch_within` element-wise `authorize`) for every
-    /// request mix — the batch API changes consistency guarantees, never
-    /// outcomes.
+    /// `authorize_batch_within` is element-wise `authorize_within` for
+    /// every request mix — the batch API changes consistency guarantees,
+    /// never outcomes.
     #[test]
     fn batch_apis_match_elementwise(requests in proptest::collection::vec(arb_request(), 1..12)) {
         let callout = Arc::new(PdpCallout::new(
@@ -416,15 +415,11 @@ proptest! {
                 Combiner::DenyOverrides,
             ),
         ));
-        let batch = callout.decide_batch(&requests);
-        prop_assert_eq!(batch.len(), requests.len());
-        for (request, batched) in requests.iter().zip(&batch) {
-            prop_assert_eq!(&**batched, &*callout.decide(request));
-        }
         let mut engine = AuthzEngine::pass_through("prop");
         engine.push_callout(callout.clone());
         for (request, batched) in requests.iter().zip(authorize_batch_within(&engine, &requests)) {
-            prop_assert_eq!(batched.is_ok(), callout.authorize(request).is_ok());
+            let single = callout.authorize_within(&RequestContext::unbounded(), request, None);
+            prop_assert_eq!(batched.is_ok(), single.is_ok());
         }
     }
 }

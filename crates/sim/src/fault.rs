@@ -13,7 +13,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use gridauthz_clock::{SimClock, SimDuration, SimTime};
-use gridauthz_core::{AuthorizationCallout, AuthzFailure, AuthzRequest};
+use gridauthz_core::{
+    AuthorizationCallout, AuthzFailure, AuthzRequest, DecisionTrace, RequestContext,
+};
 
 /// What the callout does inside a fault window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,9 +124,14 @@ impl FlakyCallout {
         windows.iter().find(|w| w.from <= now && now < w.until).map(|w| w.kind)
     }
 
-    fn healthy_decision(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
+    fn healthy_decision(
+        &self,
+        ctx: &RequestContext,
+        request: &AuthzRequest,
+        trace: Option<&mut DecisionTrace>,
+    ) -> Result<(), AuthzFailure> {
         match &self.inner {
-            Some(inner) => inner.authorize(request),
+            Some(inner) => inner.authorize_within(ctx, request, trace),
             None => Ok(()),
         }
     }
@@ -135,12 +142,19 @@ impl AuthorizationCallout for FlakyCallout {
         &self.name
     }
 
-    fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
+    /// Each call is one scripted call, so a batch stays element-wise
+    /// (the default): every element meets the fault windows on its own.
+    fn authorize_within(
+        &self,
+        ctx: &RequestContext,
+        request: &AuthzRequest,
+        trace: Option<&mut DecisionTrace>,
+    ) -> Result<(), AuthzFailure> {
         self.calls.fetch_add(1, Ordering::Relaxed);
         match self.active_fault(self.clock.now()) {
             None => {
                 self.clock.advance(self.base_latency);
-                self.healthy_decision(request)
+                self.healthy_decision(ctx, request, trace)
             }
             Some(FaultKind::Fail) => {
                 self.faulted.fetch_add(1, Ordering::Relaxed);
@@ -153,7 +167,7 @@ impl AuthorizationCallout for FlakyCallout {
             Some(FaultKind::Slow(extra)) => {
                 self.faulted.fetch_add(1, Ordering::Relaxed);
                 self.clock.advance(self.base_latency + extra);
-                self.healthy_decision(request)
+                self.healthy_decision(ctx, request, trace)
             }
             Some(FaultKind::Hang(wait)) => {
                 self.faulted.fetch_add(1, Ordering::Relaxed);
@@ -203,16 +217,19 @@ mod tests {
             .fail_between(SimTime::from_secs(10), SimTime::from_secs(20));
 
         // t=0: healthy, advances by base latency.
-        assert!(flaky.authorize(&request()).is_ok());
+        assert!(flaky.authorize_within(&RequestContext::unbounded(), &request(), None).is_ok());
         assert_eq!(clock.now(), SimTime::from_micros(2_000));
 
         // Inside the window: fails.
         clock.advance_to(SimTime::from_secs(10));
-        assert!(matches!(flaky.authorize(&request()), Err(AuthzFailure::SystemError(_))));
+        assert!(matches!(
+            flaky.authorize_within(&RequestContext::unbounded(), &request(), None),
+            Err(AuthzFailure::SystemError(_))
+        ));
 
         // Past the window: healthy again.
         clock.advance_to(SimTime::from_secs(20));
-        assert!(flaky.authorize(&request()).is_ok());
+        assert!(flaky.authorize_within(&RequestContext::unbounded(), &request(), None).is_ok());
         assert_eq!(flaky.calls(), 3);
         assert_eq!(flaky.faulted(), 1);
     }
@@ -226,13 +243,13 @@ mod tests {
             .hang_between(SimTime::from_secs(2), SimTime::from_secs(3), SimDuration::from_secs(5));
 
         // Slow: correct answer, 501 ms of simulated latency.
-        assert!(flaky.authorize(&request()).is_ok());
+        assert!(flaky.authorize_within(&RequestContext::unbounded(), &request(), None).is_ok());
         assert_eq!(clock.now(), SimTime::from_micros(501_000));
 
         // Hang: error after the full transport wait.
         clock.advance_to(SimTime::from_secs(2));
         let before = clock.now();
-        assert!(flaky.authorize(&request()).is_err());
+        assert!(flaky.authorize_within(&RequestContext::unbounded(), &request(), None).is_err());
         assert_eq!(clock.now().saturating_since(before), SimDuration::from_secs(5));
     }
 
@@ -243,12 +260,20 @@ mod tests {
             fn name(&self) -> &str {
                 "deny"
             }
-            fn authorize(&self, _: &AuthzRequest) -> Result<(), AuthzFailure> {
+            fn authorize_within(
+                &self,
+                _: &RequestContext,
+                _: &AuthzRequest,
+                _: Option<&mut DecisionTrace>,
+            ) -> Result<(), AuthzFailure> {
                 Err(AuthzFailure::Denied(gridauthz_core::DenyReason::NoApplicableGrant))
             }
         }
         let clock = SimClock::new();
         let flaky = FlakyCallout::new("flaky", &clock).with_inner(Arc::new(DenyAll));
-        assert!(matches!(flaky.authorize(&request()), Err(AuthzFailure::Denied(_))));
+        assert!(matches!(
+            flaky.authorize_within(&RequestContext::unbounded(), &request(), None),
+            Err(AuthzFailure::Denied(_))
+        ));
     }
 }

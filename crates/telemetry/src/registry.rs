@@ -406,7 +406,7 @@ mod tests {
         let mut trace = registry.start_trace("submit", SimTime::EPOCH);
         trace.record(Stage::Authenticate, labels::PERMIT, 500);
         trace.record(Stage::CacheProbe, labels::MISS, 0);
-        trace.record_callout("vo-policy", labels::PERMIT, 2000);
+        trace.record_callout(&"vo-policy".into(), labels::PERMIT, 2000);
         let id = trace.id();
         registry.finish_trace(trace);
         assert_eq!(registry.counter(Stage::Authenticate, labels::PERMIT), 1);

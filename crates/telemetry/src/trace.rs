@@ -1,6 +1,7 @@
 //! Per-decision traces: an ordered span list across pipeline stages.
 
 use std::fmt;
+use std::sync::Arc;
 
 use gridauthz_clock::SimTime;
 
@@ -93,8 +94,10 @@ pub struct Span {
     pub stage: Stage,
     /// Outcome label from the fixed vocabulary ([`crate::labels`]).
     pub label: &'static str,
-    /// Optional qualifier — the callout name for [`Stage::Callout`] spans.
-    pub detail: Option<Box<str>>,
+    /// Optional qualifier — the callout name for [`Stage::Callout`] spans,
+    /// shared with the chain that owns the callout so recording it never
+    /// allocates.
+    pub detail: Option<Arc<str>>,
     /// Elapsed monotonic wall time, in nanoseconds.
     pub nanos: u64,
 }
@@ -163,8 +166,9 @@ impl DecisionTrace {
     }
 
     /// Records a [`Stage::Callout`] span naming the callout.
-    pub fn record_callout(&mut self, name: &str, label: &'static str, nanos: u64) {
-        self.spans.push(Span { stage: Stage::Callout, label, detail: Some(name.into()), nanos });
+    pub fn record_callout(&mut self, name: &Arc<str>, label: &'static str, nanos: u64) {
+        let detail = Some(Arc::clone(name));
+        self.spans.push(Span { stage: Stage::Callout, label, detail, nanos });
     }
 
     /// Marks this decision as degraded: a supervised callout exhausted
@@ -218,7 +222,7 @@ mod tests {
     fn trace_accumulates_spans_in_order() {
         let mut trace = DecisionTrace::new(7, "submit", SimTime::from_secs(3));
         trace.record(Stage::Authenticate, labels::PERMIT, 1200);
-        trace.record_callout("gram-authorization", labels::POLICY_DENIED, 800);
+        trace.record_callout(&"gram-authorization".into(), labels::POLICY_DENIED, 800);
         assert_eq!(trace.id(), 7);
         assert_eq!(trace.operation(), "submit");
         assert_eq!(trace.spans().len(), 2);

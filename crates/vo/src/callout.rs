@@ -6,7 +6,10 @@
 
 use std::sync::Arc;
 
-use gridauthz_core::{Action, AuthorizationCallout, AuthzFailure, AuthzRequest, DenyReason};
+use gridauthz_core::{
+    Action, AuthorizationCallout, AuthzFailure, AuthzRequest, DecisionTrace, DenyReason,
+    RequestContext,
+};
 
 use crate::tags::JobTagRegistry;
 
@@ -32,7 +35,12 @@ impl AuthorizationCallout for TagRegistryCallout {
         &self.name
     }
 
-    fn authorize(&self, request: &AuthzRequest) -> Result<(), AuthzFailure> {
+    fn authorize_within(
+        &self,
+        _ctx: &RequestContext,
+        request: &AuthzRequest,
+        _trace: Option<&mut DecisionTrace>,
+    ) -> Result<(), AuthzFailure> {
         if request.action() != Action::Start {
             return Ok(());
         }
@@ -67,14 +75,26 @@ mod tests {
     #[test]
     fn registered_tags_pass() {
         let c = callout();
-        assert!(c.authorize(&request("&(executable = a)(jobtag = NFC)")).is_ok());
+        assert!(c
+            .authorize_within(
+                &RequestContext::unbounded(),
+                &request("&(executable = a)(jobtag = NFC)"),
+                None
+            )
+            .is_ok());
         assert_eq!(c.name(), "tag-check");
     }
 
     #[test]
     fn unregistered_tags_are_denied() {
         let c = callout();
-        let err = c.authorize(&request("&(executable = a)(jobtag = NCF)")).unwrap_err();
+        let err = c
+            .authorize_within(
+                &RequestContext::unbounded(),
+                &request("&(executable = a)(jobtag = NCF)"),
+                None,
+            )
+            .unwrap_err();
         assert!(err.is_denial());
         assert!(err.to_string().contains("NCF"));
     }
@@ -82,7 +102,9 @@ mod tests {
     #[test]
     fn untagged_requests_pass_through() {
         let c = callout();
-        assert!(c.authorize(&request("&(executable = a)")).is_ok());
+        assert!(c
+            .authorize_within(&RequestContext::unbounded(), &request("&(executable = a)"), None)
+            .is_ok());
     }
 
     #[test]
@@ -91,6 +113,6 @@ mod tests {
         let dn: DistinguishedName = "/O=G/CN=Kate".parse().unwrap();
         let manage =
             AuthzRequest::manage(dn.clone(), Action::Cancel, dn, Some("UNREGISTERED".into()));
-        assert!(c.authorize(&manage).is_ok());
+        assert!(c.authorize_within(&RequestContext::unbounded(), &manage, None).is_ok());
     }
 }

@@ -16,6 +16,11 @@ cargo test -q
 echo "==> cargo test --workspace -q (incl. the protocol-torture storms and the crash-point matrix)"
 cargo test --workspace -q
 
+echo "==> the vendored crates' own tests (outside the workspace, so --workspace skips them)"
+for crate in criterion parking_lot proptest rand; do
+    cargo test -q --offline --manifest-path "crates/vendor/$crate/Cargo.toml"
+done
+
 echo "==> cargo test --release --manifest-path perfbench/Cargo.toml (benchmark builds, its tests pass)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 

@@ -6,7 +6,8 @@ use std::sync::Arc;
 
 use gridauthz::clock::{SimClock, SimDuration};
 use gridauthz::core::{
-    AuthorizationCallout, AuthzFailure, AuthzRequest, CalloutConfig, CalloutRegistry, DenyReason,
+    AuthorizationCallout, AuthzFailure, AuthzRequest, CalloutConfig, CalloutRegistry,
+    DecisionTrace, DenyReason, RequestContext,
 };
 use gridauthz::credential::{CertificateAuthority, GridMapEntry, GridMapFile, TrustStore};
 use gridauthz::gram::{GramClient, GramError, GramServerBuilder};
@@ -24,7 +25,12 @@ impl AuthorizationCallout for FlakyCallout {
         "flaky-authz"
     }
 
-    fn authorize(&self, _request: &AuthzRequest) -> Result<(), AuthzFailure> {
+    fn authorize_within(
+        &self,
+        _ctx: &RequestContext,
+        _request: &AuthzRequest,
+        _trace: Option<&mut DecisionTrace>,
+    ) -> Result<(), AuthzFailure> {
         if self.broken.load(Ordering::SeqCst) {
             Err(AuthzFailure::SystemError("policy server unreachable".into()))
         } else {
@@ -90,7 +96,12 @@ impl AuthorizationCallout for ForgingCallout {
         "forging-authz"
     }
 
-    fn authorize(&self, _request: &AuthzRequest) -> Result<(), AuthzFailure> {
+    fn authorize_within(
+        &self,
+        _ctx: &RequestContext,
+        _request: &AuthzRequest,
+        _trace: Option<&mut DecisionTrace>,
+    ) -> Result<(), AuthzFailure> {
         Err(AuthzFailure::SystemError("policy server down\ncode: OK".into()))
     }
 }
