@@ -288,24 +288,7 @@ impl AuthzEngine {
                 break;
             }
             let start = Instant::now();
-            let subs = if pending.len() == requests.len() {
-                callout.authorize_batch_within(ctx, requests, traces)
-            } else {
-                // Settled elements keep their traces untouched: swap the
-                // pending traces out, run the callout over the subset,
-                // and put them back.
-                let subset: Vec<AuthzRequest> =
-                    pending.iter().map(|&i| requests[i].clone()).collect();
-                let mut sub_traces: Vec<DecisionTrace> = pending
-                    .iter()
-                    .map(|&i| std::mem::replace(&mut traces[i], DecisionTrace::detached()))
-                    .collect();
-                let subs = callout.authorize_batch_within(ctx, &subset, &mut sub_traces);
-                for (&i, trace) in pending.iter().zip(sub_traces) {
-                    traces[i] = trace;
-                }
-                subs
-            };
+            let subs = authorize_subset(&**callout, ctx, requests, traces, &pending);
             let amortized = elapsed_nanos(Some(start)) / pending.len().max(1) as u64;
             for (&i, sub) in pending.iter().zip(subs) {
                 traces[i].record_callout(name, AuthzEngine::outcome_label(&sub), amortized);
@@ -333,6 +316,37 @@ impl AuthzEngine {
         telemetry.set_gauge(Gauge::CacheMisses, misses);
         telemetry.set_gauge(Gauge::CacheEntries, entries);
     }
+}
+
+/// Presents the elements of a batch at `pending` to `callout` in one batch
+/// call, leaving the other elements' traces untouched, and returns one
+/// result per pending element; a callout that answers short fails closed.
+pub(crate) fn authorize_subset(
+    callout: &dyn AuthorizationCallout,
+    ctx: &RequestContext,
+    requests: &[AuthzRequest],
+    traces: &mut [DecisionTrace],
+    pending: &[usize],
+) -> Vec<Result<(), AuthzFailure>> {
+    let mut answers = if pending.len() == requests.len() {
+        callout.authorize_batch_within(ctx, requests, traces)
+    } else {
+        // Swap the pending traces out, run the subset, put them back.
+        let subset: Vec<AuthzRequest> = pending.iter().map(|&i| requests[i].clone()).collect();
+        let mut sub_traces: Vec<DecisionTrace> = pending
+            .iter()
+            .map(|&i| std::mem::replace(&mut traces[i], DecisionTrace::detached()))
+            .collect();
+        let answers = callout.authorize_batch_within(ctx, &subset, &mut sub_traces);
+        for (&i, trace) in pending.iter().zip(sub_traces) {
+            traces[i] = trace;
+        }
+        answers
+    };
+    answers.resize_with(pending.len(), || {
+        Err(AuthzFailure::SystemError(format!("callout {:?} answered short", callout.name())))
+    });
+    answers
 }
 
 /// The refusal for a request whose deadline passed before authorization.
@@ -637,6 +651,46 @@ mod tests {
         assert!(engine.authorize(&r).is_err());
         assert!(batch_outcomes(&engine, std::slice::from_ref(&r))[0].is_err());
         assert_eq!(counter.0.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn batch_answered_short_fails_closed() {
+        // Permits single requests but answers no element of a batch.
+        struct Mute;
+        impl AuthorizationCallout for Mute {
+            fn name(&self) -> &str {
+                "mute"
+            }
+            fn authorize_within(
+                &self,
+                _: &RequestContext,
+                _: &AuthzRequest,
+                _: Option<&mut DecisionTrace>,
+            ) -> Result<(), AuthzFailure> {
+                Ok(())
+            }
+            fn authorize_batch_within(
+                &self,
+                _: &RequestContext,
+                _: &[AuthzRequest],
+                _: &mut [DecisionTrace],
+            ) -> Vec<Result<(), AuthzFailure>> {
+                Vec::new()
+            }
+        }
+        let requests = [request("/O=G/CN=Bo", "&(executable = x)")];
+        let mut bare = AuthzEngine::pass_through("bare");
+        bare.push_callout(Arc::new(Mute));
+        let mut supervised = AuthzEngine::pass_through("supervised");
+        supervised.push_callout(Arc::new(SupervisedCallout::new(
+            Arc::new(Mute),
+            &SimClock::new(),
+            ResilienceConfig::default(),
+        )));
+        for engine in [&bare, &supervised] {
+            let outcomes = batch_outcomes(engine, &requests);
+            assert!(matches!(outcomes[..], [Err(AuthzFailure::SystemError(_))]), "{outcomes:?}");
+        }
     }
 
     #[test]

@@ -214,15 +214,6 @@ impl PdpCallout {
         self.cache.as_ref().map(DecisionCache::stats)
     }
 
-    /// Outcome label for a combined decision.
-    fn decision_label(decision: &CombinedDecision) -> &'static str {
-        if decision.is_permit() {
-            labels::PERMIT
-        } else {
-            labels::POLICY_DENIED
-        }
-    }
-
     /// The single decision path, with three instrumentation levels:
     ///
     /// * `trace: Some` — record cache-probe and combine spans (with
@@ -261,7 +252,7 @@ impl PdpCallout {
         let start = (trace.is_some() || self.telemetry.get().is_some()).then(Instant::now);
         let decision = Arc::new(snapshot.decide(request));
         let nanos = elapsed_nanos(start);
-        let label = PdpCallout::decision_label(&decision);
+        let label = if decision.is_permit() { labels::PERMIT } else { labels::POLICY_DENIED };
         match (trace, self.telemetry.get()) {
             (Some(trace), _) => trace.record(Stage::Combine, label, nanos),
             (None, Some(registry)) => registry.record_timed(Stage::Combine, label, nanos),

@@ -39,7 +39,7 @@ use crate::cache::request_digest;
 use crate::context::RequestContext;
 use crate::decision::DenyReason;
 use crate::error::AuthzFailure;
-use crate::pep::AuthorizationCallout;
+use crate::pep::{authorize_subset, AuthorizationCallout};
 use crate::request::AuthzRequest;
 
 /// What a [`SupervisedCallout`] answers once deadline, retries and
@@ -192,24 +192,14 @@ impl ResilienceConfig {
             config.close_after = u32::try_from(n).unwrap_or(u32::MAX).max(1);
         }
         let stale_ttl = num(options, "stale_ttl_ms")?.map(SimDuration::from_millis);
-        match options.get("degrade").map(String::as_str) {
-            None => {
-                if stale_ttl.is_some() {
-                    return Err("option stale_ttl_ms requires degrade=serve-stale".into());
-                }
-            }
-            Some("fail-closed") => {
-                if stale_ttl.is_some() {
-                    return Err("option stale_ttl_ms requires degrade=serve-stale".into());
-                }
-                config.degradation = DegradationPolicy::FailClosed;
-            }
-            Some("fail-open") => {
-                if stale_ttl.is_some() {
-                    return Err("option stale_ttl_ms requires degrade=serve-stale".into());
-                }
-                config.degradation = DegradationPolicy::FailOpenAdvisory;
-            }
+        let degrade = options.get("degrade").map(String::as_str);
+        if stale_ttl.is_some() && matches!(degrade, None | Some("fail-closed" | "fail-open")) {
+            return Err("option stale_ttl_ms requires degrade=serve-stale".into());
+        }
+        match degrade {
+            None => {}
+            Some("fail-closed") => config.degradation = DegradationPolicy::FailClosed,
+            Some("fail-open") => config.degradation = DegradationPolicy::FailOpenAdvisory,
             Some("serve-stale") => {
                 config.degradation = DegradationPolicy::ServeStale {
                     ttl: stale_ttl.unwrap_or(SimDuration::from_secs(60)),
@@ -621,32 +611,33 @@ impl SupervisedCallout {
     }
 
     /// The supervised decision path, for one request or a batch: `keys`
-    /// holds each request's digest, `outcomes` one slot per request, and
-    /// `traces` one trace per request, or none when untraced. One breaker
-    /// admission and one attempt loop cover them all; each attempt is one
-    /// call of `attempt`, and one slower than the per-attempt deadline is
-    /// discarded whole. The retry schedule is clamped by `ctx`: once the
-    /// request cannot afford another backoff plus a full per-attempt
-    /// deadline, the supervisor stops retrying and degrades instead of
-    /// blowing through the caller's deadline — the context's remaining
-    /// time, not the standalone
-    /// [`decision_budget`](ResilienceConfig::decision_budget), bounds the
-    /// call. Each conclusive outcome is then remembered for `ServeStale`,
-    /// and each slot left holding a system error degrades under its key.
-    fn call_supervised(
+    /// holds each request's digest, `outcomes` one slot per request (each
+    /// starting as a system error) and `traces` one trace per request, or
+    /// none when untraced. One breaker admission and one attempt loop
+    /// cover them all. Each attempt is one call of `attempt`, which
+    /// answers, in order, exactly the requests whose slot still holds a
+    /// system error: a permit or denial is final and never presented
+    /// again. An attempt slower than `deadline` times the requests it
+    /// carried is discarded whole. Retries stop once `ctx` cannot afford
+    /// another backoff plus a full attempt, so the context's remaining
+    /// time, not [`decision_budget`](ResilienceConfig::decision_budget),
+    /// bounds the call. Conclusive outcomes are then remembered for
+    /// `ServeStale`, and each slot still failing degrades under its key.
+    fn call_supervised<A>(
         &self,
         ctx: &RequestContext,
         keys: &[u128],
         traces: &mut [DecisionTrace],
         outcomes: &mut [Result<(), AuthzFailure>],
-        mut attempt: impl FnMut(&mut [DecisionTrace], &mut [Result<(), AuthzFailure>]),
-    ) {
+        mut attempt: impl FnMut(&mut [DecisionTrace], &[Result<(), AuthzFailure>]) -> A,
+    ) where
+        A: IntoIterator<Item = Result<(), AuthzFailure>>,
+    {
         let fail = |outcome: &mut Result<(), AuthzFailure>, why: &str| {
             *outcome = Err(AuthzFailure::SystemError(why.to_string()));
         };
-        let failed = |outcome: &Result<(), AuthzFailure>| {
-            outcome.as_ref().is_err_and(|failure| !failure.is_denial())
-        };
+        // The time `n` undecided requests may take in one attempt.
+        let allowance = |n: usize| self.config.deadline.saturating_mul(n as u64);
         'attempts: {
             if ctx.expired() {
                 self.record(labels::EXPIRED);
@@ -662,33 +653,36 @@ impl SupervisedCallout {
             };
             let call = self.call_seq.fetch_add(1, Ordering::SeqCst);
             for tries in 1.. {
+                let deadline = allowance(outcomes.iter().filter(|o| undecided(o)).count());
                 let start = self.clock.now();
-                attempt(traces, outcomes);
+                let answers = attempt(traces, outcomes);
                 let elapsed = self.clock.now().saturating_since(start);
-                if elapsed > self.config.deadline {
+                let pending = outcomes.iter_mut().filter(|o| undecided(o));
+                if elapsed > deadline {
                     self.timeouts.fetch_add(1, Ordering::Relaxed);
                     self.record_timed(labels::TIMEOUT, elapsed);
-                    let deadline = self.config.deadline;
                     let why = format!("attempt {tries} exceeded deadline ({elapsed} > {deadline})");
-                    outcomes.iter_mut().for_each(|o| fail(o, &why));
+                    pending.for_each(|o| fail(o, &why));
+                } else {
+                    pending.zip(answers).for_each(|(slot, answer)| *slot = answer);
                 }
                 // Denials are evidence the system works: breaker success.
-                let settled = !outcomes.iter().any(failed);
-                if settled || tries >= self.config.max_attempts {
-                    self.complete(probe, settled);
+                let left = outcomes.iter().filter(|o| undecided(o)).count();
+                if left == 0 || tries >= self.config.max_attempts {
+                    self.complete(probe, left == 0);
                     break 'attempts;
                 }
                 let backoff = self.backoff(call, tries);
-                // A retry costs its backoff plus (up to) a full per-attempt
-                // deadline; a request that cannot afford that degrades now
-                // instead of answering late.
+                // A retry costs its backoff plus (up to) a full attempt; a
+                // request that cannot afford that degrades now instead of
+                // answering late.
                 let next_attempt_cost = SimDuration::from_micros(
-                    backoff.as_micros().saturating_add(self.config.deadline.as_micros()),
+                    backoff.as_micros().saturating_add(allowance(left).as_micros()),
                 );
                 if ctx.remaining() < next_attempt_cost {
                     self.record(labels::EXPIRED);
                     self.complete(probe, false);
-                    for outcome in outcomes.iter_mut().filter(|o| failed(o)) {
+                    for outcome in outcomes.iter_mut().filter(|o| undecided(o)) {
                         fail(outcome, "request deadline exhausted");
                     }
                     break 'attempts;
@@ -708,6 +702,12 @@ impl SupervisedCallout {
             }
         }
     }
+}
+
+/// True while a supervised request has no final answer: its slot holds
+/// a system error, not a permit or a denial.
+fn undecided(outcome: &Result<(), AuthzFailure>) -> bool {
+    matches!(outcome, Err(AuthzFailure::SystemError(_)))
 }
 
 impl fmt::Debug for SupervisedCallout {
@@ -733,17 +733,17 @@ impl AuthorizationCallout for SupervisedCallout {
     ) -> Result<(), AuthzFailure> {
         let traces: &mut [DecisionTrace] = trace.map_or(&mut [], std::slice::from_mut);
         let key = [request_digest(request)];
-        let mut outcome = [Ok(())];
-        self.call_supervised(ctx, &key, traces, &mut outcome, |traces, out| {
-            out[0] = self.inner.authorize_within(ctx, request, traces.first_mut());
+        let mut outcome = [Err(AuthzFailure::SystemError(String::new()))];
+        self.call_supervised(ctx, &key, traces, &mut outcome, |traces, _| {
+            [self.inner.authorize_within(ctx, request, traces.first_mut())]
         });
         let [outcome] = outcome;
         outcome
     }
 
     /// One supervised call for the whole batch: each attempt hands the
-    /// batch to the inner callout in one call, so a
-    /// [`PdpCallout`](crate::PdpCallout) serves it from one snapshot.
+    /// still-undecided requests to the inner callout in one call, so a
+    /// [`PdpCallout`](crate::PdpCallout) serves them from one snapshot.
     fn authorize_batch_within(
         &self,
         ctx: &RequestContext,
@@ -751,10 +751,11 @@ impl AuthorizationCallout for SupervisedCallout {
         traces: &mut [DecisionTrace],
     ) -> Vec<Result<(), AuthzFailure>> {
         let keys: Vec<u128> = requests.iter().map(request_digest).collect();
-        let mut outcomes = vec![Ok(()); requests.len()];
-        self.call_supervised(ctx, &keys, traces, &mut outcomes, |traces, out| {
-            let answers = self.inner.authorize_batch_within(ctx, requests, traces);
-            out.iter_mut().zip(answers).for_each(|(slot, answer)| *slot = answer);
+        let mut outcomes = vec![Err(AuthzFailure::SystemError(String::new())); requests.len()];
+        self.call_supervised(ctx, &keys, traces, &mut outcomes, |traces, outcomes| {
+            let pending: Vec<usize> =
+                (0..requests.len()).filter(|&i| undecided(&outcomes[i])).collect();
+            authorize_subset(&*self.inner, ctx, requests, traces, &pending)
         });
         outcomes
     }
@@ -1012,7 +1013,8 @@ mod tests {
         assert!(outcomes[0].is_ok(), "Bo's remembered permit is served stale");
         assert!(matches!(outcomes[1], Err(AuthzFailure::SystemError(_))), "{outcomes:?}");
         assert!(traces.iter().all(DecisionTrace::is_degraded));
-        // Two attempts of two elements each, one retry for the batch.
+        // Both stay undecided, so both are presented on each of the two
+        // attempts: one retry for the batch.
         assert_eq!(inner.calls.load(Ordering::SeqCst) - calls_before, 4);
         let stats = supervised.stats();
         assert_eq!((stats.retries, stats.degraded, stats.stale_served), (1, 2, 1));

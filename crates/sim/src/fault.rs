@@ -200,13 +200,86 @@ impl std::fmt::Debug for FlakyCallout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridauthz_core::{DegradationPolicy, ResilienceConfig, SupervisedCallout};
     use gridauthz_credential::DistinguishedName;
 
     fn request() -> AuthzRequest {
+        request_from("/O=G/CN=Bo")
+    }
+
+    fn request_from(subject: &str) -> AuthzRequest {
         AuthzRequest::start(
-            "/O=G/CN=Bo".parse::<DistinguishedName>().unwrap(),
+            subject.parse::<DistinguishedName>().unwrap(),
             gridauthz_rsl::parse("&(executable = x)").unwrap().as_conjunction().unwrap().clone(),
         )
+    }
+
+    /// Denies one subject's requests and permits the rest.
+    struct DenySubject(DistinguishedName);
+
+    impl AuthorizationCallout for DenySubject {
+        fn name(&self) -> &str {
+            "deny-subject"
+        }
+        fn authorize_within(
+            &self,
+            _: &RequestContext,
+            request: &AuthzRequest,
+            _: Option<&mut DecisionTrace>,
+        ) -> Result<(), AuthzFailure> {
+            if *request.subject() == self.0 {
+                Err(AuthzFailure::Denied(gridauthz_core::DenyReason::NoApplicableGrant))
+            } else {
+                Ok(())
+            }
+        }
+    }
+
+    #[test]
+    fn supervised_batch_keeps_a_denial_when_a_fault_opens_mid_batch() {
+        let clock = SimClock::new();
+        // Eve is decided at t=0, before the window opens; Bo at t=1 ms,
+        // inside it, on every attempt.
+        let flaky = Arc::new(
+            FlakyCallout::new("flaky", &clock)
+                .with_inner(Arc::new(DenySubject("/O=G/CN=Eve".parse().unwrap())))
+                .fail_between(SimTime::from_micros(1_000), SimTime::from_secs(60)),
+        );
+        let config = ResilienceConfig {
+            degradation: DegradationPolicy::FailOpenAdvisory,
+            ..ResilienceConfig::default()
+        };
+        let attempts = u64::from(config.max_attempts);
+        let supervised = SupervisedCallout::new(flaky.clone(), &clock, config);
+        let requests = [request_from("/O=G/CN=Eve"), request_from("/O=G/CN=Bo")];
+        let mut traces = [DecisionTrace::detached(), DecisionTrace::detached()];
+        let outcomes =
+            supervised.authorize_batch_within(&RequestContext::unbounded(), &requests, &mut traces);
+        assert!(matches!(outcomes[0], Err(AuthzFailure::Denied(_))), "{outcomes:?}");
+        assert!(outcomes[1].is_ok(), "Bo's outage degrades open: {outcomes:?}");
+        assert!(!traces[0].is_degraded() && traces[1].is_degraded());
+        // A denial is final: Eve is presented once, Bo on every attempt.
+        assert_eq!(flaky.calls(), 1 + attempts);
+    }
+
+    #[test]
+    fn supervised_sweep_longer_than_one_deadline_does_not_time_out() {
+        let clock = SimClock::new();
+        // 1 ms per element against a 50 ms per-request deadline.
+        let flaky = Arc::new(FlakyCallout::new("flaky", &clock));
+        let config = ResilienceConfig {
+            deadline: SimDuration::from_millis(50),
+            ..ResilienceConfig::default()
+        };
+        let supervised = SupervisedCallout::new(flaky.clone(), &clock, config);
+        let requests: Vec<AuthzRequest> = (0..80).map(|_| request()).collect();
+        let mut traces: Vec<DecisionTrace> = (0..80).map(|_| DecisionTrace::detached()).collect();
+        let outcomes =
+            supervised.authorize_batch_within(&RequestContext::unbounded(), &requests, &mut traces);
+        assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
+        let stats = supervised.stats();
+        assert_eq!((stats.timeouts, stats.retries, stats.degraded), (0, 0, 0));
+        assert_eq!(flaky.calls(), 80);
     }
 
     #[test]
