@@ -78,7 +78,6 @@ mod statement;
 mod supervise;
 
 pub mod paper;
-pub mod xacml;
 
 pub use action::Action;
 pub use cache::{request_digest, CacheStats, DecisionCache};

@@ -107,7 +107,7 @@ pub struct AuthzRequest {
     subject: DistinguishedName,
     action: Action,
     job: Option<JobDescription>,
-    job_id: Option<String>,
+    job_id: Option<Arc<str>>,
     job_owner: Option<DistinguishedName>,
     jobtag: Option<String>,
     limited_proxy: bool,
@@ -181,7 +181,7 @@ impl AuthzRequest {
         job_owner: DistinguishedName,
         jobtag: Option<String>,
         job: impl Into<JobDescription>,
-        job_id: impl Into<String>,
+        job_id: impl Into<Arc<str>>,
         restrictions: Vec<String>,
     ) -> AuthzRequest {
         AuthzRequest {
@@ -224,7 +224,7 @@ impl AuthzRequest {
 
     /// Attaches the unique job identifier (the callout API passes one).
     #[must_use]
-    pub fn with_job_id(mut self, id: impl Into<String>) -> Self {
+    pub fn with_job_id(mut self, id: impl Into<Arc<str>>) -> Self {
         self.job_id = Some(id.into());
         self
     }

@@ -31,6 +31,11 @@ impl JobContact {
         &self.0
     }
 
+    /// The contact URL as a shared string: a refcount bump, not a copy.
+    pub(crate) fn shared(&self) -> Arc<str> {
+        Arc::clone(&self.0)
+    }
+
     /// The server-side job index the contact URL ends with; `None` for a
     /// contact this server did not issue in that form.
     pub fn index(&self) -> Option<u64> {

@@ -1096,8 +1096,8 @@ impl GramServer {
     /// The authorization request for a management action on one job —
     /// shared by the single-job and fan-out paths so both are judged on
     /// identical evidence. DN clones are refcount bumps and the job
-    /// description is shared with the record, so the build costs only the
-    /// request's own attribute table.
+    /// description and contact are shared with the record, so the build
+    /// costs only the request's own attribute table.
     fn management_request(
         identity: &VerifiedIdentity,
         record: &JmiRecord,
@@ -1109,7 +1109,7 @@ impl GramServer {
             record.owner.clone(),
             record.jobtag.clone(),
             record.rsl.clone(),
-            record.contact.as_str(),
+            record.contact.shared(),
             restriction_values(identity),
         )
     }

@@ -17,9 +17,7 @@
 //!   references ([`parse`]),
 //! * a typed AST ([`Rsl`], [`Clause`], [`Relation`], [`Value`]) with a
 //!   canonical pretty-printer (`Display`) such that `parse(x.to_string())`
-//!   round-trips,
-//! * an ergonomic builder for constructing job descriptions
-//!   ([`RslBuilder`]), and
+//!   round-trips, and
 //! * the well-known GRAM attribute names used throughout the workspace
 //!   ([`attributes`]).
 //!
@@ -38,7 +36,6 @@
 //! ```
 
 mod ast;
-mod builder;
 mod error;
 mod parser;
 mod token;
@@ -47,7 +44,6 @@ pub mod attributes;
 pub mod intern;
 
 pub use ast::{Attribute, Clause, Conjunction, RelOp, Relation, Rsl, Value};
-pub use builder::RslBuilder;
 pub use error::RslError;
 pub use intern::{FrozenInterner, FxBuildHasher, Interner, Symbol};
 pub use parser::parse;

@@ -24,14 +24,12 @@
 //! assert_eq!(metrics.submitted_ok + metrics.denied, 20);
 //! ```
 
-pub mod broker;
 mod fault;
 mod metrics;
 pub mod scenario;
 mod testbed;
 mod workload;
 
-pub use broker::{BrokerDenied, MultiSiteGrid, ResourceBroker, SiteSpec};
 pub use fault::{FaultKind, FaultWindow, FlakyCallout};
 pub use metrics::{DecisionTally, SimMetrics};
 pub use testbed::{Testbed, TestbedBuilder, LOCAL_POLICY};

@@ -10,8 +10,6 @@ pub enum VoError {
     DuplicateMember(String),
     /// The identity is not a member.
     NotAMember(String),
-    /// A jobtag name was invalid or already registered.
-    InvalidJobTag(String),
     /// A rule template failed to parse.
     BadRuleTemplate(String),
 }
@@ -22,7 +20,6 @@ impl fmt::Display for VoError {
             VoError::UnknownRole(role) => write!(f, "role {role:?} is not defined in this VO"),
             VoError::DuplicateMember(dn) => write!(f, "{dn} is already a VO member"),
             VoError::NotAMember(dn) => write!(f, "{dn} is not a VO member"),
-            VoError::InvalidJobTag(tag) => write!(f, "invalid or duplicate jobtag {tag:?}"),
             VoError::BadRuleTemplate(msg) => write!(f, "bad rule template: {msg}"),
         }
     }
@@ -37,7 +34,6 @@ mod tests {
     #[test]
     fn display_is_informative() {
         assert!(VoError::UnknownRole("admin".into()).to_string().contains("admin"));
-        assert!(VoError::InvalidJobTag("x y".into()).to_string().contains("x y"));
     }
 
     #[test]

@@ -14,9 +14,6 @@
 //!   use case has *developers*, *analysts*, and VO *admins*),
 //! * [`RoleProfile`] — per-role rule templates from which a VO-wide
 //!   [`Policy`](gridauthz_core::Policy) is generated,
-//! * [`JobTagRegistry`] — the statically administered `jobtag` namespace
-//!   (§5.1: "At present jobtags are statically defined by a policy
-//!   administrator"),
 //! * [`DynamicVoPolicy`] — time-windowed and utilization-conditioned
 //!   policy overlays (requirement: "This policy may also be dynamic,
 //!   adapting over time").
@@ -37,14 +34,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-mod callout;
 mod dynamic;
 mod error;
 mod membership;
-mod tags;
 
-pub use callout::TagRegistryCallout;
 pub use dynamic::{DynamicVoPolicy, PolicyWindow, UtilizationOverlay};
 pub use error::VoError;
 pub use membership::{Role, RoleProfile, VirtualOrganization, VoMember};
-pub use tags::{JobTag, JobTagRegistry};

@@ -27,8 +27,8 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo fmt --check"
-cargo fmt --check
+echo "==> cargo fmt --all --check (the vendored crates too)"
+cargo fmt --all --check
 
 echo "==> cargo doc -D warnings (broken or private intra-doc links fail)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
