@@ -117,10 +117,8 @@ pub enum JournalRecord {
         /// The revoked certificate's serial number.
         serial: u64,
     },
-    /// One audit record, rotated into the journal either on write
-    /// (durable audit trail) or on eviction from the bounded in-memory
-    /// ring. Best-effort: an audit append failure never fails the
-    /// audited operation.
+    /// One audit record, journaled when it is written. Best-effort: an
+    /// audit append failure never fails the audited operation.
     Audit {
         /// Decision instant, microseconds since epoch.
         at_micros: u64,

@@ -479,11 +479,10 @@ struct Durability {
     /// insert. [`GramServer::checkpoint`] holds the write side while it
     /// captures the covered sequence number and serializes state, so a
     /// snapshot covering sequence N observes the effect of every append
-    /// at or below N and of no later one. Lock order is `admin` →
-    /// barrier → audit ring / scheduler, as in the checkpoint. A lease
-    /// grant appends without it (it holds the pool lock, which the
-    /// checkpoint takes under the write side); recovery reconciles
-    /// leases against live jobs instead.
+    /// at or below N and of no later one. The checkpoint keeps the
+    /// write side until compaction has emptied the journal, so no frame
+    /// past N is ever on it. Lock order is `admin` → barrier → pool /
+    /// audit ring / scheduler.
     barrier: RwLock<()>,
     /// Physical syncs already folded into telemetry, so the per-append
     /// fsync counter reports deltas exactly once under group commit.
@@ -544,9 +543,10 @@ pub struct GramServer {
     /// memory-only (the pre-durability behaviour, and the default).
     durability: Option<Durability>,
     /// Audit records evicted from the bounded in-memory ring. With
-    /// durability configured the evicted records were already rotated
-    /// into the journal at write time; without, this counter is the
-    /// only trace that the ring overflowed.
+    /// durability configured an evicted record's journal frame survives
+    /// only until the next checkpoint, whose snapshot keeps the ring
+    /// alone; without, this counter is the only trace that the ring
+    /// overflowed.
     audit_evicted: AtomicU64,
 }
 
@@ -1313,9 +1313,9 @@ impl GramServer {
     /// committed batch rather than forcing its own fsync — audit
     /// durability must never fail or slow the audited operation, and
     /// the preceding mutation record is already durable) and inserts it
-    /// into the bounded in-memory ring. A record the full ring evicts was already
-    /// rotated into the journal here, so eviction only bumps the
-    /// [`Gauge::AuditEvicted`] counter instead of silently dropping it.
+    /// into the bounded in-memory ring. A record the full ring evicts
+    /// bumps the [`Gauge::AuditEvicted`] counter; its journal frame
+    /// survives only until the covering compaction.
     fn push_audit(&self, record: AuditRecord) {
         let _publish = self.publish_guard();
         if let Some(durability) = &self.durability {
@@ -1432,6 +1432,7 @@ impl GramServer {
                         account: account.to_string(),
                     });
                 }
+                let _publish = self.publish_guard();
                 let mut pool = pool.lock();
                 let (account, expires) = {
                     let lease = pool
@@ -1612,18 +1613,19 @@ impl GramServer {
     }
 
     /// Serializes the server's durable state into a snapshot, saves it,
-    /// and compacts the journal through the snapshot's covering
-    /// sequence number. No-op on memory-only servers. The append budget
-    /// restarts from the appends the snapshot does not cover, and each
-    /// checkpoint is one timed [`labels::CHECKPOINT`] sample on the
-    /// [`Stage::JournalAppend`] stage.
+    /// and empties the journal, which the snapshot covers entirely.
+    /// No-op on memory-only servers. The append budget restarts at
+    /// zero, and each checkpoint is one timed [`labels::CHECKPOINT`]
+    /// sample on the [`Stage::JournalAppend`] stage.
     ///
     /// The snapshot is *logical*: a record sequence re-expressing the
     /// current state in the same vocabulary the journal uses, so
-    /// recovery has one apply path for both. Save-before-compact
-    /// ordering makes a crash anywhere in between safe — the old
-    /// journal frames a torn snapshot would have covered are still
-    /// present.
+    /// recovery has one apply path for both. The barrier's write side
+    /// is held from the rider flush through compaction, so no frame is
+    /// appended past the snapshot's cover and compaction copies
+    /// nothing. Save-before-compact ordering makes a crash anywhere in
+    /// between safe — the journal still holds the covered frames, and
+    /// recovery skips them by sequence number.
     ///
     /// # Errors
     ///
@@ -1634,23 +1636,14 @@ impl GramServer {
             return Ok(());
         };
         let start = Instant::now();
-        let _admin = self.admin.lock();
-        let (covers, records) = {
-            let _exclusive = durability.barrier.write();
-            // Drain relaxed riders first so the snapshot's covering
-            // sequence includes them — otherwise a rider flushed after
-            // compaction would replay on top of a snapshot that already
-            // contains it.
-            durability
-                .journal
-                .flush()
-                .map_err(|e| durability_error(format!("flush failed: {e}")))?;
-            // Every append counted so far is covered; the ones counted
-            // from here on, while the snapshot saves, are not.
-            durability.appends_since_checkpoint.store(0, Ordering::Relaxed);
-            (durability.journal.committed_seq(), self.serialize_state())
-        };
-        let blob = SnapshotBlob { covers_seq: covers, payload: encode_records(&records) };
+        let _exclusive = durability.barrier.write();
+        // Drain relaxed riders first so the snapshot's covering
+        // sequence includes them.
+        durability.journal.flush().map_err(|e| durability_error(format!("flush failed: {e}")))?;
+        durability.appends_since_checkpoint.store(0, Ordering::Relaxed);
+        let covers = durability.journal.committed_seq();
+        let blob =
+            SnapshotBlob { covers_seq: covers, payload: encode_records(&self.serialize_state()) };
         durability
             .snapshots
             .lock()

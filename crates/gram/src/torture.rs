@@ -21,8 +21,8 @@
 //! 4. **Accounting** — telemetry's refused-frame labels count at least
 //!    every framing error the adversaries were answered with.
 //!
-//! Everything is derived from one `u64` seed through an inline
-//! SplitMix64 generator ([`TortureRng`]) — no external randomness, so a
+//! Everything is derived from one `u64` seed through the journal's
+//! SplitMix64 generator ([`CrashRng`]) — no external randomness, so a
 //! failing seed replays exactly. The harness is a library (not test
 //! code) so the integration tests' default sweep and CI's wider
 //! `TORTURE_SEEDS` sweep share one storm implementation.
@@ -36,54 +36,10 @@ use std::time::{Duration, Instant};
 
 use gridauthz_clock::{SimDuration, WallClock};
 use gridauthz_core::{AdmissionClass, RequestContext};
+use gridauthz_journal::CrashRng;
 use gridauthz_telemetry::{labels, Gauge, Stage, TelemetryRegistry};
 
 use crate::client::WireClient;
-
-/// A tiny deterministic generator (SplitMix64): one `u64` of state,
-/// passes through every torture decision, replayable from the seed.
-#[derive(Debug, Clone)]
-pub struct TortureRng(u64);
-
-impl TortureRng {
-    /// A generator seeded with `seed`.
-    #[must_use]
-    pub fn new(seed: u64) -> TortureRng {
-        TortureRng(seed)
-    }
-
-    /// The next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `[0, bound)`; 0 when `bound` is 0.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            0
-        } else {
-            self.next_u64() % bound
-        }
-    }
-
-    /// True with probability `num / den`.
-    pub fn chance(&mut self, num: u64, den: u64) -> bool {
-        self.below(den.max(1)) < num
-    }
-
-    /// An independent substream for task `index` of this seed.
-    #[must_use]
-    pub fn substream(&self, index: u64) -> TortureRng {
-        let mut fork = TortureRng(self.0 ^ index.wrapping_mul(0xA076_1D64_78BD_642F));
-        // Burn one step so adjacent substreams decorrelate immediately.
-        let _ = fork.next_u64();
-        fork
-    }
-}
 
 /// One adversarial client behavior, driven against a live front-end
 /// socket.
@@ -297,7 +253,7 @@ fn count_error_frames(text: &str) -> u64 {
 fn run_attack(
     attack: Attack,
     addr: SocketAddr,
-    mut rng: TortureRng,
+    mut rng: CrashRng,
     seed: u64,
     tag: u64,
     config: &TortureConfig,
@@ -377,7 +333,7 @@ fn run_attack(
             let bytes = message.as_bytes();
             // A seeded boundary, biased to the interesting tail region so
             // mid-`\n\n` (len-1) comes up often across a sweep.
-            let split = if rng.chance(1, 3) {
+            let split = if rng.below(3) == 0 {
                 bytes.len() - 1 // between the two delimiter newlines
             } else {
                 1 + rng.below(bytes.len() as u64 - 1) as usize
@@ -620,7 +576,7 @@ pub fn run_storm(
     seed: u64,
     config: &TortureConfig,
 ) -> StormReport {
-    let rng = TortureRng::new(seed);
+    let rng = CrashRng::new(seed);
     let refusals_before = refusal_total(telemetry);
     let offset = rng.clone().below(Attack::ALL.len() as u64) as usize;
     let attacks: Vec<Attack> =
@@ -705,29 +661,6 @@ pub fn run_storm(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rng_is_deterministic_and_substreams_decorrelate() {
-        let mut a = TortureRng::new(42);
-        let mut b = TortureRng::new(42);
-        let first: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        let second: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        assert_eq!(first, second, "same seed, same stream");
-        let mut c = TortureRng::new(43);
-        assert_ne!(first, (0..8).map(|_| c.next_u64()).collect::<Vec<_>>());
-        let mut s0 = TortureRng::new(42).substream(0);
-        let mut s1 = TortureRng::new(42).substream(1);
-        assert_ne!(s0.next_u64(), s1.next_u64());
-        // below stays in range; chance is sane at the extremes.
-        let mut r = TortureRng::new(7);
-        for bound in [1u64, 2, 3, 10, 1000] {
-            for _ in 0..64 {
-                assert!(r.below(bound) < bound);
-            }
-        }
-        assert!(!r.chance(0, 10));
-        assert!(r.chance(10, 10));
-    }
 
     #[test]
     fn probe_messages_are_unique_and_correlate() {

@@ -5,7 +5,8 @@
 //! snapshot coverage of non-initial job states, contacts of retired
 //! jobs never being reissued, jobs replayed out of index order staying
 //! sweepable, a server on the file-backed devices recovering across
-//! checkpoints, a property
+//! checkpoints, recovery from a snapshot whose journal was never
+//! compacted, a property
 //! test of the WAL's longest-checksummed-prefix contract, and a small
 //! sweep of the deterministic crash-point torture matrix.
 
@@ -738,6 +739,26 @@ fn recovered_server_equals_the_live_one_for_every_mutation_kind() {
         let recovered = world.durable(&storage, &snapshots);
         assert_eq!(world.observe(&recovered), expected, "recovered after {checkpoint:?}");
     }
+}
+
+/// A crash after the snapshot's rename and before the journal's leaves
+/// the frames the snapshot covers on the device. Recovery applies the
+/// snapshot and skips every frame at or below its cover, so no record
+/// (an audit rider, say) is applied twice.
+#[test]
+fn recovery_skips_frames_of_a_journal_compaction_never_emptied() {
+    let world = MutationWorld::new();
+    let storage = MemStorage::new();
+    let snapshots = MemSnapshotStore::new();
+    let live = world.durable(&storage, &snapshots);
+    world.drive(&live, Checkpoint::Never);
+    let uncompacted = storage.contents();
+    live.checkpoint().unwrap();
+    assert!(storage.contents().is_empty(), "compaction emptied the journal");
+
+    let recovered = world.durable(&MemStorage::from_bytes(uncompacted), &snapshots);
+    assert_eq!(recovered.audit_snapshot(), live.audit_snapshot());
+    assert_eq!(world.observe(&recovered), world.observe(&live));
 }
 
 // ---------------------------------------------------------------------

@@ -21,9 +21,10 @@
 //! (reusing `credential::sha256`), so a torn or bit-flipped tail is
 //! detected and truncated when the journal is reopened. Sequence numbers
 //! are assigned at append time, start at 1 and must be contiguous on
-//! disk; after snapshot compaction the on-disk tail starts at an
-//! arbitrary sequence, which is how replay knows to skip records a
-//! snapshot already covers.
+//! disk. Snapshot compaction empties the device, and later frames are
+//! numbered past the snapshot's cover; a crash between the snapshot's
+//! save and the compaction leaves covered frames behind, which replay
+//! skips by sequence number.
 //!
 //! Frames are followed by zeros: [`FileStorage`] writes them into space
 //! it preallocated as zeros, so an fsync flushes data and not the file

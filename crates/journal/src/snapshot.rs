@@ -8,7 +8,8 @@
 //!
 //! Crash ordering: the snapshot is made durable (file backends write a
 //! temporary, atomically rename it, and fsync the directory so the
-//! rename itself survives) *before* the WAL drops the frames it covers.
+//! rename itself survives) *before* compaction empties the WAL, whose
+//! frames it all covers.
 //! A crash between the two steps leaves covered frames on disk; replay
 //! skips them by sequence, so the overlap is harmless. A torn or
 //! corrupt snapshot fails its checksum and is ignored (`load` returns

@@ -30,8 +30,7 @@ pub const PREALLOC_CHUNK: u64 = 256 * 1024;
 /// An append-only byte device with an explicit durability barrier.
 pub trait Storage: Send {
     /// Reads the device's entire current contents, including any zero
-    /// bytes preallocated past the log's tail. Called at open and by
-    /// compaction.
+    /// bytes preallocated past the log's tail. Called once, at open.
     fn read_all(&mut self) -> io::Result<Vec<u8>>;
 
     /// Appends bytes at the device's tail. May buffer; the bytes are
@@ -50,8 +49,8 @@ pub trait Storage: Send {
     fn truncate(&mut self, len: u64) -> io::Result<()>;
 
     /// Atomically replaces the device's entire contents with `bytes`
-    /// and sets the tail after them — used by snapshot compaction to
-    /// drop frames a snapshot covers. Must be all-or-nothing with
+    /// and sets the tail after them. Snapshot compaction passes an empty
+    /// image, so the device holds zeros only. Must be all-or-nothing with
     /// respect to crashes (file backends write a temporary and rename
     /// over the original) and durable on return. Space past the tail is
     /// zero; a device never reuses the old contents' space.
@@ -433,14 +432,17 @@ mod tests {
         for i in 1..=5u8 {
             journal.append(&[i; 7]).unwrap();
         }
-        journal.compact_through(3).unwrap();
+        drop(journal);
+        // Replace the file with its last two frames.
         let frame = FRAME_HEADER_LEN + 7;
-        assert_eq!(journal.stats().durable_bytes, 2 * frame as u64, "logical length");
+        let kept = fs::read(dir.wal()).unwrap()[3 * frame..5 * frame].to_vec();
+        FileStorage::open(dir.wal()).unwrap().replace(&kept).unwrap();
         let image = fs::read(dir.wal()).unwrap();
-        assert_eq!(logical(&image, 2 * frame).len(), 2 * frame);
+        assert_eq!(logical(&image, 2 * frame), kept.as_slice());
         assert!(!dir.wal().with_extension("tmp").exists(), "the temporary was renamed");
 
         // Appends continue into the fresh file's preallocated space.
+        let (journal, _) = open_file(&dir.wal());
         assert_eq!(journal.append(&[6; 7]).unwrap(), 6);
         drop(journal);
         assert_eq!(file_len(&dir.wal()), PREALLOC_CHUNK);

@@ -51,6 +51,14 @@ pub enum JournalError {
     Dead(String),
     /// The payload exceeds [`MAX_PAYLOAD_LEN`].
     Oversized(usize),
+    /// [`Journal::compact_through`] found frame `last` past the cover
+    /// `covered` and left the device untouched; the journal stays usable.
+    Uncovered {
+        /// The snapshot's covering sequence number.
+        covered: u64,
+        /// The last sequence number enqueued.
+        last: u64,
+    },
 }
 
 impl std::fmt::Display for JournalError {
@@ -59,6 +67,9 @@ impl std::fmt::Display for JournalError {
             JournalError::Io(e) => write!(f, "journal I/O failed: {e}"),
             JournalError::Dead(e) => write!(f, "journal is dead: {e}"),
             JournalError::Oversized(n) => write!(f, "journal payload of {n} bytes exceeds limit"),
+            JournalError::Uncovered { covered, last } => {
+                write!(f, "journal frame {last} is past the snapshot's cover {covered}")
+            }
         }
     }
 }
@@ -204,9 +215,9 @@ impl Journal {
 
     /// [`open`](Self::open) for a journal compacted through `covered`
     /// (the recovered snapshot's `covers_seq`): new frames are numbered
-    /// after both the last intact frame and `covered`. Compaction can
-    /// leave the device empty, and frames renumbered from 1 would sit
-    /// at or below the snapshot's cover, where recovery skips them.
+    /// after both the last intact frame and `covered`. Compaction leaves
+    /// the device empty, and frames renumbered from 1 would sit at or
+    /// below the snapshot's cover, where recovery skips them.
     ///
     /// # Errors
     ///
@@ -375,35 +386,29 @@ impl Journal {
         }
     }
 
-    /// Drops every durable frame with `seq <= covered`, atomically
-    /// rewriting the device — snapshot compaction's second half. The
-    /// caller must already have saved a snapshot covering `covered`.
+    /// Empties the device once a snapshot covers every frame on it —
+    /// snapshot compaction's second half. The caller must already have
+    /// saved a snapshot covering `covered` and kept appenders out since
+    /// it captured that sequence number, so nothing is read back or
+    /// rewritten: the device is replaced with an empty image.
     ///
     /// # Errors
     ///
-    /// Any I/O error; the journal stays usable on read errors but is
-    /// poisoned if the rewrite itself fails partway.
+    /// [`JournalError::Uncovered`], with the device untouched, when a
+    /// frame past `covered` was enqueued or committed; any I/O error
+    /// from the replacement, which poisons the journal.
     pub fn compact_through(&self, covered: u64) -> Result<(), JournalError> {
         let mut io = self.io.lock().expect("journal io poisoned");
-        let bytes = io.read_all().map_err(|e| JournalError::Io(e.to_string()))?;
-        let (records, valid_len) = scan_frames(&bytes);
-        debug_assert!(
-            bytes[valid_len..].iter().all(|&b| b == 0),
-            "durable region must be intact frames followed by zeros"
-        );
-        let mut retained = Vec::new();
-        for record in &records {
-            if record.seq > covered {
-                encode_frame(&mut retained, record.seq, &record.payload);
-            }
+        let last = self.state.lock().expect("journal state poisoned").next_seq - 1;
+        if last > covered {
+            return Err(JournalError::Uncovered { covered, last });
         }
-        let retained_len = retained.len() as u64;
-        io.replace(&retained).map_err(|e| {
+        io.replace(&[]).map_err(|e| {
             let mut state = self.state.lock().expect("journal state poisoned");
             state.dead = Some(format!("compaction failed: {e}"));
             JournalError::Io(e.to_string())
         })?;
-        self.durable_bytes.store(retained_len, Ordering::Relaxed);
+        self.durable_bytes.store(0, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -524,15 +529,30 @@ mod tests {
         for i in 0..6u8 {
             journal.append(&[i]).unwrap();
         }
-        journal.compact_through(4).unwrap();
-        journal.append(&[9]).unwrap();
+        // Frames 5 and 6 lie past the cover: refused, device untouched.
+        let before = device.contents();
+        assert_eq!(
+            journal.compact_through(4),
+            Err(JournalError::Uncovered { covered: 4, last: 6 })
+        );
+        assert_eq!(device.contents(), before);
+        // A rider enqueued but not yet committed is past the cover too.
+        journal.append_relaxed(&[7]).unwrap();
+        assert!(journal.compact_through(6).is_err());
+        assert_eq!(device.contents(), before);
+
+        journal.flush().unwrap();
+        journal.compact_through(7).unwrap();
+        assert!(device.contents().is_empty());
+        assert_eq!(journal.stats().durable_bytes, 0);
+        // Numbering continues after an empty compaction.
+        assert_eq!(journal.append(&[9]).unwrap(), 8);
         drop(journal);
 
-        let (journal, replay) = open_mem(&device);
+        let (journal, replay) = Journal::open_after(Box::new(device.clone()), 7).unwrap();
         let seqs: Vec<u64> = replay.records.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![5, 6, 7]);
-        // Sequence numbering continues from the surviving tail.
-        assert_eq!(journal.append(&[1]).unwrap(), 8);
+        assert_eq!(seqs, vec![8]);
+        assert_eq!(journal.append(&[1]).unwrap(), 9);
     }
 
     #[test]

@@ -7,6 +7,32 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> every dependency a Cargo.toml names is named by a .rs file of its crate"
+unused=0
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    if [ "$dir" = . ]; then
+        # The root package: its own sources, not the member crates'.
+        roots=()
+        for sub in src tests examples benches; do
+            if [ -d "$sub" ]; then roots+=("$sub"); fi
+        done
+    else
+        roots=("$dir")
+    fi
+    deps=$(awk '/^\[/ { on = /^\[(dev-|build-)?dependencies\]$/; next }
+        on && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$manifest" | sort -u)
+    for dep in $deps; do
+        if ! grep -rqw --include='*.rs' "${dep//-/_}" "${roots[@]}"; then
+            echo "$manifest: no .rs file names ${dep//-/_}" >&2
+            unused=1
+        fi
+    done
+done
+if [ "$unused" -ne 0 ]; then
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
