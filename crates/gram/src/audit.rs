@@ -63,9 +63,14 @@ impl AuditOutcome {
 }
 
 /// A bounded in-memory audit log (oldest records are dropped first).
+///
+/// Beside each record the log can hold the record's journal encoding,
+/// which a durable server computes once for the record's journal frame.
+/// A checkpoint copies those bytes into the snapshot instead of encoding
+/// every retained record again.
 #[derive(Debug)]
 pub struct AuditLog {
-    records: VecDeque<AuditRecord>,
+    records: VecDeque<(AuditRecord, Option<Vec<u8>>)>,
     capacity: usize,
     dropped: u64,
 }
@@ -86,19 +91,35 @@ impl AuditLog {
     /// journal) can rotate it out instead of losing it; callers without
     /// may drop it, which preserves the old bounded-memory behaviour.
     pub fn record(&mut self, record: AuditRecord) -> Option<AuditRecord> {
+        self.record_encoded(record, None)
+    }
+
+    /// [`AuditLog::record`], keeping `encoded` (the record's journal
+    /// encoding) beside the record.
+    pub(crate) fn record_encoded(
+        &mut self,
+        record: AuditRecord,
+        encoded: Option<Vec<u8>>,
+    ) -> Option<AuditRecord> {
         let evicted = if self.records.len() == self.capacity {
             self.dropped += 1;
-            self.records.pop_front()
+            self.records.pop_front().map(|(record, _)| record)
         } else {
             None
         };
-        self.records.push_back(record);
+        self.records.push_back((record, encoded));
         evicted
     }
 
     /// The retained records, oldest first.
     pub fn records(&self) -> impl Iterator<Item = &AuditRecord> {
-        self.records.iter()
+        self.records.iter().map(|(record, _)| record)
+    }
+
+    /// The retained records with the journal encoding kept beside each
+    /// (`None` for a record logged without one), oldest first.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&AuditRecord, Option<&[u8]>)> {
+        self.records.iter().map(|(record, encoded)| (record, encoded.as_deref()))
     }
 
     /// Number of retained records.
@@ -121,19 +142,19 @@ impl AuditLog {
         &'a self,
         subject: &'a DistinguishedName,
     ) -> impl Iterator<Item = &'a AuditRecord> + 'a {
-        self.records.iter().filter(move |r| &r.subject == subject)
+        self.records().filter(move |r| &r.subject == subject)
     }
 
     /// Refusals retained in the log, oldest first.
     pub fn refusals(&self) -> impl Iterator<Item = &AuditRecord> {
-        self.records.iter().filter(|r| !r.outcome.is_permitted())
+        self.records().filter(|r| !r.outcome.is_permitted())
     }
 
     /// Degraded-mode decisions retained in the log, oldest first — the
     /// records an operator reviews after an authorization-service
     /// outage.
     pub fn degraded(&self) -> impl Iterator<Item = &AuditRecord> {
-        self.records.iter().filter(|r| r.degraded)
+        self.records().filter(|r| r.degraded)
     }
 }
 

@@ -37,6 +37,7 @@
 //! snapshot's records, then the journal tail past the snapshot's
 //! covering sequence number.
 
+use std::borrow::Cow;
 use std::io;
 use std::path::Path;
 
@@ -386,12 +387,26 @@ pub fn action_from_tag(tag: u8) -> gridauthz_core::Action {
 /// snapshot payload format.
 #[must_use]
 pub fn encode_records(records: &[JournalRecord]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u32(u32::try_from(records.len()).unwrap_or(u32::MAX));
-    for record in records {
-        w.bytes(&record.encode());
+    frame_records(0, records.iter().map(|record| Cow::Owned(record.encode())))
+}
+
+/// The payload [`encode_records`] writes, built from records that are
+/// already encoded (`JournalRecord::encode` of each), with `capacity`
+/// bytes reserved up front.
+pub(crate) fn frame_records<'a>(
+    capacity: usize,
+    encoded: impl Iterator<Item = Cow<'a, [u8]>>,
+) -> Vec<u8> {
+    let mut w = ByteWriter::with_capacity(capacity);
+    w.u32(0);
+    let mut count = 0u32;
+    for record in encoded {
+        w.bytes(&record);
+        count += 1;
     }
-    w.into_bytes()
+    let mut payload = w.into_bytes();
+    payload[..4].copy_from_slice(&count.to_le_bytes());
+    payload
 }
 
 /// Decodes a snapshot payload back into its record sequence, dropping

@@ -32,7 +32,7 @@ use crate::authcache::{AuthCache, AuthCacheStats, AuthEntry};
 use crate::gatekeeper::Gatekeeper;
 use crate::jobspec::job_spec_from_rsl;
 use crate::journal::{
-    action_from_tag, action_tag, decode_records, encode_records, DurabilityConfig, JournalRecord,
+    action_from_tag, action_tag, decode_records, frame_records, DurabilityConfig, JournalRecord,
 };
 use crate::protocol::{error_label, GramError, GramSignal, JobContact, JobReport};
 use crate::provisioning::{request_groups, sandbox_profile_for, AccountStrategy, JobOperation};
@@ -249,12 +249,12 @@ impl GramServerBuilder {
     }
 
     /// Builds the server with crash-safe durability: the journal is
-    /// opened (its torn tail truncated), the latest intact snapshot is
-    /// loaded, and both are replayed to rebuild the job table, the
-    /// dynamic-account lease table, the audit log and the gatekeeper's
-    /// administrative state before the server accepts requests. A fresh
-    /// (empty) journal yields a fresh durable server, so this is also
-    /// how a durable server starts the first time.
+    /// opened (its torn tail truncated), the snapshot is loaded, and
+    /// both are replayed to rebuild the job table, the dynamic-account
+    /// lease table, the audit log and the gatekeeper's administrative
+    /// state before the server accepts requests. A fresh (empty)
+    /// journal yields a fresh durable server, so this is also how a
+    /// durable server starts the first time.
     ///
     /// Recovery restores the *control-plane* record of every
     /// acknowledged mutation, not temporal position: recovered jobs are
@@ -272,9 +272,11 @@ impl GramServerBuilder {
     /// # Errors
     ///
     /// [`GramError::AuthorizationSystemFailure`] when the journal or
-    /// snapshot cannot be opened, or when a durable record fails to
-    /// re-apply (e.g. the recovered configuration no longer admits a
-    /// journaled job).
+    /// snapshot cannot be opened, when the stored snapshot is torn or
+    /// fails its checksum (the journal no longer holds the frames it
+    /// covered, so recovery refuses rather than come back without
+    /// them), or when a durable record fails to re-apply (e.g. the
+    /// recovered configuration no longer admits a journaled job).
     pub fn recover(self, durability: DurabilityConfig) -> Result<GramServer, GramError> {
         let DurabilityConfig { storage, mut snapshots, snapshot_every } = durability;
         let mut server = self.build();
@@ -1313,16 +1315,19 @@ impl GramServer {
     /// committed batch rather than forcing its own fsync — audit
     /// durability must never fail or slow the audited operation, and
     /// the preceding mutation record is already durable) and inserts it
-    /// into the bounded in-memory ring. A record the full ring evicts
+    /// into the bounded in-memory ring, with the frame's payload kept
+    /// beside it for the next checkpoint. A record the full ring evicts
     /// bumps the [`Gauge::AuditEvicted`] counter; its journal frame
     /// survives only until the covering compaction.
     fn push_audit(&self, record: AuditRecord) {
         let _publish = self.publish_guard();
-        if let Some(durability) = &self.durability {
-            let _ = durability.journal.append_relaxed(&audit_record_to_journal(&record).encode());
+        let encoded = self.durability.as_ref().map(|durability| {
+            let encoded = audit_record_to_journal(&record).encode();
+            let _ = durability.journal.append_relaxed(&encoded);
             durability.appends_since_checkpoint.fetch_add(1, Ordering::Relaxed);
-        }
-        if self.audit.lock().record(record).is_some() {
+            encoded
+        });
+        if self.audit.lock().record_encoded(record, encoded).is_some() {
             self.audit_evicted.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -1642,8 +1647,7 @@ impl GramServer {
         durability.journal.flush().map_err(|e| durability_error(format!("flush failed: {e}")))?;
         durability.appends_since_checkpoint.store(0, Ordering::Relaxed);
         let covers = durability.journal.committed_seq();
-        let blob =
-            SnapshotBlob { covers_seq: covers, payload: encode_records(&self.serialize_state()) };
+        let blob = SnapshotBlob { covers_seq: covers, payload: self.snapshot_payload() };
         durability
             .snapshots
             .lock()
@@ -1658,13 +1662,35 @@ impl GramServer {
         Ok(())
     }
 
-    /// The server's current state as a journal-record sequence (the
-    /// snapshot payload): the gatekeeper, the leases, the next contact
-    /// index, every live job and the audit ring. Cancelled jobs are
-    /// retired and jobs that ended inside the scheduler are left out,
-    /// so a snapshot grows with the live jobs, not with history. Caller
-    /// holds the barrier write guard.
-    fn serialize_state(&self) -> Vec<JournalRecord> {
+    /// The snapshot payload: the state records
+    /// ([`GramServer::state_records`]) followed by the audit ring, the
+    /// same bytes as [`encode_records`](crate::journal::encode_records)
+    /// of those records. Each audit record is written as the bytes
+    /// [`GramServer::push_audit`] encoded for its journal frame; only a
+    /// record that reached the ring without a journal (built in, or
+    /// replayed before the journal was attached) is encoded here.
+    /// Caller holds the barrier write guard.
+    fn snapshot_payload(&self) -> Vec<u8> {
+        let state = self.state_records();
+        let audit = self.audit.lock();
+        // Room for the audit ring's stored encodings, each with its
+        // length prefix; the state records and any audit record encoded
+        // here grow the buffer past it.
+        let capacity = audit.entries().map(|(_, encoded)| encoded.map_or(0, |e| 4 + e.len())).sum();
+        let state = state.iter().map(|record| Cow::Owned(record.encode()));
+        let audit = audit.entries().map(|(record, encoded)| match encoded {
+            Some(bytes) => Cow::Borrowed(bytes),
+            None => Cow::Owned(audit_record_to_journal(record).encode()),
+        });
+        frame_records(capacity, state.chain(audit))
+    }
+
+    /// The server's state other than the audit ring, as a journal-record
+    /// sequence: the gatekeeper, the leases, the next contact index and
+    /// every live job. Cancelled jobs are retired and jobs that ended
+    /// inside the scheduler are left out, so a snapshot grows with the
+    /// live jobs, not with history.
+    fn state_records(&self) -> Vec<JournalRecord> {
         let mut records = Vec::new();
         let gatekeeper = self.gatekeeper.load();
         records.push(JournalRecord::SetGridmap { entries: gridmap_entries(gatekeeper.gridmap()) });
@@ -1718,9 +1744,6 @@ impl GramServer {
                     records.push(suspend.record(&record.contact, status.submitted));
                 }
             }
-        }
-        for record in self.audit.lock().records() {
-            records.push(audit_record_to_journal(record));
         }
         records
     }
@@ -3043,6 +3066,56 @@ mod tests {
                 "commits={commits}: index {drawn} was drawn before the crash"
             );
         }
+    }
+
+    /// A checkpoint writes each audit record from the encoding kept
+    /// beside it, and the payload is exactly the record-by-record
+    /// serialization. The ring under test has evicted records, holds
+    /// records replayed before the journal was attached (encoded at
+    /// checkpoint time) and records journaled since (stored encodings).
+    #[test]
+    fn checkpoint_payload_equals_the_record_by_record_serialization() {
+        use gridauthz_journal::SnapshotStore;
+
+        let storage = gridauthz_journal::MemStorage::new();
+        let mut snapshots = gridauthz_journal::MemSnapshotStore::new();
+        let f = durable_fixture(&storage, &snapshots, 0);
+        let job = f.server.submit(f.bo.chain(), BO_TEST1, None, mins(30)).unwrap();
+        let subject = f.kate.certificate().subject().clone();
+        for i in 0..4200u64 {
+            f.server.push_audit(AuditRecord {
+                at: SimTime::from_secs(i),
+                subject: subject.clone(),
+                action: Action::Information,
+                job: (i % 3 == 0).then(|| format!("job-{i}")),
+                account: (i % 2 == 0).then(|| "kate".to_string()),
+                outcome: if i % 5 == 0 {
+                    AuditOutcome::Refused(format!("denied {i}"))
+                } else {
+                    AuditOutcome::Permitted
+                },
+                trace_id: (i % 4 == 0).then_some(i),
+                degraded: i % 7 == 0,
+                note: (i % 11 == 0).then(|| format!("note {i}")),
+            });
+        }
+        drop(f);
+
+        let f = durable_fixture(&storage, &snapshots, 0);
+        assert!(f.server.audit_evicted() > 0, "replay overflowed the ring");
+        f.server.status(f.bo.chain(), &job).unwrap();
+        f.server.cancel(f.bo.chain(), &job).unwrap();
+        f.server.submit(f.bo.chain(), BO_TEST1, None, mins(30)).unwrap();
+        {
+            let audit = f.server.audit.lock();
+            assert!(audit.entries().any(|(_, encoded)| encoded.is_none()), "replayed records");
+            assert!(audit.entries().any(|(_, encoded)| encoded.is_some()), "journaled records");
+        }
+        let mut expected = f.server.state_records();
+        expected.extend(f.server.audit_snapshot().iter().map(audit_record_to_journal));
+        f.server.checkpoint().unwrap();
+        let blob = snapshots.load().unwrap().expect("checkpoint saved a snapshot");
+        assert_eq!(blob.payload, crate::journal::encode_records(&expected));
     }
 
     /// A hostile job description cannot smuggle forged headers into the

@@ -5,8 +5,8 @@
 //! snapshot coverage of non-initial job states, contacts of retired
 //! jobs never being reissued, jobs replayed out of index order staying
 //! sweepable, a server on the file-backed devices recovering across
-//! checkpoints, recovery from a snapshot whose journal was never
-//! compacted, a property
+//! checkpoints, recovery refusing a corrupt snapshot, recovery from a
+//! snapshot whose journal was never compacted, a property
 //! test of the WAL's longest-checksummed-prefix contract, and a small
 //! sweep of the deterministic crash-point torture matrix.
 
@@ -366,6 +366,45 @@ fn file_backed_server_recovers_across_checkpoints() {
     let next = recovered.submit(world.alice.chain(), RSL, None, mins(30)).unwrap();
     assert_eq!(next.index(), Some(9), "a contact was reissued");
     drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot damaged after it was saved fails recovery closed: the
+/// checkpoint emptied the journal of the five jobs it covered, so a
+/// recovery that went on without the snapshot would come back with the
+/// sixth job alone. Restoring the intact bytes recovers all six.
+#[test]
+fn corrupt_snapshot_fails_recovery_closed() {
+    let world = World::new();
+    let dir = std::env::temp_dir()
+        .join(format!("gridauthz-recovery-corrupt-snapshot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable =
+        || world.builder().recover(DurabilityConfig::at_dir(&dir).unwrap().snapshot_every(0));
+    let server = durable().unwrap();
+    for _ in 0..5 {
+        server.submit(world.alice.chain(), RSL, None, mins(30)).unwrap();
+    }
+    server.checkpoint().unwrap();
+    server.submit(world.alice.chain(), RSL, None, mins(30)).unwrap();
+    drop(server);
+
+    let path = dir.join("state.snapshot");
+    let intact = std::fs::read(&path).unwrap();
+    let mut flipped = intact.clone();
+    let middle = flipped.len() / 2;
+    flipped[middle] ^= 0x01;
+    std::fs::write(&path, &flipped).unwrap();
+    match durable() {
+        Err(GramError::AuthorizationSystemFailure(detail)) => {
+            assert!(detail.contains("snapshot"), "{detail}");
+        }
+        Err(other) => panic!("unexpected error {other}"),
+        Ok(server) => panic!("recovered {} jobs from a corrupt snapshot", server.job_count()),
+    }
+
+    std::fs::write(&path, &intact).unwrap();
+    assert_eq!(durable().unwrap().job_count(), 6);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

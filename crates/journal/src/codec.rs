@@ -33,6 +33,11 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
+    /// An empty writer with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> ByteWriter {
+        ByteWriter { buf: Vec::with_capacity(capacity) }
+    }
+
     /// Consumes the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

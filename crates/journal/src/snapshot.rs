@@ -11,18 +11,19 @@
 //! rename itself survives) *before* compaction empties the WAL, whose
 //! frames it all covers.
 //! A crash between the two steps leaves covered frames on disk; replay
-//! skips them by sequence, so the overlap is harmless. A torn or
-//! corrupt snapshot fails its checksum and is ignored (`load` returns
-//! `None`), falling back to full-journal replay.
+//! skips them by sequence, so the overlap is harmless. Because the save
+//! is atomic, a snapshot that fails its checksum was damaged after it
+//! was written, and compaction has already dropped the frames it
+//! covers: `load` reports it as an [`io::ErrorKind::InvalidData`]
+//! error, and recovery refuses rather than replay only the tail.
 
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use gridauthz_credential::sha256::sha256_prefix_u64;
-
 use crate::storage::sync_parent_dir;
+use crate::wal::frame_check;
 
 /// Magic prefix identifying a snapshot blob (and its format version).
 const MAGIC: &[u8; 8] = b"GJSNAP01";
@@ -45,7 +46,7 @@ impl SnapshotBlob {
         out.extend_from_slice(
             &u32::try_from(self.payload.len()).expect("snapshot bounded").to_le_bytes(),
         );
-        out.extend_from_slice(&blob_check(self.covers_seq, &self.payload).to_le_bytes());
+        out.extend_from_slice(&frame_check(self.covers_seq, &self.payload).to_le_bytes());
         out.extend_from_slice(&self.payload);
         out
     }
@@ -64,25 +65,34 @@ impl SnapshotBlob {
             return None;
         }
         let payload = &bytes[header..];
-        if blob_check(covers_seq, payload) != check {
+        if frame_check(covers_seq, payload) != check {
             return None;
         }
         Some(SnapshotBlob { covers_seq, payload: payload.to_vec() })
     }
 }
 
-fn blob_check(covers_seq: u64, payload: &[u8]) -> u64 {
-    let mut keyed = Vec::with_capacity(8 + payload.len());
-    keyed.extend_from_slice(&covers_seq.to_le_bytes());
-    keyed.extend_from_slice(payload);
-    sha256_prefix_u64(&keyed)
+/// Decodes stored snapshot bytes; bytes that are there but fail to
+/// decode are an [`io::ErrorKind::InvalidData`] error.
+fn decode_stored(bytes: &[u8]) -> io::Result<SnapshotBlob> {
+    SnapshotBlob::decode(bytes).ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("snapshot of {} bytes is torn or fails its checksum", bytes.len()),
+        )
+    })
 }
 
 /// Where snapshots live.
 pub trait SnapshotStore: Send {
-    /// Loads the most recent intact snapshot, if any. Corrupt or torn
-    /// snapshots are reported as `None`, not as errors — recovery falls
-    /// back to full-journal replay.
+    /// Loads the saved snapshot; `None` when none was ever saved.
+    ///
+    /// # Errors
+    ///
+    /// An [`io::ErrorKind::InvalidData`] error when snapshot bytes are
+    /// stored but torn or fail their checksum. The journal no longer
+    /// holds the frames such a snapshot covered, so the caller must not
+    /// carry on as if there were none.
     fn load(&mut self) -> io::Result<Option<SnapshotBlob>>;
 
     /// Durably saves `blob`, replacing any previous snapshot. Must be
@@ -118,7 +128,7 @@ impl SnapshotStore for FileSnapshotStore {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         }
-        Ok(SnapshotBlob::decode(&bytes))
+        decode_stored(&bytes).map(Some)
     }
 
     fn save(&mut self, blob: &SnapshotBlob) -> io::Result<()> {
@@ -157,7 +167,7 @@ impl MemSnapshotStore {
 impl SnapshotStore for MemSnapshotStore {
     fn load(&mut self) -> io::Result<Option<SnapshotBlob>> {
         let bytes = self.bytes.lock().expect("snapshot mutex poisoned");
-        Ok(bytes.as_deref().and_then(SnapshotBlob::decode))
+        bytes.as_deref().map(decode_stored).transpose()
     }
 
     fn save(&mut self, blob: &SnapshotBlob) -> io::Result<()> {
@@ -187,6 +197,29 @@ mod tests {
         let mut flipped = encoded.clone();
         *flipped.last_mut().unwrap() ^= 1;
         assert_eq!(SnapshotBlob::decode(&flipped), None);
+    }
+
+    #[test]
+    fn stores_refuse_corrupt_bytes() {
+        let blob = SnapshotBlob { covers_seq: 5, payload: b"state".to_vec() };
+        let mut flipped = blob.encode();
+        flipped[MAGIC.len() + 20] ^= 1;
+
+        let mut mem = MemSnapshotStore::new();
+        *mem.bytes.lock().unwrap() = Some(flipped.clone());
+        assert_eq!(mem.load().unwrap_err().kind(), io::ErrorKind::InvalidData);
+
+        let dir = std::env::temp_dir().join(format!("gridauthz-snap-bad-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.snapshot");
+        let mut file = FileSnapshotStore::new(&path);
+        file.save(&blob).unwrap();
+        fs::write(&path, &flipped).unwrap();
+        assert_eq!(file.load().unwrap_err().kind(), io::ErrorKind::InvalidData);
+        fs::write(&path, b"").unwrap();
+        assert_eq!(file.load().unwrap_err().kind(), io::ErrorKind::InvalidData);
+        let _ = fs::remove_file(&path);
+        let _ = fs::remove_dir(&dir);
     }
 
     #[test]

@@ -151,7 +151,11 @@ fn encode_frame(out: &mut Vec<u8>, seq: u64, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-fn frame_check(seq: u64, payload: &[u8]) -> u64 {
+/// The first eight digest bytes of `sha256(seq_le || payload)`,
+/// big-endian: the checksum of a journal frame, and of a snapshot keyed
+/// by its `covers_seq`. Hashed incrementally, so the payload is not
+/// copied.
+pub(crate) fn frame_check(seq: u64, payload: &[u8]) -> u64 {
     let mut hasher = Sha256::new();
     hasher.update(&seq.to_le_bytes());
     hasher.update(payload);
