@@ -18,10 +18,7 @@
 //!   engine, callout and audit views of one request;
 //! * an **admission class** ([`AdmissionClass`]) separating interactive
 //!   submissions from batch/management fan-outs, with per-class default
-//!   budgets and per-class admission-queue lanes at the front-end;
-//! * a **shed verdict** ([`ShedReason`]) recording why a request was
-//!   refused without service, so the fast `BUSY` path and the audit
-//!   trail agree.
+//!   budgets and per-class admission-queue lanes at the front-end.
 //!
 //! A context without a clock ([`RequestContext::unbounded`]) never
 //! expires: every pre-existing call path that has no deadline to
@@ -170,7 +167,6 @@ pub struct RequestContext {
     ///
     /// [`Stage::Admission`]: gridauthz_telemetry::Stage::Admission
     queue_wait: SimDuration,
-    shed: Option<ShedReason>,
 }
 
 impl RequestContext {
@@ -184,7 +180,6 @@ impl RequestContext {
             trace_id: 0,
             class: AdmissionClass::Interactive,
             queue_wait: SimDuration::ZERO,
-            shed: None,
         }
     }
 
@@ -221,7 +216,6 @@ impl RequestContext {
             trace_id: 0,
             class,
             queue_wait: SimDuration::ZERO,
-            shed: None,
         }
     }
 
@@ -316,17 +310,6 @@ impl RequestContext {
     pub fn queue_wait(&self) -> SimDuration {
         self.queue_wait
     }
-
-    /// Marks this request shed (refused without service).
-    pub fn mark_shed(&mut self, reason: ShedReason) {
-        self.shed = Some(reason);
-    }
-
-    /// The shed verdict, when one was recorded.
-    #[must_use]
-    pub fn shed(&self) -> Option<ShedReason> {
-        self.shed
-    }
 }
 
 impl fmt::Debug for RequestContext {
@@ -336,7 +319,6 @@ impl fmt::Debug for RequestContext {
             .field("deadline", &self.deadline)
             .field("trace_id", &self.trace_id)
             .field("queue_wait", &self.queue_wait)
-            .field("shed", &self.shed)
             .field("bounded", &self.clock.is_some())
             .finish()
     }
@@ -404,12 +386,9 @@ mod tests {
     }
 
     #[test]
-    fn shed_and_queue_wait_round_trip() {
+    fn trace_id_and_queue_wait_round_trip() {
         let mut ctx = RequestContext::unbounded().with_trace_id(42);
         assert_eq!(ctx.trace_id(), 42);
-        assert_eq!(ctx.shed(), None);
-        ctx.mark_shed(ShedReason::QueueFull);
-        assert_eq!(ctx.shed(), Some(ShedReason::QueueFull));
         ctx.note_queue_wait(SimDuration::from_millis(3));
         assert_eq!(ctx.queue_wait(), SimDuration::from_millis(3));
     }

@@ -12,6 +12,8 @@ use gridauthz_clock::SimTime;
 use gridauthz_core::Action;
 use gridauthz_credential::DistinguishedName;
 
+use crate::journal::JournalRecord;
+
 /// One authorization decision, as recorded at the PEP.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditRecord {
@@ -64,13 +66,13 @@ impl AuditOutcome {
 
 /// A bounded in-memory audit log (oldest records are dropped first).
 ///
-/// Beside each record the log can hold the record's journal encoding,
-/// which a durable server computes once for the record's journal frame.
-/// A checkpoint copies those bytes into the snapshot instead of encoding
-/// every retained record again.
+/// Each record is kept as its journal payload, the bytes
+/// [`JournalRecord::Audit`] encodes to: a durable server appends those
+/// same bytes to its journal, and a checkpoint copies them into the
+/// snapshot as they are. Reading the log decodes them.
 #[derive(Debug)]
 pub struct AuditLog {
-    records: VecDeque<(AuditRecord, Option<Vec<u8>>)>,
+    payloads: VecDeque<Vec<u8>>,
     capacity: usize,
     dropped: u64,
 }
@@ -83,53 +85,40 @@ impl AuditLog {
     /// Panics when `capacity` is zero.
     pub fn new(capacity: usize) -> AuditLog {
         assert!(capacity > 0, "audit log capacity must be positive");
-        AuditLog { records: VecDeque::with_capacity(capacity), capacity, dropped: 0 }
+        AuditLog { payloads: VecDeque::with_capacity(capacity), capacity, dropped: 0 }
     }
 
-    /// Appends a record, evicting the oldest when full. Returns the
-    /// evicted record so callers with durable storage (the state
-    /// journal) can rotate it out instead of losing it; callers without
-    /// may drop it, which preserves the old bounded-memory behaviour.
-    pub fn record(&mut self, record: AuditRecord) -> Option<AuditRecord> {
-        self.record_encoded(record, None)
-    }
-
-    /// [`AuditLog::record`], keeping `encoded` (the record's journal
-    /// encoding) beside the record.
-    pub(crate) fn record_encoded(
-        &mut self,
-        record: AuditRecord,
-        encoded: Option<Vec<u8>>,
-    ) -> Option<AuditRecord> {
-        let evicted = if self.records.len() == self.capacity {
+    /// Appends one record's journal payload, evicting the oldest record
+    /// when full.
+    pub(crate) fn record(&mut self, payload: Vec<u8>) {
+        if self.payloads.len() == self.capacity {
             self.dropped += 1;
-            self.records.pop_front().map(|(record, _)| record)
-        } else {
-            None
-        };
-        self.records.push_back((record, encoded));
-        evicted
+            self.payloads.pop_front();
+        }
+        self.payloads.push_back(payload);
     }
 
-    /// The retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &AuditRecord> {
-        self.records.iter().map(|(record, _)| record)
+    /// The retained records' journal payloads, oldest first.
+    pub(crate) fn payloads(&self) -> impl Iterator<Item = &[u8]> {
+        self.payloads.iter().map(Vec::as_slice)
     }
 
-    /// The retained records with the journal encoding kept beside each
-    /// (`None` for a record logged without one), oldest first.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (&AuditRecord, Option<&[u8]>)> {
-        self.records.iter().map(|(record, encoded)| (record, encoded.as_deref()))
+    /// The retained records, decoded, oldest first.
+    pub fn records(&self) -> impl Iterator<Item = AuditRecord> + '_ {
+        self.payloads().map(|payload| match JournalRecord::decode(payload) {
+            Ok(Some(JournalRecord::Audit(record))) => record,
+            other => unreachable!("an audit log entry decoded to {other:?}"),
+        })
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.payloads.len()
     }
 
     /// True when no records are retained.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.payloads.is_empty()
     }
 
     /// How many records have been evicted.
@@ -137,24 +126,9 @@ impl AuditLog {
         self.dropped
     }
 
-    /// Records concerning `subject`, oldest first.
-    pub fn for_subject<'a>(
-        &'a self,
-        subject: &'a DistinguishedName,
-    ) -> impl Iterator<Item = &'a AuditRecord> + 'a {
-        self.records().filter(move |r| &r.subject == subject)
-    }
-
     /// Refusals retained in the log, oldest first.
-    pub fn refusals(&self) -> impl Iterator<Item = &AuditRecord> {
+    pub fn refusals(&self) -> impl Iterator<Item = AuditRecord> + '_ {
         self.records().filter(|r| !r.outcome.is_permitted())
-    }
-
-    /// Degraded-mode decisions retained in the log, oldest first — the
-    /// records an operator reviews after an authorization-service
-    /// outage.
-    pub fn degraded(&self) -> impl Iterator<Item = &AuditRecord> {
-        self.records().filter(|r| r.degraded)
     }
 }
 
@@ -166,8 +140,8 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn record(secs: u64, subject: &str, permitted: bool) -> AuditRecord {
-        AuditRecord {
+    fn record(secs: u64, subject: &str, permitted: bool) -> Vec<u8> {
+        JournalRecord::Audit(AuditRecord {
             at: SimTime::from_secs(secs),
             subject: dn(subject),
             action: Action::Start,
@@ -181,7 +155,8 @@ mod tests {
             trace_id: Some(secs),
             degraded: false,
             note: None,
-        }
+        })
+        .encode()
     }
 
     #[test]
@@ -197,29 +172,26 @@ mod tests {
     #[test]
     fn capacity_evicts_oldest() {
         let mut log = AuditLog::new(2);
-        let mut evicted = Vec::new();
         for i in 0..5 {
-            if let Some(old) = log.record(record(i, "/O=G/CN=A", true)) {
-                evicted.push(old.at.as_secs());
-            }
+            log.record(record(i, "/O=G/CN=A", true));
         }
         assert_eq!(log.len(), 2);
         assert_eq!(log.dropped(), 3);
         let times: Vec<u64> = log.records().map(|r| r.at.as_secs()).collect();
         assert_eq!(times, vec![3, 4]);
-        // The evicted records came back out, oldest first, not silently
-        // dropped.
-        assert_eq!(evicted, vec![0, 1, 2]);
     }
 
     #[test]
-    fn filters_by_subject_and_outcome() {
+    fn records_decode_to_what_was_written() {
         let mut log = AuditLog::new(10);
         log.record(record(1, "/O=G/CN=A", true));
         log.record(record(2, "/O=G/CN=A", false));
         log.record(record(3, "/O=G/CN=B", false));
-        assert_eq!(log.for_subject(&dn("/O=G/CN=A")).count(), 2);
-        assert_eq!(log.refusals().count(), 2);
+        let refusals: Vec<AuditRecord> = log.refusals().collect();
+        assert_eq!(refusals.len(), 2);
+        assert_eq!(refusals[1].subject, dn("/O=G/CN=B"));
+        assert_eq!(refusals[1].outcome, AuditOutcome::Refused("denied".into()));
+        assert_eq!(refusals[1].trace_id, Some(3));
         assert!(!log.is_empty());
     }
 

@@ -510,12 +510,11 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
                     None => {
                         drop(queue);
                         shared.shed.fetch_add(1, Ordering::Relaxed);
-                        let mut ctx = RequestContext::with_budget(
+                        let ctx = RequestContext::with_budget(
                             Arc::clone(&shared.clock),
                             AdmissionClass::Interactive,
                             SimDuration::ZERO,
                         );
-                        ctx.mark_shed(ShedReason::QueueFull);
                         answer_unserved(shared, stream, ShedReason::QueueFull, &ctx);
                     }
                 }
@@ -557,7 +556,6 @@ fn worker_loop(shared: &Shared, index: usize) -> WorkerStats {
             // worker got here. A fast BUSY costs microseconds; decoding
             // and authorizing the doomed request would cost the budget
             // of a live one.
-            entry.ctx.mark_shed(ShedReason::DeadlineExpired);
             answer_unserved(shared, entry.stream, ShedReason::DeadlineExpired, &entry.ctx);
             stats.refused += 1;
             continue;

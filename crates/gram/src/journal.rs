@@ -15,8 +15,14 @@
 //! | `LeaseRelease`        | a dynamic-account lease returned to the pool |
 //! | `SetGridmap`          | an administrative grid-mapfile swap          |
 //! | `RevokeCredential`    | one CRL entry loaded into the trust store    |
-//! | `Audit`               | one audit record (best-effort, non-fatal)    |
+//! | `Audit`               | one audit record, as the audit ring holds it |
 //! | `NextContact`         | snapshot only: the next contact index        |
+//!
+//! An `Audit` payload is written once, by `encode_audit`, when the
+//! request is audited: the server's audit ring keeps those bytes, a
+//! durable server journals them as a best-effort rider (an append
+//! failure never fails the audited operation), and a checkpoint copies
+//! them into the snapshot.
 //!
 //! A `Cancel` also retires its job: replay drops it, as the live server
 //! did. So a snapshot holds only live jobs, and its `NextContact` keeps
@@ -37,22 +43,28 @@
 //! snapshot's records, then the journal tail past the snapshot's
 //! covering sequence number.
 
-use std::borrow::Cow;
-use std::io;
+use std::fmt;
+use std::io::{self, Write};
 use std::path::Path;
 
+use gridauthz_clock::SimTime;
+use gridauthz_core::Action;
+use gridauthz_credential::DistinguishedName;
 use gridauthz_journal::{
     ByteReader, ByteWriter, CodecError, FileSnapshotStore, FileStorage, MemSnapshotStore,
     MemStorage, SnapshotStore, Storage,
 };
 
+use crate::audit::{AuditOutcome, AuditRecord};
 use crate::protocol::GramSignal;
 
 /// One durable mutation of GRAM server state. Field types are wire
 /// primitives (strings, integers) rather than domain types so the
 /// record codec cannot fail on encode and decodes strictly; conversion
 /// to domain types (DN parse, RSL parse) happens during recovery apply,
-/// where a failure is a recovery error with context.
+/// where a failure is a recovery error with context. The exception is
+/// `Audit`, which holds the [`AuditRecord`] the server's audit log
+/// decodes its stored payloads back into.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalRecord {
     /// A job the scheduler admitted and the server acknowledged.
@@ -119,27 +131,9 @@ pub enum JournalRecord {
         serial: u64,
     },
     /// One audit record, journaled when it is written. Best-effort: an
-    /// audit append failure never fails the audited operation.
-    Audit {
-        /// Decision instant, microseconds since epoch.
-        at_micros: u64,
-        /// The requesting identity's distinguished name.
-        subject: String,
-        /// The action, as [`action_tag`] encodes it.
-        action: u8,
-        /// The target job contact, when the request addressed one.
-        job: Option<String>,
-        /// The local account involved, when known.
-        account: Option<String>,
-        /// `None` for a permit; `Some(reason)` for a refusal.
-        refused: Option<String>,
-        /// The telemetry trace id, when one was assigned.
-        trace_id: Option<u64>,
-        /// True when a degradation policy shaped the outcome.
-        degraded: bool,
-        /// Free-form administrative annotation.
-        note: Option<String>,
-    },
+    /// audit append failure never fails the audited operation. The
+    /// subject is parsed at decode, so a corrupt one is a decode error.
+    Audit(AuditRecord),
     /// Snapshot only: the server's next contact index when the snapshot
     /// was taken. Replay raises the counter to at least `index`.
     NextContact {
@@ -237,27 +231,22 @@ impl JournalRecord {
                 w.string(issuer);
                 w.u64(*serial);
             }
-            JournalRecord::Audit {
-                at_micros,
-                subject,
-                action,
-                job,
-                account,
-                refused,
-                trace_id,
-                degraded,
-                note,
-            } => {
-                w.u8(TAG_AUDIT);
-                w.u64(*at_micros);
-                w.string(subject);
-                w.u8(*action);
-                w.opt_string(job.as_deref());
-                w.opt_string(account.as_deref());
-                w.opt_string(refused.as_deref());
-                w.opt_u64(*trace_id);
-                w.bool(*degraded);
-                w.opt_string(note.as_deref());
+            JournalRecord::Audit(record) => {
+                let refused = match &record.outcome {
+                    AuditOutcome::Permitted => None,
+                    AuditOutcome::Refused(reason) => Some(reason as &dyn fmt::Display),
+                };
+                return encode_audit(
+                    record.at,
+                    &record.subject,
+                    record.action,
+                    record.job.as_deref(),
+                    record.account.as_deref(),
+                    refused,
+                    record.trace_id,
+                    record.degraded,
+                    record.note.as_deref(),
+                );
             }
             JournalRecord::NextContact { index } => {
                 w.u8(TAG_NEXT_CONTACT);
@@ -343,43 +332,128 @@ impl JournalRecord {
                 r.u64()?;
                 return Ok(None);
             }
-            TAG_AUDIT => JournalRecord::Audit {
-                at_micros: r.u64()?,
-                subject: r.string()?,
-                action: r.u8()?,
+            TAG_AUDIT => JournalRecord::Audit(AuditRecord {
+                at: SimTime::from_micros(r.u64()?),
+                subject: r
+                    .string()?
+                    .parse()
+                    .map_err(|e| CodecError(format!("audit subject: {e}")))?,
+                action: action_from_tag(r.u8()?),
                 job: r.opt_string()?,
                 account: r.opt_string()?,
-                refused: r.opt_string()?,
+                outcome: match r.opt_string()? {
+                    None => AuditOutcome::Permitted,
+                    Some(reason) => AuditOutcome::Refused(reason),
+                },
                 trace_id: r.opt_u64()?,
                 degraded: r.bool()?,
                 note: r.opt_string()?,
-            },
+            }),
             TAG_NEXT_CONTACT => JournalRecord::NextContact { index: r.u64()? },
             other => return Err(CodecError(format!("unknown record tag {other}"))),
         }))
     }
 }
 
-/// Encodes `action` as the audit record's action tag.
-#[must_use]
-pub fn action_tag(action: gridauthz_core::Action) -> u8 {
+/// Headroom [`encode_audit`] reserves for a refusal's text, which it
+/// writes through `Display` and so cannot measure up front.
+const REFUSAL_RESERVE: usize = 128;
+
+/// Encodes one audit record as its journal payload (tag 9, the bytes
+/// `JournalRecord::Audit` encodes to), from borrowed fields, into one
+/// buffer sized up front. The subject is written from its components and
+/// a refusal through its `Display`, so neither is first built as a
+/// string. `refused` is `None` for a permit.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn encode_audit(
+    at: SimTime,
+    subject: &DistinguishedName,
+    action: Action,
+    job: Option<&str>,
+    account: Option<&str>,
+    refused: Option<&dyn fmt::Display>,
+    trace_id: Option<u64>,
+    degraded: bool,
+    note: Option<&str>,
+) -> Vec<u8> {
+    let subject_len: usize = subject.components().iter().map(|(k, v)| 2 + k.len() + v.len()).sum();
+    let opt_len = |s: Option<&str>| s.map_or(1, |s| 5 + s.len());
+    // Tag, instant, subject length prefix, action, trace id, degraded.
+    let fixed = 1 + 8 + 4 + 1 + 9 + 1;
+    let refusal = refused.map_or(1, |_| 5 + REFUSAL_RESERVE);
+    let mut out = Vec::with_capacity(
+        fixed + subject_len + opt_len(job) + opt_len(account) + refusal + opt_len(note),
+    );
+    out.push(TAG_AUDIT);
+    out.extend_from_slice(&at.as_micros().to_le_bytes());
+    put_len(&mut out, subject_len);
+    for (key, value) in subject.components() {
+        out.push(b'/');
+        out.extend_from_slice(key.as_bytes());
+        out.push(b'=');
+        out.extend_from_slice(value.as_bytes());
+    }
+    out.push(action_tag(action));
+    put_opt_str(&mut out, job);
+    put_opt_str(&mut out, account);
+    match refused {
+        None => out.push(0),
+        Some(reason) => {
+            out.push(1);
+            let prefix = out.len();
+            out.extend_from_slice(&[0; 4]);
+            write!(out, "{reason}").expect("a refusal's Display writes into memory");
+            let len = u32::try_from(out.len() - prefix - 4).expect("refusal longer than u32::MAX");
+            out[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
+        }
+    }
+    match trace_id {
+        None => out.push(0),
+        Some(id) => {
+            out.push(1);
+            out.extend_from_slice(&id.to_le_bytes());
+        }
+    }
+    out.push(u8::from(degraded));
+    put_opt_str(&mut out, note);
+    out
+}
+
+/// Writes a `u32` length prefix, as [`ByteWriter::bytes`] does.
+fn put_len(out: &mut Vec<u8>, len: usize) {
+    out.extend_from_slice(&u32::try_from(len).expect("field longer than u32::MAX").to_le_bytes());
+}
+
+/// Writes an optional string, as [`ByteWriter::opt_string`] does.
+fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
+    match s {
+        None => out.push(0),
+        Some(s) => {
+            out.push(1);
+            put_len(out, s.len());
+            out.extend_from_slice(s.as_bytes());
+        }
+    }
+}
+
+/// An audit record's action tag.
+fn action_tag(action: Action) -> u8 {
     match action {
-        gridauthz_core::Action::Start => 0,
-        gridauthz_core::Action::Cancel => 1,
-        gridauthz_core::Action::Information => 2,
-        gridauthz_core::Action::Signal => 3,
+        Action::Start => 0,
+        Action::Cancel => 1,
+        Action::Information => 2,
+        Action::Signal => 3,
     }
 }
 
 /// Decodes an audit record's action tag (unknown tags conservatively
 /// decode to `Information`, the least privileged action).
-#[must_use]
-pub fn action_from_tag(tag: u8) -> gridauthz_core::Action {
+fn action_from_tag(tag: u8) -> Action {
     match tag {
-        0 => gridauthz_core::Action::Start,
-        1 => gridauthz_core::Action::Cancel,
-        3 => gridauthz_core::Action::Signal,
-        _ => gridauthz_core::Action::Information,
+        0 => Action::Start,
+        1 => Action::Cancel,
+        3 => Action::Signal,
+        _ => Action::Information,
     }
 }
 
@@ -387,7 +461,8 @@ pub fn action_from_tag(tag: u8) -> gridauthz_core::Action {
 /// snapshot payload format.
 #[must_use]
 pub fn encode_records(records: &[JournalRecord]) -> Vec<u8> {
-    frame_records(0, records.iter().map(|record| Cow::Owned(record.encode())))
+    let encoded: Vec<Vec<u8>> = records.iter().map(JournalRecord::encode).collect();
+    frame_records(0, encoded.iter().map(Vec::as_slice))
 }
 
 /// The payload [`encode_records`] writes, built from records that are
@@ -395,13 +470,13 @@ pub fn encode_records(records: &[JournalRecord]) -> Vec<u8> {
 /// bytes reserved up front.
 pub(crate) fn frame_records<'a>(
     capacity: usize,
-    encoded: impl Iterator<Item = Cow<'a, [u8]>>,
+    encoded: impl Iterator<Item = &'a [u8]>,
 ) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(capacity);
     w.u32(0);
     let mut count = 0u32;
     for record in encoded {
-        w.bytes(&record);
+        w.bytes(record);
         count += 1;
     }
     let mut payload = w.into_bytes();
@@ -512,17 +587,17 @@ mod tests {
                 entries: vec![("/O=Grid/CN=Alice".into(), vec!["alice".into(), "ops".into()])],
             },
             JournalRecord::RevokeCredential { issuer: "/O=Grid/CN=CA".into(), serial: 11 },
-            JournalRecord::Audit {
-                at_micros: 50,
-                subject: "/O=Grid/CN=Alice".into(),
-                action: 1,
+            JournalRecord::Audit(AuditRecord {
+                at: SimTime::from_micros(50),
+                subject: "/O=Grid/CN=Alice".parse().unwrap(),
+                action: Action::Cancel,
                 job: Some("gram://r/jobs/7".into()),
                 account: None,
-                refused: Some("denied".into()),
+                outcome: AuditOutcome::Refused("denied".into()),
                 trace_id: Some(9),
                 degraded: true,
                 note: None,
-            },
+            }),
             JournalRecord::NextContact { index: 12 },
         ]
     }
@@ -559,10 +634,78 @@ mod tests {
 
     #[test]
     fn action_tags_round_trip() {
-        use gridauthz_core::Action;
         for action in [Action::Start, Action::Cancel, Action::Information, Action::Signal] {
             assert_eq!(action_from_tag(action_tag(action)), action);
         }
         assert_eq!(action_from_tag(200), Action::Information);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The tag-9 bytes of one permit and one refusal record, as the
+    /// encoder before audit records were stored encoded wrote them:
+    /// journals and snapshots written then still decode, and the ring's
+    /// encodings are what those journals hold.
+    #[test]
+    fn audit_payloads_match_the_golden_bytes() {
+        let permit = AuditRecord {
+            at: SimTime::from_micros(1_500_000),
+            subject: "/O=Grid/O=Globus/OU=mcs.anl.gov/CN=Bo Liu".parse().unwrap(),
+            action: Action::Start,
+            job: Some("gram://anl-cluster/jobs/7".into()),
+            account: Some("bliu".into()),
+            outcome: AuditOutcome::Permitted,
+            trace_id: Some(42),
+            degraded: false,
+            note: None,
+        };
+        let refusal = AuditRecord {
+            at: SimTime::from_micros(2_000_000),
+            subject: "/O=Grid/CN=Kate".parse().unwrap(),
+            action: Action::Cancel,
+            job: Some("gram://anl-cluster/jobs/7".into()),
+            account: None,
+            outcome: AuditOutcome::Refused("not authorized: denied".into()),
+            trace_id: None,
+            degraded: true,
+            note: Some("breaker open".into()),
+        };
+        let golden = [
+            (
+                permit,
+                "0960e3160000000000290000002f4f3d477269642f4f3d476c6f6275732f4f553d6d63732e616e\
+                 6c2e676f762f434e3d426f204c69750001190000006772616d3a2f2f616e6c2d636c7573746572\
+                 2f6a6f62732f370104000000626c697500012a000000000000000000",
+            ),
+            (
+                refusal,
+                "0980841e00000000000f0000002f4f3d477269642f434e3d4b6174650101190000006772616d3a\
+                 2f2f616e6c2d636c75737465722f6a6f62732f370001160000006e6f7420617574686f72697a65\
+                 643a2064656e6965640001010c000000627265616b6572206f70656e",
+            ),
+        ];
+        for (record, bytes) in golden {
+            let record = JournalRecord::Audit(record);
+            assert_eq!(hex(&record.encode()), bytes);
+            let decoded: Vec<u8> = (0..bytes.len() / 2)
+                .map(|i| u8::from_str_radix(&bytes[2 * i..2 * i + 2], 16).unwrap())
+                .collect();
+            assert_eq!(JournalRecord::decode(&decoded).unwrap(), Some(record));
+        }
+    }
+
+    /// A subject that no longer parses as a distinguished name is a
+    /// decode error, which recovery reports as a corrupt record.
+    #[test]
+    fn audit_decode_rejects_a_corrupt_subject() {
+        let mut bytes = samples()[7].encode();
+        // The subject's leading '/' sits after the tag, the instant and
+        // the length prefix.
+        assert_eq!(bytes[13], b'/');
+        bytes[13] = b'x';
+        let err = JournalRecord::decode(&bytes).unwrap_err();
+        assert!(err.0.contains("audit subject"), "{err}");
     }
 }

@@ -3,6 +3,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
@@ -27,12 +28,12 @@ use gridauthz_telemetry::{
 
 use gridauthz_enforcement::{DynamicAccountPool, Sandbox};
 
-use crate::audit::{AuditLog, AuditOutcome, AuditRecord};
+use crate::audit::{AuditLog, AuditRecord};
 use crate::authcache::{AuthCache, AuthCacheStats, AuthEntry};
 use crate::gatekeeper::Gatekeeper;
 use crate::jobspec::job_spec_from_rsl;
 use crate::journal::{
-    action_from_tag, action_tag, decode_records, frame_records, DurabilityConfig, JournalRecord,
+    decode_records, encode_audit, frame_records, DurabilityConfig, JournalRecord,
 };
 use crate::protocol::{error_label, GramError, GramSignal, JobContact, JobReport};
 use crate::provisioning::{request_groups, sandbox_profile_for, AccountStrategy, JobOperation};
@@ -211,21 +212,22 @@ impl GramServerBuilder {
         let mut audit = AuditLog::new(4096);
         if mode == GramMode::Extended && engine.is_vacuous() {
             mode = GramMode::Gt2;
-            audit.record(AuditRecord {
-                at: self.clock.now(),
-                subject: "/CN=gram-configuration".parse().expect("static configuration DN parses"),
-                action: Action::Information,
-                job: None,
-                account: None,
-                outcome: AuditOutcome::Refused(
-                    "extended mode configured with an empty callout chain; \
-                     falling back to GT2 grid-mapfile authorization"
-                        .into(),
+            let subject: DistinguishedName =
+                "/CN=gram-configuration".parse().expect("static configuration DN parses");
+            audit.record(encode_audit(
+                self.clock.now(),
+                &subject,
+                Action::Information,
+                None,
+                None,
+                Some(
+                    &"extended mode configured with an empty callout chain; \
+                      falling back to GT2 grid-mapfile authorization",
                 ),
-                trace_id: None,
-                degraded: false,
-                note: None,
-            });
+                None,
+                false,
+                None,
+            ));
         }
         GramServer {
             resource_name: self.resource_name,
@@ -244,7 +246,6 @@ impl GramServerBuilder {
             next_job: AtomicU64::new(1),
             admin: Mutex::new(()),
             durability: None,
-            audit_evicted: AtomicU64::new(0),
         }
     }
 
@@ -351,63 +352,6 @@ fn gridmap_entries(gridmap: &GridMapFile) -> Vec<(String, Vec<String>)> {
         .collect();
     entries.sort();
     entries
-}
-
-/// An audit-trail record in journal form.
-fn audit_record_to_journal(record: &AuditRecord) -> JournalRecord {
-    JournalRecord::Audit {
-        at_micros: record.at.as_micros(),
-        subject: record.subject.to_string(),
-        action: action_tag(record.action),
-        job: record.job.clone(),
-        account: record.account.clone(),
-        refused: match &record.outcome {
-            AuditOutcome::Permitted => None,
-            AuditOutcome::Refused(reason) => Some(reason.clone()),
-        },
-        trace_id: record.trace_id,
-        degraded: record.degraded,
-        note: record.note.clone(),
-    }
-}
-
-/// The inverse of [`audit_record_to_journal`], for replay.
-///
-/// # Errors
-///
-/// A durability error when the recorded subject no longer parses as a
-/// distinguished name (journal corruption the checksums cannot see).
-fn journal_to_audit(record: &JournalRecord) -> Result<AuditRecord, GramError> {
-    let JournalRecord::Audit {
-        at_micros,
-        subject,
-        action,
-        job,
-        account,
-        refused,
-        trace_id,
-        degraded,
-        note,
-    } = record
-    else {
-        return Err(durability_error("not an audit record".into()));
-    };
-    Ok(AuditRecord {
-        at: SimTime::from_micros(*at_micros),
-        subject: subject
-            .parse()
-            .map_err(|e| durability_error(format!("recovered audit DN: {e}")))?,
-        action: action_from_tag(*action),
-        job: job.clone(),
-        account: account.clone(),
-        outcome: match refused {
-            None => AuditOutcome::Permitted,
-            Some(reason) => AuditOutcome::Refused(reason.clone()),
-        },
-        trace_id: *trace_id,
-        degraded: *degraded,
-        note: note.clone(),
-    })
 }
 
 /// Nanoseconds since `start`, saturating.
@@ -519,6 +463,8 @@ pub struct GramServer {
     scheduler: RwLock<LocalScheduler>,
     accounts: Accounts,
     sandboxing: bool,
+    /// The audit ring: each record kept as its journal payload, the
+    /// bytes a durable server journals and a checkpoint copies.
     audit: Mutex<AuditLog>,
     /// Highest breaker-transition sequence number already copied into
     /// the audit log, per supervised callout — the lazy supervision
@@ -544,12 +490,6 @@ pub struct GramServer {
     /// journaled before its acknowledgement. `None` runs the server
     /// memory-only (the pre-durability behaviour, and the default).
     durability: Option<Durability>,
-    /// Audit records evicted from the bounded in-memory ring. With
-    /// durability configured an evicted record's journal frame survives
-    /// only until the next checkpoint, whose snapshot keeps the ring
-    /// alone; without, this counter is the only trace that the ring
-    /// overflowed.
-    audit_evicted: AtomicU64,
 }
 
 impl std::fmt::Debug for GramServer {
@@ -1281,10 +1221,10 @@ impl GramServer {
         })
     }
 
-    /// Appends one audit entry. `account` is the target job's local
-    /// account when the caller already holds the record — passing it
-    /// through avoids re-locking the job map for a second lookup on
-    /// every audited request.
+    /// Encodes one audit record and appends it. `account` is the target
+    /// job's local account when the caller already holds the record —
+    /// passing it through avoids re-locking the job map for a second
+    /// lookup on every audited request.
     fn record_audit<T>(
         &self,
         subject: &DistinguishedName,
@@ -1294,42 +1234,34 @@ impl GramServer {
         result: &Result<T, GramError>,
         trace: &DecisionTrace,
     ) {
-        let account = account.map(str::to_string);
-        self.push_audit(AuditRecord {
-            at: self.clock.now(),
-            subject: subject.clone(),
+        self.push_audit(encode_audit(
+            self.clock.now(),
+            subject,
             action,
-            job: job.map(str::to_string),
+            job,
             account,
-            outcome: match result {
-                Ok(_) => AuditOutcome::Permitted,
-                Err(e) => AuditOutcome::Refused(e.to_string()),
-            },
-            trace_id: Some(trace.id()),
-            degraded: trace.is_degraded(),
-            note: None,
-        });
+            result.as_ref().err().map(|e| e as &dyn fmt::Display),
+            Some(trace.id()),
+            trace.is_degraded(),
+            None,
+        ));
     }
 
-    /// Journals an audit record (best-effort: the frame rides the next
-    /// committed batch rather than forcing its own fsync — audit
-    /// durability must never fail or slow the audited operation, and
-    /// the preceding mutation record is already durable) and inserts it
-    /// into the bounded in-memory ring, with the frame's payload kept
-    /// beside it for the next checkpoint. A record the full ring evicts
-    /// bumps the [`Gauge::AuditEvicted`] counter; its journal frame
-    /// survives only until the covering compaction.
-    fn push_audit(&self, record: AuditRecord) {
+    /// Journals an audit record's payload (best-effort: the frame rides
+    /// the next committed batch rather than forcing its own fsync —
+    /// audit durability must never fail or slow the audited operation,
+    /// and the preceding mutation record is already durable) and keeps
+    /// the same bytes in the bounded in-memory ring, for the next
+    /// checkpoint to copy. A record the full ring evicts counts in
+    /// [`GramServer::audit_evicted`]; its journal frame survives only
+    /// until the covering compaction.
+    fn push_audit(&self, payload: Vec<u8>) {
         let _publish = self.publish_guard();
-        let encoded = self.durability.as_ref().map(|durability| {
-            let encoded = audit_record_to_journal(&record).encode();
-            let _ = durability.journal.append_relaxed(&encoded);
+        if let Some(durability) = &self.durability {
+            let _ = durability.journal.append_relaxed(&payload);
             durability.appends_since_checkpoint.fetch_add(1, Ordering::Relaxed);
-            encoded
-        });
-        if self.audit.lock().record_encoded(record, encoded).is_some() {
-            self.audit_evicted.fetch_add(1, Ordering::Relaxed);
         }
+        self.audit.lock().record(payload);
     }
 
     /// The server's telemetry registry — live counters, histograms,
@@ -1346,7 +1278,7 @@ impl GramServer {
         if let Some(durability) = &self.durability {
             self.telemetry.set_gauge(Gauge::JournalBytes, durability.journal.stats().durable_bytes);
         }
-        self.telemetry.set_gauge(Gauge::AuditEvicted, self.audit_evicted.load(Ordering::Relaxed));
+        self.telemetry.set_gauge(Gauge::AuditEvicted, self.audit_evicted());
         self.telemetry.snapshot()
     }
 
@@ -1356,7 +1288,7 @@ impl GramServer {
     /// record per state change.
     pub fn audit_snapshot(&self) -> Vec<AuditRecord> {
         self.sync_supervision_audit();
-        self.audit.lock().records().cloned().collect()
+        self.audit.lock().records().collect()
     }
 
     /// Number of refusals currently retained in the audit log.
@@ -1396,20 +1328,18 @@ impl GramServer {
                 newest = newest.max(transition.seq);
                 let note =
                     format!("callout {name}: breaker {} -> {}", transition.from, transition.to);
-                self.push_audit(AuditRecord {
-                    at: transition.at,
-                    subject: subject.clone(),
-                    action: Action::Information,
-                    job: None,
-                    account: None,
-                    outcome: match transition.to {
-                        BreakerState::Open => AuditOutcome::Refused(note.clone()),
-                        BreakerState::HalfOpen | BreakerState::Closed => AuditOutcome::Permitted,
-                    },
-                    trace_id: None,
-                    degraded: transition.to == BreakerState::Open,
-                    note: Some(note),
-                });
+                let open = transition.to == BreakerState::Open;
+                self.push_audit(encode_audit(
+                    transition.at,
+                    &subject,
+                    Action::Information,
+                    None,
+                    None,
+                    open.then_some(&note as &dyn fmt::Display),
+                    None,
+                    open,
+                    Some(&note),
+                ));
             }
             seen.insert(name, newest);
         }
@@ -1665,24 +1595,15 @@ impl GramServer {
     /// The snapshot payload: the state records
     /// ([`GramServer::state_records`]) followed by the audit ring, the
     /// same bytes as [`encode_records`](crate::journal::encode_records)
-    /// of those records. Each audit record is written as the bytes
-    /// [`GramServer::push_audit`] encoded for its journal frame; only a
-    /// record that reached the ring without a journal (built in, or
-    /// replayed before the journal was attached) is encoded here.
-    /// Caller holds the barrier write guard.
+    /// of those records. The ring already holds each audit record as its
+    /// journal payload, so those bytes are copied as they are. Caller
+    /// holds the barrier write guard.
     fn snapshot_payload(&self) -> Vec<u8> {
-        let state = self.state_records();
+        let state: Vec<Vec<u8>> = self.state_records().iter().map(JournalRecord::encode).collect();
         let audit = self.audit.lock();
-        // Room for the audit ring's stored encodings, each with its
-        // length prefix; the state records and any audit record encoded
-        // here grow the buffer past it.
-        let capacity = audit.entries().map(|(_, encoded)| encoded.map_or(0, |e| 4 + e.len())).sum();
-        let state = state.iter().map(|record| Cow::Owned(record.encode()));
-        let audit = audit.entries().map(|(record, encoded)| match encoded {
-            Some(bytes) => Cow::Borrowed(bytes),
-            None => Cow::Owned(audit_record_to_journal(record).encode()),
-        });
-        frame_records(capacity, state.chain(audit))
+        let records = || state.iter().map(Vec::as_slice).chain(audit.payloads());
+        let capacity = 4 + records().map(|record| 4 + record.len()).sum::<usize>();
+        frame_records(capacity, records())
     }
 
     /// The server's state other than the audit ring, as a journal-record
@@ -1846,7 +1767,7 @@ impl GramServer {
                     gatekeeper.trust_mut().revoke(&issuer, *serial);
                 })?;
             }
-            JournalRecord::Audit { .. } => self.push_audit(journal_to_audit(record)?),
+            JournalRecord::Audit(_) => self.push_audit(record.encode()),
             JournalRecord::NextContact { index } => {
                 self.next_job.fetch_max(*index, Ordering::SeqCst);
             }
@@ -1935,7 +1856,7 @@ impl GramServer {
 
     /// Audit records evicted from the bounded in-memory ring so far.
     pub fn audit_evicted(&self) -> u64 {
-        self.audit_evicted.load(Ordering::Relaxed)
+        self.audit.lock().dropped()
     }
 
     /// Journal counters (appends, fsyncs, durable bytes); `None` on
@@ -2217,6 +2138,7 @@ fn authz_failure_to_error(failure: AuthzFailure) -> GramError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::AuditOutcome;
     use gridauthz_core::{paper, CombinedPdp, Combiner, PdpCallout, PolicyOrigin, PolicySource};
     use gridauthz_credential::{CertificateAuthority, Credential, GridMapEntry};
     use gridauthz_scheduler::JobState;
@@ -3068,11 +2990,10 @@ mod tests {
         }
     }
 
-    /// A checkpoint writes each audit record from the encoding kept
-    /// beside it, and the payload is exactly the record-by-record
-    /// serialization. The ring under test has evicted records, holds
-    /// records replayed before the journal was attached (encoded at
-    /// checkpoint time) and records journaled since (stored encodings).
+    /// A checkpoint copies the audit ring's stored payloads, and the
+    /// payload is exactly the record-by-record serialization. The ring
+    /// under test has evicted records, holds records replayed before the
+    /// journal was attached and records journaled since.
     #[test]
     fn checkpoint_payload_equals_the_record_by_record_serialization() {
         use gridauthz_journal::SnapshotStore;
@@ -3083,21 +3004,24 @@ mod tests {
         let job = f.server.submit(f.bo.chain(), BO_TEST1, None, mins(30)).unwrap();
         let subject = f.kate.certificate().subject().clone();
         for i in 0..4200u64 {
-            f.server.push_audit(AuditRecord {
-                at: SimTime::from_secs(i),
-                subject: subject.clone(),
-                action: Action::Information,
-                job: (i % 3 == 0).then(|| format!("job-{i}")),
-                account: (i % 2 == 0).then(|| "kate".to_string()),
-                outcome: if i % 5 == 0 {
-                    AuditOutcome::Refused(format!("denied {i}"))
-                } else {
-                    AuditOutcome::Permitted
-                },
-                trace_id: (i % 4 == 0).then_some(i),
-                degraded: i % 7 == 0,
-                note: (i % 11 == 0).then(|| format!("note {i}")),
-            });
+            f.server.push_audit(
+                JournalRecord::Audit(AuditRecord {
+                    at: SimTime::from_secs(i),
+                    subject: subject.clone(),
+                    action: Action::Information,
+                    job: (i % 3 == 0).then(|| format!("job-{i}")),
+                    account: (i % 2 == 0).then(|| "kate".to_string()),
+                    outcome: if i % 5 == 0 {
+                        AuditOutcome::Refused(format!("denied {i}"))
+                    } else {
+                        AuditOutcome::Permitted
+                    },
+                    trace_id: (i % 4 == 0).then_some(i),
+                    degraded: i % 7 == 0,
+                    note: (i % 11 == 0).then(|| format!("note {i}")),
+                })
+                .encode(),
+            );
         }
         drop(f);
 
@@ -3106,13 +3030,8 @@ mod tests {
         f.server.status(f.bo.chain(), &job).unwrap();
         f.server.cancel(f.bo.chain(), &job).unwrap();
         f.server.submit(f.bo.chain(), BO_TEST1, None, mins(30)).unwrap();
-        {
-            let audit = f.server.audit.lock();
-            assert!(audit.entries().any(|(_, encoded)| encoded.is_none()), "replayed records");
-            assert!(audit.entries().any(|(_, encoded)| encoded.is_some()), "journaled records");
-        }
         let mut expected = f.server.state_records();
-        expected.extend(f.server.audit_snapshot().iter().map(audit_record_to_journal));
+        expected.extend(f.server.audit_snapshot().into_iter().map(JournalRecord::Audit));
         f.server.checkpoint().unwrap();
         let blob = snapshots.load().unwrap().expect("checkpoint saved a snapshot");
         assert_eq!(blob.payload, crate::journal::encode_records(&expected));

@@ -10,13 +10,17 @@
 //! test of the WAL's longest-checksummed-prefix contract, and a small
 //! sweep of the deterministic crash-point torture matrix.
 
-use gridauthz_clock::{SimClock, SimDuration};
+use gridauthz_clock::{SimClock, SimDuration, SimTime};
+use gridauthz_core::Action;
 use gridauthz_credential::{
     Certificate, CertificateAuthority, Credential, GridMapEntry, GridMapFile, TrustStore,
 };
 use gridauthz_enforcement::DynamicAccountPool;
 use gridauthz_gram::crashsim::{run_matrix, CrashWorld};
-use gridauthz_gram::{DurabilityConfig, GramError, GramServerBuilder, GramSignal, JournalRecord};
+use gridauthz_gram::{
+    AuditOutcome, AuditRecord, DurabilityConfig, GramError, GramServerBuilder, GramSignal,
+    JournalRecord,
+};
 use gridauthz_journal::{
     ByteWriter, CrashMode, FaultDisk, FaultPlan, Journal, MemSnapshotStore, MemStorage,
     SnapshotBlob, SnapshotStore,
@@ -210,7 +214,9 @@ fn acknowledged_revocation_outlives_crash() {
 
 /// The audit trail is journaled as it is written, so the recovered
 /// server still answers "who asked for what" about decisions made
-/// before the crash — including refusals.
+/// before the crash — including refusals. The recovered trail equals
+/// the live one record for record, after a clean restart and after a
+/// checkpoint followed by more audited requests.
 #[test]
 fn audit_trail_survives_recovery() {
     let world = World::new();
@@ -220,19 +226,32 @@ fn audit_trail_survives_recovery() {
     let contact = server.submit(world.alice.chain(), RSL, None, mins(30)).unwrap();
     // Bob (unmapped) is refused; the refusal is audited too.
     assert!(server.cancel(world.bob.chain(), &contact).is_err());
-    let before = server.audit_snapshot();
-    assert!(!before.is_empty());
+    let live = server.audit_snapshot();
     drop(server);
 
-    let survivor = FaultDisk::from_bytes(disk.durable_bytes());
-    let recovered = world.builder().recover(config(&survivor, &snapshots)).unwrap();
+    let restarted = FaultDisk::from_bytes(disk.durable_bytes());
+    let recovered = world.builder().recover(config(&restarted, &snapshots)).unwrap();
     let after = recovered.audit_snapshot();
-    assert_eq!(after.len(), before.len(), "audit trail truncated by recovery");
+    assert_eq!(after, live, "audit trail changed by a clean restart");
     assert!(after
         .iter()
         .any(|r| r.subject == *world.alice.certificate().subject() && r.outcome.is_permitted()));
     assert!(after.iter().any(|r| !r.outcome.is_permitted()), "refusal lost from audit trail");
     assert_eq!(recovered.audit_refusal_count(), 1);
+
+    // The snapshot carries the ring; the journal tail carries what was
+    // audited after it.
+    recovered.checkpoint().unwrap();
+    recovered.status(world.alice.chain(), &contact).unwrap();
+    assert!(recovered.cancel(world.bob.chain(), &contact).is_err());
+    let live = recovered.audit_snapshot();
+    assert_eq!(live.len(), after.len() + 2);
+    drop(recovered);
+
+    let restarted = FaultDisk::from_bytes(restarted.durable_bytes());
+    let recovered = world.builder().recover(config(&restarted, &snapshots)).unwrap();
+    assert_eq!(recovered.audit_snapshot(), live, "audit trail changed across a checkpoint");
+    assert_eq!(recovered.audit_refusal_count(), 2);
 }
 
 /// A suspended job recovers suspended even when a checkpoint compacted
@@ -851,8 +870,13 @@ fn arb_record() -> impl Strategy<Value = JournalRecord> {
             .prop_map(|(issuer, serial)| JournalRecord::RevokeCredential { issuer, serial }),
         (
             any::<u64>(),
-            ".{0,40}",
-            any::<u8>(),
+            "(/[A-Za-z0-9]{1,4}=[^/]{1,10}){1,4}",
+            prop_oneof![
+                Just(Action::Start),
+                Just(Action::Cancel),
+                Just(Action::Information),
+                Just(Action::Signal)
+            ],
             proptest::option::of(".{0,40}"),
             proptest::option::of(".{0,16}"),
             proptest::option::of(".{0,40}"),
@@ -861,18 +885,18 @@ fn arb_record() -> impl Strategy<Value = JournalRecord> {
             proptest::option::of(".{0,40}"),
         )
             .prop_map(
-                |(at_micros, subject, action, job, account, refused, trace_id, degraded, note)| {
-                    JournalRecord::Audit {
-                        at_micros,
-                        subject,
+                |(at, subject, action, job, account, refused, trace_id, degraded, note)| {
+                    JournalRecord::Audit(AuditRecord {
+                        at: SimTime::from_micros(at),
+                        subject: subject.parse().expect("the strategy draws valid DNs"),
                         action,
                         job,
                         account,
-                        refused,
+                        outcome: refused.map_or(AuditOutcome::Permitted, AuditOutcome::Refused),
                         trace_id,
                         degraded,
                         note,
-                    }
+                    })
                 }
             ),
     ]

@@ -82,8 +82,8 @@ fn checkpoint_records(
     server.checkpoint().unwrap();
     let blob = snapshots.clone().load().unwrap().expect("a checkpoint saved a snapshot");
     let records = decode_records(&blob.payload).unwrap();
-    let audits = records.iter().filter(|r| matches!(r, JournalRecord::Audit { .. })).count();
-    let state = records.into_iter().filter(|r| !matches!(r, JournalRecord::Audit { .. })).collect();
+    let audits = records.iter().filter(|r| matches!(r, JournalRecord::Audit(_))).count();
+    let state = records.into_iter().filter(|r| !matches!(r, JournalRecord::Audit(_))).collect();
     (state, audits)
 }
 

@@ -31,12 +31,6 @@ pub struct JobStatus {
     pub id: JobId,
     /// Current lifecycle state.
     pub state: JobState,
-    /// Local account.
-    pub account: String,
-    /// Executable name.
-    pub executable: String,
-    /// VO jobtag, if any.
-    pub tag: Option<String>,
     /// Processors requested.
     pub cpus: u32,
     /// Effective priority (base + queue boost).
@@ -302,11 +296,8 @@ impl LocalScheduler {
         record.finish_is_timeout = false;
         record.state = if timeout { JobState::TimedOut { at } } else { JobState::Completed { at } };
         let state = record.state.clone();
-        let cpus = record.spec.cpus;
-        let account = record.spec.account.clone();
         self.cluster.release(id);
-        let usage = self.usage.entry(account).or_default();
-        usage.cpu_seconds += u64::from(cpus) * stint.as_secs();
+        let usage = charge_stint(&mut self.usage, &record.spec, stint);
         if !timeout {
             usage.jobs_completed += 1;
         }
@@ -363,11 +354,8 @@ impl LocalScheduler {
                 record.finish = None;
                 record.finish_is_timeout = false;
                 record.state = JobState::Cancelled { at: now };
-                let cpus = record.spec.cpus;
-                let account = record.spec.account.clone();
+                charge_stint(&mut self.usage, &record.spec, stint);
                 self.cluster.release(id);
-                self.usage.entry(account).or_default().cpu_seconds +=
-                    u64::from(cpus) * stint.as_secs();
                 self.record_event(now, id, JobState::Cancelled { at: now });
                 self.schedule_pending(now);
                 Ok(())
@@ -406,10 +394,8 @@ impl LocalScheduler {
         record.finish_is_timeout = false;
         record.state = JobState::Suspended { executed: record.executed };
         let executed = record.executed;
-        let cpus = record.spec.cpus;
-        let account = record.spec.account.clone();
+        charge_stint(&mut self.usage, &record.spec, stint);
         self.cluster.release(id);
-        self.usage.entry(account).or_default().cpu_seconds += u64::from(cpus) * stint.as_secs();
         self.record_event(now, id, JobState::Suspended { executed });
         self.schedule_pending(now);
         Ok(())
@@ -483,9 +469,6 @@ impl LocalScheduler {
         Ok(JobStatus {
             id,
             state: record.state.clone(),
-            account: record.spec.account.clone(),
-            executable: record.spec.executable.clone(),
-            tag: record.spec.tag.clone(),
             cpus: record.spec.cpus,
             priority: record.effective_priority,
             submitted: record.submitted,
@@ -556,6 +539,21 @@ impl LocalScheduler {
     pub fn usage(&self, account: &str) -> AccountUsage {
         self.usage.get(account).cloned().unwrap_or_default()
     }
+}
+
+/// Charges a running stint of `spec`'s processors to its account, cloning
+/// the account name only when it first enters `usage`.
+fn charge_stint<'a>(
+    usage: &'a mut HashMap<String, AccountUsage>,
+    spec: &JobSpec,
+    stint: SimDuration,
+) -> &'a mut AccountUsage {
+    if !usage.contains_key(&spec.account) {
+        usage.insert(spec.account.clone(), AccountUsage::default());
+    }
+    let entry = usage.get_mut(&spec.account).expect("inserted above");
+    entry.cpu_seconds += u64::from(spec.cpus) * stint.as_secs();
+    entry
 }
 
 #[cfg(test)]

@@ -42,6 +42,11 @@ cargo test -q
 echo "==> cargo test --workspace -q (incl. the protocol-torture storms and the crash-point matrix)"
 cargo test --workspace -q
 
+echo "==> every example runs to completion (each asserts its scenario's outcome)"
+for example in examples/*.rs; do
+    cargo run -q --release --offline --example "$(basename "$example" .rs)" > /dev/null
+done
+
 echo "==> the vendored crates' own tests (outside the workspace, so --workspace skips them)"
 for crate in criterion parking_lot proptest rand; do
     cargo test -q --offline --manifest-path "crates/vendor/$crate/Cargo.toml"
