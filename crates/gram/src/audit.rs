@@ -12,7 +12,7 @@ use gridauthz_clock::SimTime;
 use gridauthz_core::Action;
 use gridauthz_credential::DistinguishedName;
 
-use crate::journal::JournalRecord;
+use crate::journal::{audit_is_refusal, JournalRecord};
 
 /// One authorization decision, as recorded at the PEP.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,9 +126,10 @@ impl AuditLog {
         self.dropped
     }
 
-    /// Refusals retained in the log, oldest first.
-    pub fn refusals(&self) -> impl Iterator<Item = AuditRecord> + '_ {
-        self.records().filter(|r| !r.outcome.is_permitted())
+    /// Number of refusals retained in the log. Reads each payload only
+    /// up to its refusal flag, so no record is built.
+    pub fn refusal_count(&self) -> usize {
+        self.payloads().filter(|payload| audit_is_refusal(payload)).count()
     }
 }
 
@@ -145,8 +146,8 @@ mod tests {
             at: SimTime::from_secs(secs),
             subject: dn(subject),
             action: Action::Start,
-            job: None,
-            account: None,
+            job: Some(format!("job-{secs}")),
+            account: permitted.then(|| "acct".to_string()),
             outcome: if permitted {
                 AuditOutcome::Permitted
             } else {
@@ -187,11 +188,14 @@ mod tests {
         log.record(record(1, "/O=G/CN=A", true));
         log.record(record(2, "/O=G/CN=A", false));
         log.record(record(3, "/O=G/CN=B", false));
-        let refusals: Vec<AuditRecord> = log.refusals().collect();
+        assert_eq!(log.refusal_count(), 2);
+        let refusals: Vec<AuditRecord> =
+            log.records().filter(|r| !r.outcome.is_permitted()).collect();
         assert_eq!(refusals.len(), 2);
         assert_eq!(refusals[1].subject, dn("/O=G/CN=B"));
         assert_eq!(refusals[1].outcome, AuditOutcome::Refused("denied".into()));
         assert_eq!(refusals[1].trace_id, Some(3));
+        assert_eq!(refusals[1].job.as_deref(), Some("job-3"));
         assert!(!log.is_empty());
     }
 

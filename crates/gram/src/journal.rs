@@ -43,8 +43,7 @@
 //! snapshot's records, then the journal tail past the snapshot's
 //! covering sequence number.
 
-use std::fmt;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
 use gridauthz_clock::SimTime;
@@ -232,21 +231,20 @@ impl JournalRecord {
                 w.u64(*serial);
             }
             JournalRecord::Audit(record) => {
-                let refused = match &record.outcome {
-                    AuditOutcome::Permitted => None,
-                    AuditOutcome::Refused(reason) => Some(reason as &dyn fmt::Display),
-                };
-                return encode_audit(
-                    record.at,
-                    &record.subject,
-                    record.action,
-                    record.job.as_deref(),
-                    record.account.as_deref(),
-                    refused,
-                    record.trace_id,
-                    record.degraded,
-                    record.note.as_deref(),
-                );
+                return encode_audit(&AuditFields {
+                    at: record.at,
+                    subject: &record.subject,
+                    action: record.action,
+                    job: record.job.as_deref(),
+                    account: record.account.as_deref(),
+                    refused: match &record.outcome {
+                        AuditOutcome::Permitted => None,
+                        AuditOutcome::Refused(reason) => Some(reason),
+                    },
+                    trace_id: record.trace_id,
+                    degraded: record.degraded,
+                    note: record.note.as_deref(),
+                });
             }
             JournalRecord::NextContact { index } => {
                 w.u8(TAG_NEXT_CONTACT);
@@ -355,85 +353,72 @@ impl JournalRecord {
     }
 }
 
-/// Headroom [`encode_audit`] reserves for a refusal's text, which it
-/// writes through `Display` and so cannot measure up front.
-const REFUSAL_RESERVE: usize = 128;
+/// One audit record's fields, borrowed, for [`encode_audit`].
+pub(crate) struct AuditFields<'a> {
+    pub at: SimTime,
+    pub subject: &'a DistinguishedName,
+    pub action: Action,
+    pub job: Option<&'a str>,
+    pub account: Option<&'a str>,
+    /// The refusal's text; `None` for a permit.
+    pub refused: Option<&'a str>,
+    pub trace_id: Option<u64>,
+    pub degraded: bool,
+    pub note: Option<&'a str>,
+}
 
 /// Encodes one audit record as its journal payload (tag 9, the bytes
-/// `JournalRecord::Audit` encodes to), from borrowed fields, into one
-/// buffer sized up front. The subject is written from its components and
-/// a refusal through its `Display`, so neither is first built as a
-/// string. `refused` is `None` for a permit.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn encode_audit(
-    at: SimTime,
-    subject: &DistinguishedName,
-    action: Action,
-    job: Option<&str>,
-    account: Option<&str>,
-    refused: Option<&dyn fmt::Display>,
-    trace_id: Option<u64>,
-    degraded: bool,
-    note: Option<&str>,
-) -> Vec<u8> {
-    let subject_len: usize = subject.components().iter().map(|(k, v)| 2 + k.len() + v.len()).sum();
+/// `JournalRecord::Audit` encodes to) into one buffer sized exactly. The
+/// subject is written from its components, so it is never first built
+/// as a string.
+pub(crate) fn encode_audit(fields: &AuditFields<'_>) -> Vec<u8> {
+    let subject = || {
+        fields.subject.components().iter().flat_map(|(key, value)| {
+            [b"/".as_slice(), key.as_bytes(), b"=".as_slice(), value.as_bytes()]
+        })
+    };
     let opt_len = |s: Option<&str>| s.map_or(1, |s| 5 + s.len());
-    // Tag, instant, subject length prefix, action, trace id, degraded.
-    let fixed = 1 + 8 + 4 + 1 + 9 + 1;
-    let refusal = refused.map_or(1, |_| 5 + REFUSAL_RESERVE);
-    let mut out = Vec::with_capacity(
-        fixed + subject_len + opt_len(job) + opt_len(account) + refusal + opt_len(note),
-    );
-    out.push(TAG_AUDIT);
-    out.extend_from_slice(&at.as_micros().to_le_bytes());
-    put_len(&mut out, subject_len);
-    for (key, value) in subject.components() {
-        out.push(b'/');
-        out.extend_from_slice(key.as_bytes());
-        out.push(b'=');
-        out.extend_from_slice(value.as_bytes());
-    }
-    out.push(action_tag(action));
-    put_opt_str(&mut out, job);
-    put_opt_str(&mut out, account);
-    match refused {
-        None => out.push(0),
-        Some(reason) => {
-            out.push(1);
-            let prefix = out.len();
-            out.extend_from_slice(&[0; 4]);
-            write!(out, "{reason}").expect("a refusal's Display writes into memory");
-            let len = u32::try_from(out.len() - prefix - 4).expect("refusal longer than u32::MAX");
-            out[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
-        }
-    }
-    match trace_id {
-        None => out.push(0),
-        Some(id) => {
-            out.push(1);
-            out.extend_from_slice(&id.to_le_bytes());
-        }
-    }
-    out.push(u8::from(degraded));
-    put_opt_str(&mut out, note);
-    out
+    // Tag, instant, subject length prefix, action, degraded.
+    let fixed = 1 + 8 + 4 + 1 + 1;
+    let capacity = fixed
+        + fields.trace_id.map_or(1, |_| 9)
+        + subject().map(<[u8]>::len).sum::<usize>()
+        + [fields.job, fields.account, fields.refused, fields.note]
+            .into_iter()
+            .map(opt_len)
+            .sum::<usize>();
+    let mut w = ByteWriter::with_capacity(capacity);
+    w.u8(TAG_AUDIT);
+    w.u64(fields.at.as_micros());
+    w.concat(subject());
+    w.u8(action_tag(fields.action));
+    w.opt_string(fields.job);
+    w.opt_string(fields.account);
+    w.opt_string(fields.refused);
+    w.opt_u64(fields.trace_id);
+    w.bool(fields.degraded);
+    w.opt_string(fields.note);
+    debug_assert_eq!(w.len(), capacity, "an audit payload is sized exactly");
+    w.into_bytes()
 }
 
-/// Writes a `u32` length prefix, as [`ByteWriter::bytes`] does.
-fn put_len(out: &mut Vec<u8>, len: usize) {
-    out.extend_from_slice(&u32::try_from(len).expect("field longer than u32::MAX").to_le_bytes());
-}
-
-/// Writes an optional string, as [`ByteWriter::opt_string`] does.
-fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
-    match s {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            put_len(out, s.len());
-            out.extend_from_slice(s.as_bytes());
+/// True when an audit payload (as [`encode_audit`] writes it) records a
+/// refusal. It reads only up to the refusal's presence byte, so counting
+/// refusals builds no record.
+pub(crate) fn audit_is_refusal(payload: &[u8]) -> bool {
+    let refused = |r: &mut ByteReader<'_>| -> Result<bool, CodecError> {
+        r.u8()?;
+        r.u64()?;
+        r.bytes()?;
+        r.u8()?;
+        for _ in 0..2 {
+            if r.bool()? {
+                r.bytes()?;
+            }
         }
-    }
+        r.bool()
+    };
+    refused(&mut ByteReader::new(payload)).expect("an audit payload holds a refusal flag")
 }
 
 /// An audit record's action tag.

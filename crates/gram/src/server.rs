@@ -3,7 +3,6 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
@@ -33,7 +32,7 @@ use crate::authcache::{AuthCache, AuthCacheStats, AuthEntry};
 use crate::gatekeeper::Gatekeeper;
 use crate::jobspec::job_spec_from_rsl;
 use crate::journal::{
-    decode_records, encode_audit, frame_records, DurabilityConfig, JournalRecord,
+    decode_records, encode_audit, frame_records, AuditFields, DurabilityConfig, JournalRecord,
 };
 use crate::protocol::{error_label, GramError, GramSignal, JobContact, JobReport};
 use crate::provisioning::{request_groups, sandbox_profile_for, AccountStrategy, JobOperation};
@@ -214,20 +213,20 @@ impl GramServerBuilder {
             mode = GramMode::Gt2;
             let subject: DistinguishedName =
                 "/CN=gram-configuration".parse().expect("static configuration DN parses");
-            audit.record(encode_audit(
-                self.clock.now(),
-                &subject,
-                Action::Information,
-                None,
-                None,
-                Some(
-                    &"extended mode configured with an empty callout chain; \
-                      falling back to GT2 grid-mapfile authorization",
+            audit.record(encode_audit(&AuditFields {
+                at: self.clock.now(),
+                subject: &subject,
+                action: Action::Information,
+                job: None,
+                account: None,
+                refused: Some(
+                    "extended mode configured with an empty callout chain; \
+                     falling back to GT2 grid-mapfile authorization",
                 ),
-                None,
-                false,
-                None,
-            ));
+                trace_id: None,
+                degraded: false,
+                note: None,
+            }));
         }
         GramServer {
             resource_name: self.resource_name,
@@ -1234,17 +1233,18 @@ impl GramServer {
         result: &Result<T, GramError>,
         trace: &DecisionTrace,
     ) {
-        self.push_audit(encode_audit(
-            self.clock.now(),
+        let refused = result.as_ref().err().map(ToString::to_string);
+        self.push_audit(encode_audit(&AuditFields {
+            at: self.clock.now(),
             subject,
             action,
             job,
             account,
-            result.as_ref().err().map(|e| e as &dyn fmt::Display),
-            Some(trace.id()),
-            trace.is_degraded(),
-            None,
-        ));
+            refused: refused.as_deref(),
+            trace_id: Some(trace.id()),
+            degraded: trace.is_degraded(),
+            note: None,
+        }));
     }
 
     /// Journals an audit record's payload (best-effort: the frame rides
@@ -1288,13 +1288,27 @@ impl GramServer {
     /// record per state change.
     pub fn audit_snapshot(&self) -> Vec<AuditRecord> {
         self.sync_supervision_audit();
-        self.audit.lock().records().collect()
+        // Copy the ring out in one buffer and decode it after the lock is
+        // released, so a long read never holds up `push_audit`.
+        let framed = {
+            let audit = self.audit.lock();
+            let capacity = 4 + audit.payloads().map(|payload| 4 + payload.len()).sum::<usize>();
+            frame_records(capacity, audit.payloads())
+        };
+        decode_records(&framed)
+            .expect("the audit ring holds audit payloads")
+            .into_iter()
+            .map(|record| match record {
+                JournalRecord::Audit(record) => record,
+                other => unreachable!("the audit ring held {other:?}"),
+            })
+            .collect()
     }
 
     /// Number of refusals currently retained in the audit log.
     pub fn audit_refusal_count(&self) -> usize {
         self.sync_supervision_audit();
-        self.audit.lock().refusals().count()
+        self.audit.lock().refusal_count()
     }
 
     /// Supervision state (breaker position, transitions, degradation
@@ -1329,17 +1343,17 @@ impl GramServer {
                 let note =
                     format!("callout {name}: breaker {} -> {}", transition.from, transition.to);
                 let open = transition.to == BreakerState::Open;
-                self.push_audit(encode_audit(
-                    transition.at,
-                    &subject,
-                    Action::Information,
-                    None,
-                    None,
-                    open.then_some(&note as &dyn fmt::Display),
-                    None,
-                    open,
-                    Some(&note),
-                ));
+                self.push_audit(encode_audit(&AuditFields {
+                    at: transition.at,
+                    subject: &subject,
+                    action: Action::Information,
+                    job: None,
+                    account: None,
+                    refused: open.then_some(note.as_str()),
+                    trace_id: None,
+                    degraded: open,
+                    note: Some(&note),
+                }));
             }
             seen.insert(name, newest);
         }

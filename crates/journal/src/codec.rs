@@ -84,6 +84,17 @@ impl ByteWriter {
         self.buf.extend_from_slice(v);
     }
 
+    /// Writes a `u32`-length-prefixed byte string made of `parts` laid
+    /// end to end: what [`bytes`](Self::bytes) writes for their
+    /// concatenation, without building it first.
+    pub fn concat<'p>(&mut self, parts: impl Iterator<Item = &'p [u8]> + Clone) {
+        let len: usize = parts.clone().map(<[u8]>::len).sum();
+        self.u32(u32::try_from(len).expect("field longer than u32::MAX"));
+        for part in parts {
+            self.buf.extend_from_slice(part);
+        }
+    }
+
     /// Writes a `u32`-length-prefixed UTF-8 string.
     pub fn string(&mut self, v: &str) {
         self.bytes(v.as_bytes());
@@ -243,6 +254,16 @@ mod tests {
         assert_eq!(r.opt_u64().unwrap(), Some(9));
         assert_eq!(r.opt_u64().unwrap(), None);
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn concat_writes_what_bytes_writes_for_the_joined_parts() {
+        let parts: [&[u8]; 4] = [b"/", b"CN", b"=", b""];
+        let mut joined = ByteWriter::new();
+        joined.concat(parts.iter().copied());
+        let mut whole = ByteWriter::new();
+        whole.bytes(&parts.concat());
+        assert_eq!(joined.into_bytes(), whole.into_bytes());
     }
 
     #[test]

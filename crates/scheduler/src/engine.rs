@@ -541,17 +541,14 @@ impl LocalScheduler {
     }
 }
 
-/// Charges a running stint of `spec`'s processors to its account, cloning
-/// the account name only when it first enters `usage`.
+/// Charges a running stint of `spec`'s processors to its account, which
+/// `submit` entered in `usage` when it admitted the job.
 fn charge_stint<'a>(
     usage: &'a mut HashMap<String, AccountUsage>,
     spec: &JobSpec,
     stint: SimDuration,
 ) -> &'a mut AccountUsage {
-    if !usage.contains_key(&spec.account) {
-        usage.insert(spec.account.clone(), AccountUsage::default());
-    }
-    let entry = usage.get_mut(&spec.account).expect("inserted above");
+    let entry = usage.get_mut(&spec.account).expect("submit entered the account");
     entry.cpu_seconds += u64::from(spec.cpus) * stint.as_secs();
     entry
 }
